@@ -612,9 +612,7 @@ def _build_quadratic(spec: ExperimentSpec):
 
     def initial(rng):
         blocks = rng.uniform(low, high, size=(n_agents, dim))
-        if isinstance(constraint, Unconstrained):
-            return blocks
-        return np.stack([constraint.project(b) for b in blocks])
+        return constraint.project(blocks)
 
     return problem, initial
 

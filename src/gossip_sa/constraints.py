@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 #: Hard cap on the number of halfspaces (projection enumerates active subsets).
 MAX_HALFSPACES = 10
@@ -32,16 +31,20 @@ def default_active_tolerance(theta) -> float:
 
 
 class ConstraintSet:
-    """Closed convex subset of R^d described by inequality constraints."""
+    """Closed convex subset of R^d described by inequality constraints.
+
+    ``project`` and ``constraint_values`` act along the last axis; any
+    leading axes are a stack of independent blocks of length ``dim``.
+    """
 
     dim: int
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection of ``x`` onto the set."""
+        """Euclidean projection of every block of ``x`` onto the set."""
         raise NotImplementedError
 
     def constraint_values(self, theta) -> np.ndarray:
-        """Constraint values ``q_j(theta)``; feasibility means all <= 0."""
+        """Constraint values ``q_j(theta)`` per block; feasibility means all <= 0."""
         raise NotImplementedError
 
     def constraint_gradients(self, theta) -> np.ndarray:
@@ -53,7 +56,7 @@ class ConstraintSet:
         raise NotImplementedError
 
     def contains(self, theta, tol: float | None = None) -> bool:
-        """Feasibility check within ``tol`` (scale-aware default)."""
+        """Feasibility check of one point within ``tol`` (scale-aware default)."""
         vals = self.constraint_values(theta)
         if vals.size == 0:
             return True
@@ -74,7 +77,7 @@ class Unconstrained(ConstraintSet):
         return np.asarray(x, dtype=float)
 
     def constraint_values(self, theta):
-        return np.zeros(0)
+        return np.zeros(np.shape(theta)[:-1] + (0,))
 
     def constraint_gradients(self, theta):
         return np.zeros((0, self.dim))
@@ -109,9 +112,9 @@ class Box(ConstraintSet):
 
     def constraint_values(self, theta):
         theta = np.asarray(theta, dtype=float)
-        up = theta[self._upper_idx] - self.upper[self._upper_idx]
-        lo = self.lower[self._lower_idx] - theta[self._lower_idx]
-        return np.concatenate([up, lo])
+        up = theta[..., self._upper_idx] - self.upper[self._upper_idx]
+        lo = self.lower[self._lower_idx] - theta[..., self._lower_idx]
+        return np.concatenate([up, lo], axis=-1)
 
     def constraint_gradients(self, theta):
         rows = np.zeros((self.n_constraints, self.dim))
@@ -130,22 +133,37 @@ class Box(ConstraintSet):
         return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
 
 
-def _project_capped_simplex(x: np.ndarray, budget: float) -> np.ndarray:
-    """Projection onto ``{y >= 0, sum(y) <= budget}``.
+def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Project every group ``x[..., g, :]`` onto ``{y >= 0, sum(y) <= budgets[g]}``.
 
-    When clipping to the nonnegative orthant already satisfies the budget,
-    that clip is the projection.  Otherwise the budget is tight and the
-    classic sorted-threshold rule projects onto the budget face.
+    Where clipping to the nonnegative orthant already satisfies the budget,
+    that clip is the projection.  On the other (tight) rows the classic
+    sorted-threshold rule projects onto the budget face (Duchi et al., ICML
+    2008); ``rho`` is the last sorted index whose threshold condition holds.
     """
     y = np.maximum(x, 0.0)
-    if y.sum() <= budget:
+    tight = np.nonzero(~(y.sum(axis=-1) <= budgets))
+    if not tight[0].size:
         return y
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - budget
-    idx = np.arange(1, x.size + 1)
-    rho = idx[u > css / idx][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(x - tau, 0.0)
+    xt = x[tight]
+    u = np.sort(xt, axis=-1)[:, ::-1]
+    css = np.cumsum(u, axis=-1) - budgets[tight[-1], None]
+    size = x.shape[-1]
+    held = u > css / np.arange(1, size + 1)
+    last = size - 1 - np.argmax(held[:, ::-1], axis=-1)
+    tau = css[np.arange(last.size), last] / (last + 1)
+    y[tight] = np.maximum(xt - tau[:, None], 0.0)
+    return y
+
+
+def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``x[..., index]`` laid out C-contiguously.
+
+    Row sums of the gathered groups then run along a contiguous axis, which
+    is what makes them equal, bit for bit, the sum of each group taken on
+    its own (``x[..., index]`` would put the stack axis innermost).
+    """
+    return np.take(x, index, axis=-1)
 
 
 class BudgetSimplex(ConstraintSet):
@@ -172,19 +190,27 @@ class BudgetSimplex(ConstraintSet):
         self.budgets = budgets
         self.groups = groups
         self.dim = dim
+        # Groups of one size are gathered together: (group numbers, a
+        # (groups, size) coordinate index array, their budgets) per size.
+        self._by_size = []
+        for size in sorted({len(g) for g in groups}):
+            rows = np.array([r for r, g in enumerate(groups) if len(g) == size])
+            index = np.array([groups[r] for r in rows], dtype=np.intp)
+            self._by_size.append((rows, index, budgets[rows]))
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
-        for g, budget in zip(self.groups, self.budgets):
-            idx = list(g)
-            out[idx] = _project_capped_simplex(x[idx], float(budget))
+        for _, index, budgets in self._by_size:
+            out[..., index] = _project_capped_simplex(_gather(x, index), budgets)
         return out
 
     def constraint_values(self, theta):
         theta = np.asarray(theta, dtype=float)
-        sums = np.array([theta[list(g)].sum() for g in self.groups])
-        return np.concatenate([-theta, sums - self.budgets])
+        sums = np.empty(theta.shape[:-1] + self.budgets.shape)
+        for rows, index, _ in self._by_size:
+            sums[..., rows] = _gather(theta, index).sum(axis=-1)
+        return np.concatenate([-theta, sums - self.budgets], axis=-1)
 
     def constraint_gradients(self, theta):
         rows = np.zeros((self.n_constraints, self.dim))
@@ -227,6 +253,8 @@ class Halfspaces(ConstraintSet):
             raise ValueError(f"at most {MAX_HALFSPACES} halfspaces are supported")
         if np.any(np.linalg.norm(normals, axis=1) == 0.0):
             raise ValueError("halfspace normals must be nonzero")
+        import scipy.optimize  # deferred: costs most of the package's import time
+
         feas = scipy.optimize.linprog(
             c=np.zeros(normals.shape[1]),
             A_ub=normals,
@@ -241,7 +269,9 @@ class Halfspaces(ConstraintSet):
         self.dim = normals.shape[1]
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
+        return _per_block(self._project_block, x)
+
+    def _project_block(self, x):
         p = self.normals.shape[0]
         tol = 1e-9 * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(self.offsets)))
         best = None
@@ -269,7 +299,7 @@ class Halfspaces(ConstraintSet):
         return best
 
     def constraint_values(self, theta):
-        return self.normals @ np.asarray(theta, dtype=float) - self.offsets
+        return _per_block(lambda block: self.normals @ block - self.offsets, theta)
 
     def constraint_gradients(self, theta):
         return self.normals.copy()
@@ -280,6 +310,15 @@ class Halfspaces(ConstraintSet):
 
     def __repr__(self) -> str:
         return f"Halfspaces(normals={self.normals.tolist()}, offsets={self.offsets.tolist()})"
+
+
+def _per_block(fn, x) -> np.ndarray:
+    """Apply the 1-d map ``fn`` to every block along the last axis of ``x``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return fn(x)
+    out = np.stack([fn(block) for block in x.reshape(-1, x.shape[-1])])
+    return out.reshape(*x.shape[:-1], out.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -329,6 +368,8 @@ def kt_residual(cs: ConstraintSet, theta, grad, tol: float | None = None) -> flo
             DependentGradientsWarning,
             stacklevel=2,
         )
+    import scipy.optimize  # deferred: costs most of the package's import time
+
     _, resid = scipy.optimize.nnls(rows.T, -grad)
     return float(resid)
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constraints import Box, ConstraintSet, Unconstrained, default_active_tolerance, kt_residual
+from .constraints import ConstraintSet, Unconstrained, default_active_tolerance, kt_residual
 from .diagnostics import CltSpec, TraceRecord, disagreement_norm, network_average
 from .network import GossipModel, check_doubly_stochastic, is_connected, sample_gossip, spectral_gap
 
@@ -210,10 +210,25 @@ def _validated_state(state: np.ndarray, problem: Problem) -> np.ndarray:
         )
     if not np.isfinite(state).all():
         raise ValueError("initial state must be finite")
-    for idx, block in enumerate(state):
-        if not problem.constraint.contains(block):
-            raise ValueError(f"initial block of agent {idx + 1} is infeasible")
+    agent = _infeasible_agent(state, problem.constraint)
+    if agent is not None:
+        raise ValueError(f"initial block of agent {agent} is infeasible")
     return state
+
+
+def _infeasible_agent(theta: np.ndarray, constraint: ConstraintSet) -> int | None:
+    """1-based index of the first block outside ``constraint``, if any.
+
+    Each block is held to its own scale-aware tolerance, exactly as
+    ``constraint.contains(block)`` would hold it, but the constraint values
+    of all blocks are computed in one stacked call.
+    """
+    values = constraint.constraint_values(theta)
+    if values.shape[-1] == 0:
+        return None
+    tols = [default_active_tolerance(block) for block in theta]
+    outside = np.flatnonzero(~(values.max(axis=-1) <= tols))
+    return int(outside[0]) + 1 if outside.size else None
 
 
 def _initial_state(config: RunConfig, replica: int) -> np.ndarray:
@@ -224,7 +239,11 @@ def _initial_state(config: RunConfig, replica: int) -> np.ndarray:
 
 
 def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
-    """Projected ascent step ``P[theta_i + gamma * y_i]`` applied blockwise."""
+    """Projected ascent step ``P[theta_i + gamma * y_i]`` for every block.
+
+    The stepped ``(n_agents, dim)`` stack is projected in one
+    ``constraint.project`` call, whatever the constraint kind.
+    """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     theta = np.asarray(theta, dtype=float)
@@ -235,12 +254,7 @@ def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
         raise NonFiniteObservationError(
             f"non-finite observation for agent {agent}", agent=agent
         )
-    stepped = theta + gamma * y
-    if isinstance(constraint, Unconstrained):
-        return stepped
-    if isinstance(constraint, Box):
-        return np.clip(stepped, constraint.lower, constraint.upper)
-    return np.stack([constraint.project(block) for block in stepped])
+    return constraint.project(theta + gamma * y)
 
 
 def gossip_step(theta, w) -> np.ndarray:
@@ -308,12 +322,12 @@ def _make_record(n, gamma, theta, problem, diag_rng) -> TraceRecord:
 
 
 def _check_recorded_feasibility(theta, constraint, n) -> None:
-    for idx, block in enumerate(theta):
-        if not constraint.contains(block, default_active_tolerance(block)):
-            raise SimulationAbort(
-                f"block of agent {idx + 1} left the feasible set at iteration {n}",
-                iteration=n,
-            )
+    agent = _infeasible_agent(theta, constraint)
+    if agent is not None:
+        raise SimulationAbort(
+            f"block of agent {agent} left the feasible set at iteration {n}",
+            iteration=n,
+        )
 
 
 def run(config: RunConfig, replica: int = 0) -> RunResult:

@@ -143,31 +143,42 @@ class GossipModel:
         cum[-1] = 1.0  # guard against rounding in the final bin
         return i, j, cum
 
+    @cached_property
+    def _alphabet(self) -> tuple[np.ndarray, ...]:
+        """Every realizable mixing matrix, read-only: the identity, then one
+        pairwise exchange per edge in edge order."""
+        n_agents = self.graph.n_agents
+        matrices = (np.eye(n_agents),) + tuple(
+            pairwise_matrix(i, j, n_agents) for i, j in self.graph.edges
+        )
+        for w in matrices:
+            w.setflags(write=False)
+        return matrices
+
 
 def sample_gossip(model: GossipModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the mixing matrix for step ``n`` from ``model``.
 
     Given the same seeded stream and call order, the sequence of draws is
-    fully reproducible.
+    fully reproducible.  The returned matrix is shared and read-only.
     """
     p = model.activation_probability(n)
     if rng.random() >= p:
-        return np.eye(model.graph.n_agents)
+        return model._alphabet[0]
     _, _, cum = model._edge_table
     k = int(np.searchsorted(cum, rng.random(), side="right"))
     k = min(k, len(model.graph.edges) - 1)
-    i, j = model.graph.edges[k]
-    return pairwise_matrix(i, j, model.graph.n_agents)
+    return model._alphabet[k + 1]
 
 
 def expected_mixing_matrix(model: GossipModel, n: int) -> np.ndarray:
     """Exact expectation of the step-``n`` mixing matrix over its finite alphabet."""
-    n_agents = model.graph.n_agents
-    avg = np.zeros((n_agents, n_agents))
-    for (i, j), q in zip(model.graph.edges, model.graph.pair_probs):
-        avg += q * pairwise_matrix(i, j, n_agents)
+    identity, *exchanges = model._alphabet
+    avg = np.zeros_like(identity)
+    for w, q in zip(exchanges, model.graph.pair_probs):
+        avg += q * w
     p = model.activation_probability(n)
-    return p * avg + (1.0 - p) * np.eye(n_agents)
+    return p * avg + (1.0 - p) * identity
 
 
 def spectral_gap(model: GossipModel, n: int = 1) -> float:

@@ -126,15 +126,50 @@ def rate_gradient(scenario: PowerScenario, theta, gains, user: int) -> np.ndarra
     return grad.reshape(*gains.shape[:-3], scenario.dim)
 
 
+def _all_receiver_terms(scenario, p, gains):
+    """Per-channel terms of every receiver at once, indexed ``[..., i, k]``.
+
+    ``p[i]`` is the ``(n_users, n_channels)`` power matrix receiver ``i``
+    sees.  Returns the incoming gains ``[..., i, j, k]`` (transmitter ``j``
+    toward receiver ``i``), the own gains, the signals and the
+    interference-plus-noise floors, each the same numbers
+    :func:`_receiver_terms` gives for one receiver.
+    """
+    diag = np.arange(scenario.n_users)
+    incoming = np.swapaxes(gains, -3, -2)
+    own_gain = incoming[..., diag, diag, :]
+    load = np.einsum("...ijk,ijk->...ik", incoming, p)
+    signal = own_gain * p[diag, diag]
+    interference = load - signal
+    return incoming, own_gain, signal, scenario.noise_vars[:, None] + interference
+
+
+def _all_rate_gradients(scenario, p, gains) -> np.ndarray:
+    """Every receiver's rate gradient, ``[..., i, :]`` for user ``i + 1``.
+
+    Row ``i`` equals ``rate_gradient(scenario, p_i, gains, i + 1)``, where
+    ``p_i = p[i]`` is the matrix receiver ``i`` sees.
+    """
+    diag = np.arange(scenario.n_users)
+    incoming, own_gain, signal, floor = _all_receiver_terms(scenario, p, gains)
+    total = floor + signal
+    cross_factor = (signal / (floor * total))[..., None, :]
+    grad = -incoming * cross_factor
+    grad[..., diag, diag, :] = own_gain / total
+    return grad.reshape(*grad.shape[:-2], scenario.dim)
+
+
 def stochastic_oracle(
     scenario: PowerScenario, theta_blocks, rng: np.random.Generator
 ) -> np.ndarray:
     """Stacked ascent observations from one fresh channel realization.
 
-    Agent ``i`` evaluates its weighted rate gradient at its own allocation
-    estimate.  Conforms to the engine's oracle interface; the sign is an
-    ascent direction, equivalent to descending the negated weighted ergodic
-    sum rate.
+    Agent ``i`` is receiver ``i`` evaluated at its own allocation estimate
+    ``theta_blocks[i]``; all agents are evaluated together, and row ``i``
+    equals ``weights[i] * rate_gradient(scenario, theta_blocks[i], gains,
+    i + 1)`` bit for bit.  Conforms to the engine's oracle interface; the
+    sign is an ascent direction, equivalent to descending the negated
+    weighted ergodic sum rate.
     """
     theta_blocks = np.asarray(theta_blocks, dtype=float)
     if theta_blocks.shape != (scenario.n_users, scenario.dim):
@@ -148,12 +183,8 @@ def stochastic_oracle(
         scenario.n_channels,
         distribution=scenario.channel_distribution,
     )
-    observations = np.empty_like(theta_blocks)
-    for i in range(scenario.n_users):
-        observations[i] = scenario.weights[i] * rate_gradient(
-            scenario, theta_blocks[i], gains, i + 1
-        )
-    return observations
+    p = theta_blocks.reshape(scenario.n_users, scenario.n_users, scenario.n_channels)
+    return scenario.weights[:, None] * _all_rate_gradients(scenario, p, gains)
 
 
 class ObjectiveEstimate(NamedTuple):
@@ -161,22 +192,37 @@ class ObjectiveEstimate(NamedTuple):
     std_error: float
 
 
-def estimate_objective(
-    scenario: PowerScenario, theta, mc_trials: int, rng: np.random.Generator
-) -> ObjectiveEstimate:
-    """Monte-Carlo estimate of the weighted ergodic sum rate at ``theta``."""
+def _shared(scenario: PowerScenario, theta) -> np.ndarray:
+    """One allocation seen by every receiver, as a read-only broadcast."""
+    p = scenario.power_matrix(theta)
+    return np.broadcast_to(p, (scenario.n_users, *p.shape))
+
+
+def _draw_gains(scenario: PowerScenario, mc_trials: int, rng: np.random.Generator):
     if mc_trials < 1:
         raise ValueError("mc_trials must be at least 1")
-    gains = sample_channels(
+    return sample_channels(
         rng,
         scenario.n_users,
         scenario.n_channels,
         n_draws=mc_trials,
         distribution=scenario.channel_distribution,
     )
+
+
+def estimate_objective(
+    scenario: PowerScenario, theta, mc_trials: int, rng: np.random.Generator
+) -> ObjectiveEstimate:
+    """Monte-Carlo estimate of the weighted ergodic sum rate at ``theta``.
+
+    The users' weighted rates are summed in user order, starting from zero.
+    """
+    gains = _draw_gains(scenario, mc_trials, rng)
+    _, _, signal, floor = _all_receiver_terms(scenario, _shared(scenario, theta), gains)
+    rates = np.log1p(signal / floor).sum(axis=-1)
     totals = np.zeros(mc_trials)
     for i in range(scenario.n_users):
-        totals += scenario.weights[i] * rate(scenario, theta, gains, i + 1)
+        totals += scenario.weights[i] * rates[:, i]
     std_error = float(totals.std(ddof=1) / np.sqrt(mc_trials)) if mc_trials > 1 else 0.0
     return ObjectiveEstimate(value=float(totals.mean()), std_error=std_error)
 
@@ -184,19 +230,16 @@ def estimate_objective(
 def weighted_gradient_estimate(
     scenario: PowerScenario, theta, mc_trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Monte-Carlo estimate of the ascent gradient of the weighted ergodic sum rate."""
-    if mc_trials < 1:
-        raise ValueError("mc_trials must be at least 1")
-    gains = sample_channels(
-        rng,
-        scenario.n_users,
-        scenario.n_channels,
-        n_draws=mc_trials,
-        distribution=scenario.channel_distribution,
-    )
+    """Monte-Carlo estimate of the ascent gradient of the weighted ergodic sum rate.
+
+    The users' weighted mean gradients are summed in user order, starting
+    from zero.
+    """
+    gains = _draw_gains(scenario, mc_trials, rng)
+    means = _all_rate_gradients(scenario, _shared(scenario, theta), gains).mean(axis=0)
     total = np.zeros(scenario.dim)
     for i in range(scenario.n_users):
-        total += scenario.weights[i] * rate_gradient(scenario, theta, gains, i + 1).mean(axis=0)
+        total += scenario.weights[i] * means[i]
     return total
 
 
@@ -252,7 +295,7 @@ def random_feasible_start(
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         blocks = rng.uniform(0.0, caps, size=(n_agents, scenario.dim))
-        return np.stack([feasible.project(block) for block in blocks])
+        return feasible.project(blocks)
 
     return sampler
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gossip_sa
 from gossip_sa.cli import main
 from gossip_sa.config import (
     ConfigError,
@@ -303,3 +308,17 @@ class TestCli:
         )
         assert code == 4
         assert "insufficient data" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize dominates start-up time; only halfspace sets and the
+        # stationarity residual need it, and they import it when called.
+        src = os.path.dirname(os.path.dirname(gossip_sa.__file__))
+        probe = "import sys, gossip_sa.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -147,6 +147,81 @@ class TestProjectionProperties:
                     assert float(np.dot(x - px, z - px)) <= 1e-9
 
 
+def reference_capped_simplex(x, budget):
+    """The per-group sort-threshold rule, one 1-d group at a time."""
+    y = np.maximum(x, 0.0)
+    if y.sum() <= budget:
+        return y
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - budget
+    idx = np.arange(1, x.size + 1)
+    rho = idx[u > css / idx][-1]
+    tau = css[rho - 1] / rho
+    return np.maximum(x - tau, 0.0)
+
+
+def random_partition(rng, d):
+    """Groups of a shuffled ``range(d)``, of random (often uneven) sizes."""
+    perm = rng.permutation(d)
+    n_cuts = int(rng.integers(0, d))
+    cuts = np.sort(rng.choice(np.arange(1, d), size=n_cuts, replace=False))
+    return [tuple(int(k) for k in g) for g in np.split(perm, cuts)]
+
+
+class TestStackedProjection:
+    """Projecting a stack of blocks equals projecting each block, bit for bit."""
+
+    def test_budget_simplex_equals_per_group_rule(self):
+        rng = np.random.default_rng(30)
+        for trial in range(600):
+            d = int(rng.integers(1, 11))
+            groups = [tuple(range(d))] if trial % 3 == 0 else random_partition(rng, d)
+            budgets = rng.uniform(0.1, 3.0, size=len(groups))
+            cs = BudgetSimplex(budgets=budgets, groups=groups)
+            shape = [(3,), (2, 4)][trial % 2]
+            x = rng.uniform(-2.0, 2.0, size=(*shape, d)) * rng.choice([0.2, 1.0, 5.0])
+            flat = x.reshape(-1, d)
+            flat[0] = -np.abs(flat[0])  # all-negative block
+            g = list(groups[0])
+            flat[1, g] = budgets[0] / len(g)  # group exactly on its budget
+            expected = np.empty_like(flat)
+            for row, block in zip(expected, flat):
+                for group, budget in zip(groups, budgets):
+                    row[list(group)] = reference_capped_simplex(block[list(group)], budget)
+            assert np.array_equal(cs.project(x), expected.reshape(x.shape))
+            for row, block in zip(expected, flat):
+                assert np.array_equal(cs.project(block), row)
+
+    def test_budget_simplex_constraint_values_equal_per_block(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            d = int(rng.integers(1, 11))
+            groups = random_partition(rng, d)
+            budgets = rng.uniform(0.1, 3.0, size=len(groups))
+            cs = BudgetSimplex(budgets=budgets, groups=groups)
+            x = rng.uniform(-2.0, 2.0, size=(4, d))
+            expected = [
+                np.concatenate(
+                    [-block, [block[list(g)].sum() - b for g, b in zip(groups, budgets)]]
+                )
+                for block in x
+            ]
+            assert np.array_equal(cs.constraint_values(x), np.stack(expected))
+
+    def test_box_and_halfspaces_equal_per_block(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            for cs in random_sets(rng):
+                x = rng.normal(scale=2.0, size=(2, 3, cs.dim))
+                flat = x.reshape(-1, cs.dim)
+                projected = np.stack([cs.project(block) for block in flat])
+                values = np.stack([cs.constraint_values(block) for block in flat])
+                assert np.array_equal(cs.project(x), projected.reshape(x.shape))
+                assert np.array_equal(
+                    cs.constraint_values(x), values.reshape(*x.shape[:-1], -1)
+                )
+
+
 class TestActiveSet:
     def test_box_upper_bound_active(self):
         cs = Box([0.0], [1.0])

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from gossip_sa.constraints import Box, BudgetSimplex, Unconstrained
+from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
     AssumptionError,
     DivergenceError,
     NonFiniteObservationError,
     Problem,
     RunConfig,
+    SimulationAbort,
     StepSchedule,
+    _check_recorded_feasibility,
     gossip_step,
     local_step,
     rm_iterate,
@@ -108,6 +110,49 @@ class TestLocalStep:
         assert np.allclose(out[0], [0.5, 0.5], atol=1e-12)
         for block in out:
             assert cs.contains(block)
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            Unconstrained(2),
+            Box([0.0, 0.0], [1.0, 1.0]),
+            BudgetSimplex(budgets=[1.0], groups=[(0, 1)]),
+            Halfspaces([[1.0, 1.0]], [1.0]),
+        ],
+        ids=["unconstrained", "box", "budget-simplex", "halfspaces"],
+    )
+    def test_projects_the_stack_in_one_call(self, cs, monkeypatch):
+        calls = []
+        project = cs.project
+
+        def spy(x):
+            calls.append(np.shape(x))
+            return project(x)
+
+        monkeypatch.setattr(cs, "project", spy)
+        theta = np.array([[0.4, 0.4], [0.1, 0.1], [0.9, -0.2]])
+        out = local_step(theta, np.ones_like(theta), 1.0, cs)
+        assert calls == [theta.shape]
+        assert np.array_equal(out, np.stack([project(b) for b in theta + 1.0]))
+
+
+class TestRecordedFeasibility:
+    def test_names_first_infeasible_agent(self):
+        cs = BudgetSimplex(budgets=[1.0, 1.0], groups=[(0, 1), (2,)])
+        theta = np.array([[0.5, 0.5, 1.0], [0.2, 0.2, 1.5], [-0.1, 0.0, 0.0]])
+        with pytest.raises(SimulationAbort, match="agent 2 left the feasible set at iteration 7"):
+            _check_recorded_feasibility(theta, cs, 7)
+
+    def test_per_block_tolerance(self):
+        # Each block is held to its own scale-aware tolerance, as contains()
+        # holds it: the same overshoot passes on a long block, not a short one.
+        cs = Box([0.0, -10.0], [1.0, 10.0])
+        long_block = np.array([1.0 + 3e-8, 9.0])
+        short_block = np.array([1.0 + 3e-8, 0.0])
+        assert cs.contains(long_block) and not cs.contains(short_block)
+        _check_recorded_feasibility(np.stack([long_block, long_block]), cs, 1)
+        with pytest.raises(SimulationAbort, match="agent 2"):
+            _check_recorded_feasibility(np.stack([long_block, short_block]), cs, 1)
 
 
 class TestGossipStep:

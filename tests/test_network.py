@@ -119,6 +119,19 @@ class TestSampleGossip:
             w = sample_gossip(model, int(rng.integers(1, 50)), rng)
             check_doubly_stochastic(w, tol=1e-12)
 
+    def test_returned_matrices_are_read_only(self):
+        # Draws share the model's cached alphabet, so writes must fail loudly.
+        model = triangle_model(c=0.5)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            w = sample_gossip(model, 1, rng)
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 2.0
+        identity, *exchanges = model._alphabet
+        assert np.array_equal(identity, np.eye(3))
+        for w, (i, j) in zip(exchanges, model.graph.edges):
+            assert np.array_equal(w, pairwise_matrix(i, j, 3))
+
     def test_activation_decay_schedule(self):
         model = triangle_model(c=2.0, eta=0.5)
         assert model.activation_probability(1) == 1.0  # capped at one

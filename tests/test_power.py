@@ -30,6 +30,16 @@ def small_scenario(n_users=3, n_channels=2, **kwargs):
     return PowerScenario(n_users=n_users, n_channels=n_channels, **defaults)
 
 
+def random_scenario(rng, n_users, n_channels):
+    return PowerScenario(
+        n_users=n_users,
+        n_channels=n_channels,
+        budgets=rng.uniform(0.5, 2.0, size=n_users),
+        noise_vars=rng.uniform(0.01, 1.0, size=n_users),
+        weights=rng.uniform(0.1, 1.0, size=n_users),
+    )
+
+
 def random_feasible_point(scenario, rng):
     caps = np.repeat(scenario.budgets / scenario.n_channels, scenario.n_channels)
     return rng.uniform(0.05, 1.0, size=scenario.dim) * caps
@@ -171,7 +181,27 @@ class TestStochasticOracle:
         ones = np.ones((3, 3, 2))
         for i in range(3):
             expected = scen.weights[i] * rate_gradient(scen, blocks[i], ones, i + 1)
-            assert np.allclose(obs[i], expected, atol=1e-12)
+            assert np.array_equal(obs[i], expected)
+
+    def test_equals_per_agent_loop_bitwise(self):
+        # The stacked oracle must equal the literal loop over agents, each
+        # receiver evaluated at its own allocation, on the same channel draw.
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n_users = int(rng.integers(1, 6))
+            n_channels = int(rng.integers(1, 4))
+            scen = random_scenario(rng, n_users, n_channels)
+            blocks = rng.uniform(0.0, 1.0, size=(n_users, scen.dim))
+            seed = int(rng.integers(2**32))
+            obs = stochastic_oracle(scen, blocks, np.random.default_rng(seed))
+            gains = sample_channels(np.random.default_rng(seed), n_users, n_channels)
+            expected = np.stack(
+                [
+                    scen.weights[i] * rate_gradient(scen, blocks[i], gains, i + 1)
+                    for i in range(n_users)
+                ]
+            )
+            assert np.array_equal(obs, expected)
 
     def test_conditional_mean_matches_ergodic_gradient(self):
         # Oracle draws at a fixed block must average to the ergodic gradient,
@@ -244,6 +274,42 @@ class TestObjective:
         up = estimate_objective(scen, theta + step, 200000, np.random.default_rng(17))
         down = estimate_objective(scen, theta - step, 200000, np.random.default_rng(17))
         assert up.value > down.value
+
+
+class TestEstimatesEqualPerUserLoops:
+    """The all-receiver Monte-Carlo records equal per-user loops, bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            n_users = int(rng.integers(1, 6))
+            n_channels = int(rng.integers(1, 4))
+            scen = random_scenario(rng, n_users, n_channels)
+            theta = rng.uniform(0.0, 1.0, size=scen.dim)
+            trials = int(rng.integers(1, 200))
+            seed = int(rng.integers(2**32))
+            gains = sample_channels(np.random.default_rng(seed), n_users, n_channels, trials)
+            yield scen, theta, trials, seed, gains
+
+    def test_estimate_objective(self):
+        for scen, theta, trials, seed, gains in self.cases():
+            totals = np.zeros(trials)
+            for i in range(scen.n_users):
+                totals += scen.weights[i] * rate(scen, theta, gains, i + 1)
+            est = estimate_objective(scen, theta, trials, np.random.default_rng(seed))
+            assert est.value == float(totals.mean())
+            if trials > 1:
+                assert est.std_error == float(totals.std(ddof=1) / np.sqrt(trials))
+
+    def test_weighted_gradient_estimate(self):
+        for scen, theta, trials, seed, gains in self.cases():
+            total = np.zeros(scen.dim)
+            for i in range(scen.n_users):
+                grad = rate_gradient(scen, theta, gains, i + 1)
+                total += scen.weights[i] * grad.mean(axis=0)
+            got = weighted_gradient_estimate(scen, theta, trials, np.random.default_rng(seed))
+            assert np.array_equal(got, total)
 
 
 class TestScenario:
