@@ -578,10 +578,6 @@ def _build_quadratic(spec: ExperimentSpec):
     constraint = _build_constraint(problem_spec.constraint, dim)
     sigma = problem_spec.noise_sigma
 
-    gradients = tuple(
-        (lambda theta, c=centers[i]: theta - c) for i in range(n_agents)
-    )
-
     def objective(average, rng):
         return float(0.5 * np.sum((average - centers) ** 2))
 
@@ -597,7 +593,7 @@ def _build_quadratic(spec: ExperimentSpec):
     problem = Problem(
         dim=dim,
         n_agents=n_agents,
-        local_gradients=gradients,
+        gradient=lambda theta: theta - centers,
         constraint=constraint,
         noise_scale=sigma,
         objective=objective,
@@ -661,11 +657,6 @@ def build_run_config(spec: ExperimentSpec) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def reference_power_spec() -> ExperimentSpec:
-    """The built-in four-user power experiment as a full spec."""
-    return preset_spec("power-alloc")
-
-
 __all__ = [
     "ConfigError",
     "ExperimentSpec",
@@ -682,6 +673,5 @@ __all__ = [
     "preset_dict",
     "preset_names",
     "preset_spec",
-    "reference_power_spec",
     "spec_from_dict",
 ]

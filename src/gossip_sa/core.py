@@ -11,7 +11,7 @@ materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -98,12 +98,17 @@ class StepSchedule:
 class Problem:
     """Optimization target seen through per-agent noisy gradient observations.
 
+    ``gradient`` maps a ``(..., n_agents, dim)`` stack of agent blocks to
+    the stack of local gradients: row ``i`` of the result is agent ``i``'s
+    gradient at its own block, e.g. ``lambda theta: theta - centers`` for
+    quadratic utilities.  It must broadcast over leading axes; this is what
+    lets many replicas advance at once.
+
     ``oracle(theta, rng)`` must return the stacked observation for every
     agent given the ``(n_agents, dim)`` block matrix.  When omitted it is
-    assembled from ``local_gradients`` plus isotropic Gaussian noise of
-    standard deviation ``noise_scale`` (a scalar, or a callable of the block
-    matrix for state-dependent scaling).  Gradient callables must broadcast
-    over leading axes; this is what lets many replicas advance at once.
+    ``-gradient(theta)`` plus isotropic Gaussian noise of standard deviation
+    ``noise_scale`` (a scalar, or a callable of the block matrix for
+    state-dependent scaling).
 
     ``objective`` and ``residual`` are optional diagnostic hooks with
     signature ``(average, rng) -> float``; the residual defaults to the
@@ -113,7 +118,7 @@ class Problem:
 
     dim: int
     n_agents: int
-    local_gradients: Sequence[Callable[[np.ndarray], np.ndarray]] | None
+    gradient: Callable[[np.ndarray], np.ndarray] | None
     constraint: ConstraintSet | None = None
     noise_scale: float | Callable = 0.0
     oracle: Callable | None = None
@@ -128,32 +133,26 @@ class Problem:
             self.constraint = Unconstrained(self.dim)
         if self.constraint.dim != self.dim:
             raise ValueError("constraint dimension does not match the problem dimension")
-        if self.local_gradients is not None:
-            self.local_gradients = tuple(self.local_gradients)
-            if len(self.local_gradients) != self.n_agents:
-                raise ValueError("need exactly one gradient callable per agent")
         if self.oracle is None:
-            if self.local_gradients is None:
-                raise ValueError("provide either an oracle or local gradients")
+            if self.gradient is None:
+                raise ValueError("provide either an oracle or a gradient")
             self.oracle = self._gaussian_oracle
-        if self.residual is None and self.local_gradients is not None:
+        if self.residual is None and self.gradient is not None:
             self.residual = self._gradient_residual
         if self.clt_spec is not None and self.clt_spec.dim != self.dim:
             raise ValueError("clt_spec dimension does not match the problem dimension")
 
     def mean_gradient(self, theta: np.ndarray) -> np.ndarray:
         """Gradient of the aggregate utility (sum over agents) at one point."""
-        if self.local_gradients is None:
-            raise ValueError("this problem has no closed-form gradients")
+        if self.gradient is None:
+            raise ValueError("this problem has no closed-form gradient")
         theta = np.asarray(theta, dtype=float)
-        return np.sum([g(theta) for g in self.local_gradients], axis=0)
+        stacked = np.broadcast_to(theta, (self.n_agents, self.dim))
+        return self.gradient(stacked).sum(axis=0)
 
     def _gaussian_oracle(self, theta, rng: np.random.Generator) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        drift = np.stack(
-            [-g(theta[..., idx, :]) for idx, g in enumerate(self.local_gradients)],
-            axis=-2,
-        )
+        drift = -self.gradient(theta)
         scale = self.noise_scale(theta) if callable(self.noise_scale) else self.noise_scale
         return drift + scale * rng.standard_normal(theta.shape)
 

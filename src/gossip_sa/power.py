@@ -273,7 +273,7 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Probl
     return Problem(
         dim=scenario.dim,
         n_agents=scenario.n_users,
-        local_gradients=None,
+        gradient=None,
         constraint=feasible,
         oracle=oracle,
         objective=objective,

@@ -26,7 +26,6 @@ from gossip_sa.network import Graph, GossipModel, pairwise_matrix
 def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
     centers = np.asarray(centers, dtype=float)
     n_agents, dim = centers.shape
-    gradients = tuple((lambda th, c=centers[i]: th - c) for i in range(n_agents))
     clt_spec = None
     if clt:
         clt_spec = CltSpec(
@@ -37,7 +36,7 @@ def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
     return Problem(
         dim=dim,
         n_agents=n_agents,
-        local_gradients=gradients,
+        gradient=lambda th: th - centers,
         constraint=constraint,
         noise_scale=sigma,
         objective=lambda avg, rng: float(0.5 * np.sum((avg - centers) ** 2)),
@@ -174,6 +173,10 @@ class TestGossipStep:
         with pytest.raises(ValueError, match="doubly stochastic"):
             gossip_step(np.zeros((2, 1)), np.array([[0.7, 0.3], [0.5, 0.5]]))
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValueError, match="NaN"):
+            gossip_step(np.ones((2, 1)), np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
     def test_average_preserved_and_disagreement_contracts(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -270,8 +273,7 @@ class TestRun:
     def test_divergence_guard_carries_partial_trace(self):
         # Concave utility turns the update into an expanding map.
         centers = np.array([[0.0], [0.0]])
-        gradients = tuple((lambda th: -th) for _ in range(2))
-        problem = Problem(dim=1, n_agents=2, local_gradients=gradients, noise_scale=0.0)
+        problem = Problem(dim=1, n_agents=2, gradient=lambda th: -th, noise_scale=0.0)
         config = RunConfig(
             problem=problem,
             gossip=GossipModel(Graph.from_edges(2, [(1, 2)])),
@@ -329,15 +331,52 @@ class TestOracle:
 
     def test_state_dependent_scale_hook(self):
         centers = np.array([[0.0]])
-        grad = (lambda th: th,)
         problem = Problem(
             dim=1,
             n_agents=1,
-            local_gradients=grad,
+            gradient=lambda th: th,
             noise_scale=lambda theta: 0.0,
         )
         out = problem.oracle(np.array([[2.0]]), np.random.default_rng(0))
         assert np.allclose(out, [[-2.0]], atol=1e-15)
+
+    def test_stacked_oracle_equals_per_agent_literal(self):
+        sigma = 0.3
+        rng = np.random.default_rng(12)
+        centers = rng.normal(size=(4, 3))
+        problem = quadratic_problem(centers, sigma=sigma)
+        for shape in [(4, 3), (7, 4, 3)]:
+            theta = rng.normal(size=shape) * 5.0
+            got = problem.oracle(theta, np.random.default_rng(99))
+            noise = np.random.default_rng(99).standard_normal(shape)
+            drift = np.stack([-(theta[..., i, :] - centers[i]) for i in range(4)], axis=-2)
+            assert np.array_equal(got, drift + sigma * noise)
+
+    def test_one_gradient_call_per_draw(self):
+        centers = np.array([[1.0], [2.0], [3.0]])
+        shapes = []
+
+        def gradient(theta):
+            shapes.append(theta.shape)
+            return theta - centers
+
+        problem = Problem(dim=1, n_agents=3, gradient=gradient, noise_scale=0.1)
+        problem.oracle(np.zeros((3, 1)), np.random.default_rng(0))
+        problem.oracle(np.zeros((5, 3, 1)), np.random.default_rng(0))
+        assert shapes == [(3, 1), (5, 3, 1)]
+
+    def test_mean_gradient_equals_per_agent_sum(self):
+        rng = np.random.default_rng(13)
+        centers = rng.normal(size=(5, 3))
+        problem = quadratic_problem(centers)
+        for _ in range(20):
+            average = rng.normal(size=3) * 10.0
+            literal = np.sum([average - c for c in centers], axis=0)
+            assert np.array_equal(problem.mean_gradient(average), literal)
+
+    def test_needs_oracle_or_gradient(self):
+        with pytest.raises(ValueError, match="oracle or a gradient"):
+            Problem(dim=1, n_agents=2, gradient=None)
 
 
 class TestValidateAssumptions:

@@ -1,0 +1,59 @@
+"""Golden digests of the files every preset writes at a small size.
+
+Each digest is the sha256 over the names and bytes of the files one
+``gossip-sa run``/``clt`` invocation writes, in name order.  Reruns with the
+same seed are byte-identical, so a changed digest means the program's
+outputs changed: a floating-point operation, an RNG call or the file layout.
+A change that alters the random streams or the layout on purpose updates
+the digests here and says so in ``CHANGES.md``.
+"""
+
+import hashlib
+
+import pytest
+
+from gossip_sa.cli import EXIT_OK, main
+
+N_ITER = "run.n_iter=300"
+CLT_REPLICAS = "run.replicas=100"
+
+GOLDEN = {
+    ("run", "quadratic-consensus"): (
+        (N_ITER,),
+        "bcc9f3d2830401a6ff08b828c87136db29aacc5cc2a85db24e67b6e743d96f0c",
+    ),
+    ("run", "constrained-toy"): (
+        (N_ITER,),
+        "e9a026a06052bf3e7f282634225ffd2ac96948439bcb7ce766f5fd698778337f",
+    ),
+    ("run", "power-alloc"): (
+        (N_ITER,),
+        "ec88d84cc4af2d0606591e80f9c860fbcfd6a6f5c3882bd3947c7b357e311276",
+    ),
+    ("clt", "scalar-clt"): (
+        (N_ITER, CLT_REPLICAS),
+        "f2a3b5029effc88c412e5cd9c2e50dd3f4ed60d5b74f8dae15d6d7ca15f94c48",
+    ),
+    ("clt", "scalar-clt-xi1"): (
+        (N_ITER, CLT_REPLICAS),
+        "c5e61f2e6359aaee6d340ba850d03ab7c4e00b18cbe907a0f9f6eb16d59d35ec",
+    ),
+}
+
+
+def digest(out) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command,preset", sorted(GOLDEN))
+def test_preset_outputs_match_golden_digest(tmp_path, capsys, command, preset):
+    overrides, expected = GOLDEN[command, preset]
+    out = tmp_path / preset
+    argv = [command, "--preset", preset, "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == EXIT_OK
+    assert digest(out) == expected

@@ -4,6 +4,7 @@ import pytest
 from gossip_sa.network import (
     Graph,
     GossipModel,
+    _check_doubly_stochastic_content,
     check_doubly_stochastic,
     expected_mixing_matrix,
     is_connected,
@@ -11,6 +12,16 @@ from gossip_sa.network import (
     sample_gossip,
     spectral_gap,
 )
+
+
+class ScriptedRng:
+    """Stands in for a generator; ``random()`` returns the scripted draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
 
 
 def triangle_model(c=1.0, eta=0.0):
@@ -137,6 +148,35 @@ class TestSampleGossip:
         assert model.activation_probability(1) == 1.0  # capped at one
         assert model.activation_probability(16) == pytest.approx(0.5)
 
+    def test_edge_draw_matches_searchsorted(self):
+        # The picked edge is the one np.searchsorted(cum, u, side="right")
+        # picks, for random draws, draws on and next to every bin edge, and
+        # draws just below 1.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            model = random_model(rng)
+            _, _, cum = model._edge_table
+            draws = np.concatenate(
+                [
+                    rng.random(100),
+                    cum,
+                    np.nextafter(cum, 0.0),
+                    np.nextafter(cum, 2.0),
+                    [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-16, 1.0 - 1e-12],
+                ]
+            )
+            for u in draws:
+                k = min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
+                scripted = ScriptedRng([0.0, float(u)])
+                assert sample_gossip(model, 1, scripted) is model._alphabet[k + 1]
+                assert not scripted.draws
+
+    def test_lazy_step_makes_one_draw(self):
+        model = triangle_model(c=0.5)
+        scripted = ScriptedRng([0.5, 0.1])
+        assert sample_gossip(model, 1, scripted) is model._alphabet[0]
+        assert scripted.draws == [0.1]
+
 
 def random_model(rng, max_agents=8):
     """Random connected-or-not gossip model on up to ``max_agents`` agents."""
@@ -224,3 +264,45 @@ class TestCheckDoublyStochastic:
         w = np.array([[1.5, -0.5], [-0.5, 1.5]])
         with pytest.raises(ValueError, match="negative"):
             check_doubly_stochastic(w)
+
+    def test_rejects_nan_entry(self):
+        w = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NaN"):
+                check_doubly_stochastic(w)
+
+    def test_failing_matrix_raises_on_every_call(self):
+        w = np.array([[0.7, 0.3], [0.5, 0.5]])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="doubly stochastic"):
+                check_doubly_stochastic(w)
+
+    def test_matrix_mutated_after_passing_is_rejected(self):
+        w = pairwise_matrix(1, 2, 3)
+        check_doubly_stochastic(w)
+        w[0, 0] = 0.7
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            check_doubly_stochastic(w)
+        w[0, 0] = 0.5
+        check_doubly_stochastic(w)
+
+    def test_pass_at_loose_tolerance_does_not_carry_over(self):
+        w = np.array([[0.5 + 1e-9, 0.5], [0.5, 0.5 - 1e-9]])
+        check_doubly_stochastic(w, tol=1e-6)
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            check_doubly_stochastic(w, tol=1e-12)
+
+    def test_reductions_run_once_per_distinct_matrix(self):
+        model = triangle_model()
+        _check_doubly_stochastic_content.cache_clear()
+        for _ in range(5):
+            for w in model._alphabet:
+                check_doubly_stochastic(w)
+        info = _check_doubly_stochastic_content.cache_info()
+        assert info.misses == len(model._alphabet)
+        assert info.hits == 4 * len(model._alphabet)
+
+    def test_shape_checked_before_the_cache(self):
+        check_doubly_stochastic(np.eye(4))
+        with pytest.raises(ValueError, match="square"):
+            check_doubly_stochastic(np.eye(4).reshape(2, 8))
