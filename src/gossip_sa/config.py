@@ -590,10 +590,23 @@ def _build_quadratic(spec: ExperimentSpec):
             noise_cov=(sigma**2 / n_agents) * np.eye(dim),
         )
 
+    stacked = centers
+
+    def gradient(theta):
+        # Against a stack of replicas, subtracting centers tiled to the full
+        # shape gives the broadcast difference bit for bit, several times
+        # faster; the last tiling is kept for the next call.
+        nonlocal stacked
+        if theta.ndim <= centers.ndim:
+            return theta - centers
+        if stacked.shape != theta.shape:
+            stacked = np.broadcast_to(centers, theta.shape).copy()
+        return theta - stacked
+
     problem = Problem(
         dim=dim,
         n_agents=n_agents,
-        gradient=lambda theta: theta - centers,
+        gradient=gradient,
         constraint=constraint,
         noise_scale=sigma,
         objective=objective,

@@ -10,6 +10,7 @@ materialized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -152,9 +153,12 @@ class Problem:
 
     def _gaussian_oracle(self, theta, rng: np.random.Generator) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        drift = -self.gradient(theta)
         scale = self.noise_scale(theta) if callable(self.noise_scale) else self.noise_scale
-        return drift + scale * rng.standard_normal(theta.shape)
+        # ``s*z - g`` in place: bit-identical to ``-g + s*z`` without temporaries.
+        y = rng.standard_normal(theta.shape)
+        y *= scale
+        y -= self.gradient(theta)
+        return y
 
     def _gradient_residual(self, average, rng) -> float:
         grad = self.mean_gradient(average)
@@ -335,8 +339,8 @@ def run(config: RunConfig, replica: int = 0) -> RunResult:
     The run is bit-reproducible as a function of ``(config, replica)``.  A
     record is emitted every ``record_every`` iterations and at the final
     iteration.  Unconstrained runs abort with :class:`DivergenceError` when
-    the stacked norm passes :data:`DIVERGENCE_LIMIT`; the exception carries
-    the records collected so far.
+    the stacked norm passes :data:`DIVERGENCE_LIMIT` or is NaN; the exception
+    carries the records collected so far.
     """
     report = validate_assumptions(config)
     if not report.ok and not config.override_checks:
@@ -350,11 +354,15 @@ def run(config: RunConfig, replica: int = 0) -> RunResult:
     try:
         for n in range(1, config.n_iter + 1):
             theta = rm_iterate(theta, n, config, rng)
-            if unconstrained and float(np.linalg.norm(theta)) > DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
-                    iteration=n,
-                )
+            if unconstrained:
+                # ``sqrt(x . x)`` is what ``np.linalg.norm`` computes, bit for
+                # bit; written ``not <=`` so that a NaN state aborts too.
+                flat = theta.ravel()
+                if not (math.sqrt(flat.dot(flat)) <= DIVERGENCE_LIMIT):
+                    raise DivergenceError(
+                        f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
+                        iteration=n,
+                    )
             if n % config.record_every == 0 or n == config.n_iter:
                 if not unconstrained:
                     _check_recorded_feasibility(theta, config.problem.constraint, n)
@@ -384,6 +392,17 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     sequential runs; the dynamics draws come from one shared stream, so the
     ensemble is statistically equivalent to, but not draw-for-draw identical
     with, a loop of :func:`run` calls.
+
+    Each iteration draws the observations, then one block of ``2 * replicas``
+    uniforms: the first half decides which replicas exchange, the second
+    picks their edge by :meth:`GossipModel.pick_edges` (threshold counting,
+    linear in the number of edges; it beats a binary search up to about 60
+    edges).  Every replica is then mixed by one flat pairwise average
+    over the ``(replicas * n_agents, dim)`` view of the state; a lazy
+    replica averages an agent with itself, which leaves it unchanged
+    exactly.  The state is updated in place; the oracle's array is not.
+    The run aborts with :class:`DivergenceError` once some entry's magnitude
+    passes :data:`DIVERGENCE_LIMIT` or is NaN.
     """
     report = validate_assumptions(config)
     if not report.ok and not config.override_checks:
@@ -394,39 +413,59 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     n_replicas = config.replicas
     rng = _stream(config.seed, 0, _ENSEMBLE)
     theta = np.stack([_initial_state(config, r) for r in range(n_replicas)])
+    n_agents = theta.shape[1]
+    flat = theta.reshape(n_replicas * n_agents, -1)
     gammas = config.schedule.gamma_array(config.n_iter)
     steps = np.arange(1, config.n_iter + 1, dtype=float)
-    activation = np.minimum(
-        1.0, config.gossip.activation_scale * steps ** (-config.gossip.activation_decay)
-    )
-    edge_i, edge_j, cum = config.gossip._edge_table
-    n_edges = cum.size
+    gossip = config.gossip
+    activation = np.minimum(1.0, gossip.activation_scale * steps ** (-gossip.activation_decay))
+    endpoints = np.stack(gossip._edge_table[:2])
+    offsets = np.arange(n_replicas) * n_agents
+
+    uniforms = np.empty(2 * n_replicas)
+    activation_draws = uniforms[:n_replicas]
+    edge_draws = uniforms[n_replicas:]
+    lazy = np.empty(n_replicas, dtype=bool)
+    picked = gossip.pick_edges(edge_draws)
+    rows = np.empty((2, n_replicas), dtype=np.intp)
+    pair = np.empty((2, n_replicas, flat.shape[1]))
 
     for n in range(1, config.n_iter + 1):
         y = np.asarray(config.problem.oracle(theta, rng), dtype=float)
         if not np.isfinite(y).all():
+            replica, agent = _first_non_finite(y, theta.shape)
             raise NonFiniteObservationError(
-                f"non-finite observation at iteration {n}", agent=-1, iteration=n
+                f"non-finite observation for agent {agent} in replica {replica} "
+                f"at iteration {n}",
+                agent=agent,
+                iteration=n,
             )
-        theta = theta + gammas[n - 1] * y
-        active = rng.random(n_replicas) < activation[n - 1]
-        draws = rng.random(n_replicas)
-        rows = np.flatnonzero(active)
-        if rows.size:
-            picked = np.minimum(
-                np.searchsorted(cum, draws[rows], side="right"), n_edges - 1
-            )
-            a = edge_i[picked]
-            b = edge_j[picked]
-            mixed = 0.5 * (theta[rows, a] + theta[rows, b])
-            theta[rows, a] = mixed
-            theta[rows, b] = mixed
-        if float(np.abs(theta).max()) > DIVERGENCE_LIMIT:
+        theta += gammas[n - 1] * y
+        rng.random(out=uniforms)
+        gossip.pick_edges(edge_draws, out=picked)
+        np.take(endpoints, picked, axis=1, out=rows)
+        rows += offsets
+        if activation[n - 1] < 1.0:
+            np.greater_equal(activation_draws, activation[n - 1], out=lazy)
+            np.copyto(rows[1], rows[0], where=lazy)
+        np.take(flat, rows, axis=0, out=pair)
+        mixed = pair[0]
+        mixed += pair[1]
+        mixed *= 0.5
+        flat[rows] = mixed
+        if not (float(np.abs(theta).max()) <= DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"ensemble state exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
                 iteration=n,
             )
     return theta
+
+
+def _first_non_finite(y: np.ndarray, shape: tuple) -> tuple[int, int]:
+    """0-based replica and 1-based agent of the first non-finite entry of ``y``."""
+    bad = np.flatnonzero(~np.isfinite(np.broadcast_to(y, shape)))[0]
+    replica, agent, _ = np.unravel_index(bad, shape)
+    return int(replica), int(agent) + 1
 
 
 @dataclass(frozen=True)

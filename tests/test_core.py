@@ -3,6 +3,7 @@ import pytest
 
 from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
+    _ENSEMBLE,
     AssumptionError,
     DivergenceError,
     NonFiniteObservationError,
@@ -11,6 +12,8 @@ from gossip_sa.core import (
     SimulationAbort,
     StepSchedule,
     _check_recorded_feasibility,
+    _initial_state,
+    _stream,
     gossip_step,
     local_step,
     rm_iterate,
@@ -450,7 +453,7 @@ class TestRunEnsemble:
         finals = run_ensemble(config)
         sequential = run(config)
         for r in range(3):
-            assert np.allclose(finals[r], sequential.final_state, atol=1e-12)
+            assert np.array_equal(finals[r], sequential.final_state)
 
     def test_statistics_match_sequential(self):
         centers = np.zeros((2, 1))
@@ -481,3 +484,135 @@ class TestRunEnsemble:
         problem = quadratic_problem([[0.0], [0.0]], sigma=1.0)
         config = two_agent_config(problem=problem, n_iter=50, replicas=8)
         assert np.array_equal(run_ensemble(config), run_ensemble(config))
+
+    @pytest.mark.parametrize(
+        "n_agents,edges,dim,c,eta",
+        [
+            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 0.6, 0.2),
+            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 1.0, 0.0),
+            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 2, 0.8, 0.1),
+            (2, [(1, 2)], 1, 0.5, 0.0),
+        ],
+        ids=["lazy", "always-active", "d2", "two-agents"],
+    )
+    def test_matches_literal_loop_bitwise(self, n_agents, edges, dim, c, eta):
+        rng = np.random.default_rng(14)
+        weights = rng.uniform(0.2, 2.0, size=len(edges))
+        config = RunConfig(
+            problem=quadratic_problem(rng.normal(size=(n_agents, dim)), sigma=0.5),
+            gossip=GossipModel(
+                Graph.from_edges(n_agents, edges, weights),
+                activation_scale=c,
+                activation_decay=eta,
+            ),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=lambda r: r.uniform(-1.0, 1.0, size=(n_agents, dim)),
+            n_iter=300,
+            seed=15,
+            replicas=64,
+        )
+        assert np.array_equal(run_ensemble(config), literal_run_ensemble(config))
+
+    def test_oracle_output_not_mutated(self):
+        problem = quadratic_problem([[0.0], [1.0]], sigma=1.0)
+        returned = []
+
+        def oracle(theta, rng):
+            y = problem._gaussian_oracle(theta, rng)
+            returned.append((y, y.copy()))
+            return y
+
+        problem.oracle = oracle
+        run_ensemble(two_agent_config(problem=problem, n_iter=20, replicas=5))
+        assert len(returned) == 20
+        for y, copy in returned:
+            assert np.array_equal(y, copy)
+
+    def test_nonfinite_observation_names_replica_and_agent(self):
+        calls = []
+
+        def oracle(theta, rng):
+            calls.append(None)
+            y = np.zeros_like(theta)
+            if len(calls) == 2:
+                y[2, 2, 0] = np.inf
+                y[3, 0, 0] = np.nan
+            return y
+
+        problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle)
+        graph = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        config = RunConfig(
+            problem=problem,
+            gossip=GossipModel(graph),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=np.zeros((4, 1)),
+            n_iter=5,
+            replicas=5,
+        )
+        with pytest.raises(NonFiniteObservationError) as info:
+            run_ensemble(config)
+        assert info.value.agent == 3
+        assert info.value.iteration == 2
+        assert "agent 3 in replica 2" in str(info.value)
+
+
+def literal_run_ensemble(config):
+    """The ensemble loop as first written, without its guards: two uniform
+    draws, a ``searchsorted`` edge pick and 2-D fancy-index mixing of the
+    active replicas only.  The reference for bitwise checks of the lean loop."""
+    n_replicas = config.replicas
+    rng = _stream(config.seed, 0, _ENSEMBLE)
+    theta = np.stack([_initial_state(config, r) for r in range(n_replicas)])
+    gammas = config.schedule.gamma_array(config.n_iter)
+    steps = np.arange(1, config.n_iter + 1, dtype=float)
+    activation = np.minimum(
+        1.0, config.gossip.activation_scale * steps ** (-config.gossip.activation_decay)
+    )
+    edge_i, edge_j, cum = config.gossip._edge_table
+    n_edges = cum.size
+
+    for n in range(1, config.n_iter + 1):
+        y = np.asarray(config.problem.oracle(theta, rng), dtype=float)
+        theta = theta + gammas[n - 1] * y
+        active = rng.random(n_replicas) < activation[n - 1]
+        draws = rng.random(n_replicas)
+        rows = np.flatnonzero(active)
+        if rows.size:
+            picked = np.minimum(
+                np.searchsorted(cum, draws[rows], side="right"), n_edges - 1
+            )
+            a = edge_i[picked]
+            b = edge_j[picked]
+            mixed = 0.5 * (theta[rows, a] + theta[rows, b])
+            theta[rows, a] = mixed
+            theta[rows, b] = mixed
+    return theta
+
+
+class TestDivergenceGuards:
+    """A step can overflow to opposite infinities whose average is NaN;
+    both guards must still stop the run."""
+
+    def overflowing_config(self, **kwargs):
+        def oracle(theta, rng):
+            y = np.empty_like(theta)
+            y[..., 0, :] = 1e308
+            y[..., 1, :] = -1e308
+            return y
+
+        problem = Problem(dim=1, n_agents=2, gradient=None, oracle=oracle)
+        return two_agent_config(
+            problem=problem, schedule=StepSchedule(gamma0=10.0, xi=0.75), **kwargs
+        )
+
+    def test_run_aborts_on_nan_state(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                run(self.overflowing_config())
+        assert info.value.iteration == 1
+
+    def test_ensemble_aborts_on_nan_state(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                run_ensemble(self.overflowing_config(replicas=3))
+        assert info.value.iteration == 1

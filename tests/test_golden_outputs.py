@@ -40,6 +40,13 @@ GOLDEN = {
     ),
 }
 
+#: A lazy ensemble (exchange probability ``0.7 * n**-0.1``), so that the
+#: branch of ``run_ensemble`` where some replicas skip mixing is pinned too.
+LAZY_CLT = (
+    (N_ITER, CLT_REPLICAS, "laziness.c=0.7", "laziness.eta=0.1"),
+    "dbdf389a08d4d2f01b0f83cac71fae4479e91f5c7108acfdd8d4f45eacf12afe",
+)
+
 
 def digest(out) -> str:
     h = hashlib.sha256()
@@ -48,12 +55,21 @@ def digest(out) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("command,preset", sorted(GOLDEN))
-def test_preset_outputs_match_golden_digest(tmp_path, capsys, command, preset):
-    overrides, expected = GOLDEN[command, preset]
+def run_digest(tmp_path, command, preset, overrides) -> str:
     out = tmp_path / preset
     argv = [command, "--preset", preset, "--out", str(out)]
     for item in overrides:
         argv += ["--override", item]
     assert main(argv) == EXIT_OK
-    assert digest(out) == expected
+    return digest(out)
+
+
+@pytest.mark.parametrize("command,preset", sorted(GOLDEN))
+def test_preset_outputs_match_golden_digest(tmp_path, capsys, command, preset):
+    overrides, expected = GOLDEN[command, preset]
+    assert run_digest(tmp_path, command, preset, overrides) == expected
+
+
+def test_lazy_clt_outputs_match_golden_digest(tmp_path, capsys):
+    overrides, expected = LAZY_CLT
+    assert run_digest(tmp_path, "clt", "scalar-clt", overrides) == expected

@@ -171,6 +171,32 @@ class TestSampleGossip:
                 assert sample_gossip(model, 1, scripted) is model._alphabet[k + 1]
                 assert not scripted.draws
 
+    def test_pick_edges_matches_searchsorted(self):
+        # Threshold counting picks the capped searchsorted index for random
+        # draws, every cum entry and its float neighbours, on graphs of 1 to
+        # 28 edges, with and without a preallocated output.
+        rng = np.random.default_rng(9)
+        models = [random_model(rng) for _ in range(50)]
+        models.append(GossipModel(Graph.from_edges(2, [(1, 2)])))
+        for model in models:
+            _, _, cum = model._edge_table
+            draws = np.concatenate(
+                [
+                    rng.random(500),
+                    cum,
+                    np.nextafter(cum, 0.0),
+                    np.nextafter(cum, 2.0),
+                    [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-16, 1.0 - 1e-12],
+                ]
+            )
+            expected = np.minimum(np.searchsorted(cum, draws, side="right"), cum.size - 1)
+            picked = model.pick_edges(draws)
+            assert np.iinfo(picked.dtype).max >= cum.size - 1
+            assert np.array_equal(picked, expected)
+            out = np.full(draws.shape, 99, dtype=np.intp)
+            assert model.pick_edges(draws, out=out) is out
+            assert np.array_equal(out, expected)
+
     def test_lazy_step_makes_one_draw(self):
         model = triangle_model(c=0.5)
         scripted = ScriptedRng([0.5, 0.1])
