@@ -77,8 +77,6 @@ from .power import (
     PowerScenario,
     build_power_problem,
     estimate_objective,
-    four_user_graph,
-    four_user_scenario,
     random_feasible_start,
     rate,
     rate_gradient,

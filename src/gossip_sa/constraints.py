@@ -98,7 +98,7 @@ class Box(ConstraintSet):
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
-        if np.any(lower > upper):
+        if not np.all(lower <= upper):
             raise ValueError("box requires lower <= upper coordinatewise")
         self.lower = lower
         self.upper = upper

@@ -18,7 +18,6 @@ import numpy as np
 
 from .constraints import BudgetSimplex, kt_residual
 from .core import Problem
-from .network import Graph
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,19 +297,3 @@ def random_feasible_start(
         return feasible.project(blocks)
 
     return sampler
-
-
-def four_user_scenario() -> PowerScenario:
-    """Reference four-user network on two shared subchannels."""
-    return PowerScenario(
-        n_users=4,
-        n_channels=2,
-        budgets=np.ones(4),
-        noise_vars=np.array([0.1, 0.05, 0.02, 0.1]),
-        weights=np.array([0.3, 0.2, 0.3, 0.2]),
-    )
-
-
-def four_user_graph() -> Graph:
-    """Communication topology matching the reference four-user network."""
-    return Graph.from_edges(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])

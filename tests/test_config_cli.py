@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gossip_sa
 from gossip_sa.cli import main
 from gossip_sa.config import (
+    PROBLEM_KINDS,
     ConfigError,
     apply_overrides,
     build_run_config,
@@ -17,7 +21,6 @@ from gossip_sa.config import (
     preset_spec,
     spec_from_dict,
 )
-from gossip_sa.power import four_user_graph, four_user_scenario
 from gossip_sa.runner import read_trace, run_experiment
 
 MINIMAL = """
@@ -60,6 +63,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mapping"):
             parse_config("no_such_file.yaml")
 
+    def test_long_inline_text_is_not_taken_for_a_path(self):
+        directory = "d" * 300
+        text = "{problem: {kind: quadratic-consensus}, output: {directory: %s}}" % directory
+        assert parse_config(text).output.directory == directory
+
     def test_round_trip_preserves_fields(self):
         for name in preset_names():
             spec = preset_spec(name)
@@ -90,18 +98,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dim"):
             spec_from_dict(apply_overrides(preset_dict("power-alloc"), ["problem.dim=7"]))
 
+    def test_config_dict_holds_only_fields_that_apply(self):
+        problem = preset_spec("power-alloc").to_config_dict()["problem"]
+        assert set(problem) == {"kind", "power"}
+        problem = preset_spec("constrained-toy").to_config_dict()["problem"]
+        assert set(problem) == {"kind", "dim", "noise_sigma", "centers", "constraint"}
+        assert set(problem["constraint"]) == {"kind", "lower", "upper"}
+
 
 class TestPresets:
-    def test_power_preset_matches_reference_scenario(self):
-        spec = preset_spec("power-alloc")
-        scen = four_user_scenario()
-        power = spec.problem.power
-        assert power["n_channels"] == scen.n_channels
-        assert power["weights"] == list(scen.weights)
-        assert power["noise_vars"] == list(scen.noise_vars)
-        assert power["budgets"] == list(scen.budgets)
-        assert tuple(tuple(e) for e in spec.graph.edges) == four_user_graph().edges
-
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_dict("nonexistent")
@@ -332,3 +337,209 @@ class TestCli:
             check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+# Malformed entries that once ended in a traceback, a runtime abort or a
+# silent success: (preset, override, the dotted field the message names).
+CENTERS = "problem.centers=[[{}], [0, 1], [-1, 0], [0, -1]]"
+MALFORMED = [
+    ("quadratic-consensus", CENTERS.format("a, 0"), "problem.centers"),
+    ("quadratic-consensus", "graph.weights=[1, 1, 1, 1, a]", "graph.weights"),
+    ("constrained-toy", "problem.constraint.lower=[a, 0]", "problem.constraint.lower"),
+    ("constrained-toy", "problem.constraint.upper=[1, a]", "problem.constraint.upper"),
+    (
+        "quadratic-consensus",
+        "problem.constraint={kind: halfspaces, normals: [[a, 0]], offsets: [1]}",
+        "problem.constraint.normals",
+    ),
+    ("quadratic-consensus", CENTERS.format(".inf, 0"), "problem.centers"),
+    ("constrained-toy", "problem.constraint.lower=[.nan, 0]", "problem.constraint.lower"),
+    ("constrained-toy", "problem.constraint.upper=[1, .nan]", "problem.constraint.upper"),
+    ("constrained-toy", "problem.constraint.lower=[.inf, 0]", "problem.constraint.lower"),
+    ("constrained-toy", "problem.constraint.upper=[1, -.inf]", "problem.constraint.upper"),
+    ("quadratic-consensus", CENTERS.format("1, true"), "problem.centers"),
+    ("quadratic-consensus", "graph.weights=[1, 1, 1, 1, true]", "graph.weights"),
+    ("quadratic-consensus", "graph.weights=[.inf, 1, 1, 1, 1]", "graph.weights"),
+    ("quadratic-consensus", "problem.power={n_channels: 2}", "problem.power"),
+    ("power-alloc", "problem.centers=[[0, 0], [0, 0], [0, 0], [0, 0]]", "problem.centers"),
+    ("power-alloc", "problem.constraint={kind: box}", "problem.constraint"),
+    ("power-alloc", "problem.noise_sigma=0.1", "problem.noise_sigma"),
+]
+
+
+def run_from(tmp_path, monkeypatch, preset, *overrides):
+    """``gossip-sa run`` on a short preset run inside ``tmp_path``, warnings as errors."""
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--preset", preset, "--replicas", "1", "--override", "run.n_iter=20"]
+    for item in overrides:
+        args += ["--override", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(args)
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("preset,override,name", MALFORMED)
+    def test_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys, preset, override, name):
+        assert run_from(tmp_path, monkeypatch, preset, override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{name}" in err
+
+    def test_open_box_sides_accepted(self, tmp_path, monkeypatch):
+        lower, upper = "problem.constraint.lower=[-.inf, 0]", "problem.constraint.upper=[1, .inf]"
+        assert run_from(tmp_path, monkeypatch, "constrained-toy", lower, upper) == 0
+
+    def test_validate_exits_2_naming_the_field(self, capsys):
+        override = "problem.centers=[[a, 0], [0, 1], [-1, 0], [0, -1]]"
+        code = main(["validate", "--preset", "quadratic-consensus", "--override", override])
+        assert code == 2
+        assert "'problem.centers" in capsys.readouterr().err
+
+
+# Config key names, nested as in a config file.
+SCHEMA_KEYS = {
+    "problem": {
+        "kind": None,
+        "dim": None,
+        "noise_sigma": None,
+        "centers": None,
+        "constraint": dict.fromkeys(["kind", "lower", "upper", "normals", "offsets"]),
+        "power": dict.fromkeys(
+            ["n_channels", "weights", "noise_vars", "budgets", "mc_trials", "channel_distribution"]
+        ),
+    },
+    "graph": dict.fromkeys(["n_agents", "edges", "weights"]),
+    "schedule": dict.fromkeys(["gamma0", "xi"]),
+    "laziness": dict.fromkeys(["c", "eta"]),
+    "run": dict.fromkeys(["n_iter", "seed", "replicas", "record_every", "override_checks"]),
+    "output": dict.fromkeys(["directory"]),
+}
+LEAF_PATHS = [
+    (section, key, *([sub] if sub else []))
+    for section, keys in SCHEMA_KEYS.items()
+    for key, subs in keys.items()
+    for sub in (subs or [None])
+]
+
+# Small integers: sizes such as n_agents and dim set the arrays a build allocates.
+SCALARS = st.one_of(
+    st.none(),
+    st.integers(-2, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from(["box", "halfspaces", "exponential", "constant", *PROBLEM_KINDS]),
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+
+
+def mappings(keys):
+    """Mappings of some of ``keys`` (sections or junk values) plus a junk key."""
+    optional = {k: (mappings(sub) | VALUES) if sub else VALUES for k, sub in keys.items()}
+    return st.fixed_dictionaries({}, optional={**optional, "junk": VALUES})
+
+
+def scalar_paths(node, path=()):
+    """Paths of the scalar entries of a nested config, list entries included."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    return [p for key, child in children for p in scalar_paths(child, (*path, key))]
+
+
+@st.composite
+def altered_presets(draw):
+    """A preset with a few schema keys set to arbitrary values and scalar entries replaced."""
+    data = preset_dict(draw(st.sampled_from(preset_names())))
+    for path in draw(st.lists(st.sampled_from(LEAF_PATHS), max_size=2)):
+        node = data
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[path[-1]] = draw(VALUES)
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, last = draw(st.sampled_from(scalar_paths(data)))
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = draw(SCALARS)
+    return data
+
+
+@st.composite
+def valid_configs(draw):
+    """Config mappings that satisfy the schema, over every kind and option."""
+    finite, positive = st.floats(-1e6, 1e6), st.floats(1e-6, 1e6)
+
+    def floats(strategy, n):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    n = draw(st.integers(2, 5))
+    pairs = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique_by=tuple))
+    graph = {"n_agents": n, "edges": edges}
+    if draw(st.booleans()):
+        graph["weights"] = floats(positive, len(edges))
+    kind = draw(st.sampled_from(PROBLEM_KINDS))
+    problem = {"kind": kind}
+    if kind == "power-alloc":
+        power = {"n_channels": draw(st.integers(1, 3)), "mc_trials": draw(st.integers(1, 50))}
+        for key in ("weights", "noise_vars", "budgets"):
+            if draw(st.booleans()):
+                power[key] = floats(positive, n)
+        power["channel_distribution"] = draw(st.sampled_from(["exponential", "constant"]))
+        problem["power"] = power
+    else:
+        dim = draw(st.integers(1, 3))
+        problem.update(dim=dim, noise_sigma=draw(st.floats(0.0, 10.0)))
+        if draw(st.booleans()):
+            problem["centers"] = [floats(finite, dim) for _ in range(n)]
+        constraint = draw(st.sampled_from([None, "box", "halfspaces"]))
+        if constraint == "box":
+            lower = floats(finite | st.just(-np.inf), dim)
+            upper = [max(lo, up) for lo, up in zip(lower, floats(finite | st.just(np.inf), dim))]
+            problem["constraint"] = {"kind": "box", "lower": lower, "upper": upper}
+        elif constraint == "halfspaces":
+            rows = draw(st.integers(1, 3))
+            normals = [floats(finite, dim) for _ in range(rows)]
+            problem["constraint"] = {
+                "kind": "halfspaces", "normals": normals, "offsets": floats(finite, rows)
+            }
+    return {
+        "problem": problem,
+        "graph": graph,
+        "schedule": {"gamma0": draw(positive), "xi": draw(st.floats(0.5, 1.0, exclude_min=True))},
+        "laziness": {"c": draw(positive), "eta": draw(st.floats(0.0, 1.0))},
+        "run": {
+            "n_iter": draw(st.integers(1, 10**6)),
+            "seed": draw(st.integers(0, 2**32)),
+            "replicas": draw(st.integers(1, 1000)),
+            "record_every": draw(st.integers(1, 1000)),
+            "override_checks": draw(st.booleans()),
+        },
+        "output": {"directory": draw(st.text(min_size=1, max_size=8))},
+    }
+
+
+class TestSchemaProperties:
+    # A zero noise_sigma warns that the fluctuation law is degenerate.
+    @pytest.mark.filterwarnings("ignore:noise covariance is not positive definite")
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(mappings(SCHEMA_KEYS) | altered_presets() | valid_configs())
+    def test_any_mapping_gives_a_spec_or_a_config_error(self, data):
+        try:
+            spec = spec_from_dict(data)
+        except ConfigError:
+            return
+        assert spec_from_dict(spec.to_config_dict()) == spec
+        try:
+            build_run_config(spec)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(valid_configs())
+    def test_round_trip_of_valid_specs(self, data):
+        spec = spec_from_dict(data)
+        assert spec_from_dict(spec.to_config_dict()) == spec

@@ -116,6 +116,12 @@ class TestProject:
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
 
+    def test_box_rejects_nan_bounds(self):
+        for lower, upper in [([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, np.nan], [1.0, 1.0])]:
+            with pytest.raises(ValueError, match="lower <= upper"):
+                Box(lower, upper)
+        Box([-np.inf, 0.0], [1.0, np.inf])  # open sides stay allowed
+
 
 class TestProjectionProperties:
     @pytest.mark.parametrize("seed", [0, 1])

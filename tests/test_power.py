@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gossip_sa.config import preset_spec
 from gossip_sa.constraints import BudgetSimplex
-from gossip_sa.network import is_connected
+from gossip_sa.network import Graph, is_connected
 from gossip_sa.power import (
     PowerScenario,
     build_power_problem,
     estimate_objective,
-    four_user_graph,
-    four_user_scenario,
     random_feasible_start,
     rate,
     rate_gradient,
@@ -312,23 +311,34 @@ class TestEstimatesEqualPerUserLoops:
             assert np.array_equal(got, total)
 
 
+def preset_scenario():
+    """The four-user network of the ``power-alloc`` preset."""
+    spec = preset_spec("power-alloc")
+    power = {k: v for k, v in spec.problem.power.items() if k != "mc_trials"}
+    return PowerScenario(n_users=spec.graph.n_agents, **power)
+
+
 class TestScenario:
     def test_reference_parameters(self):
-        scen = four_user_scenario()
+        scen = preset_scenario()
         assert scen.n_channels == 2
         assert scen.weights[1] == pytest.approx(0.2)
         assert scen.noise_vars[2] == pytest.approx(0.02)
         assert scen.weights[0] == scen.weights[2] == pytest.approx(0.3)
         assert scen.noise_vars[0] == scen.noise_vars[3] == pytest.approx(0.1)
+        assert scen.weights.tolist() == [0.3, 0.2, 0.3, 0.2]
+        assert scen.noise_vars.tolist() == [0.1, 0.05, 0.02, 0.1]
+        assert scen.budgets.tolist() == [1.0, 1.0, 1.0, 1.0]
         assert scen.dim == 8  # agent block dimension; stacked network state is 32
 
     def test_reference_graph(self):
-        graph = four_user_graph()
+        spec = preset_spec("power-alloc")
+        graph = Graph.from_edges(spec.graph.n_agents, spec.graph.edges)
         assert graph.edges == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
         assert is_connected(graph)
 
     def test_feasible_set_is_per_user_budget_simplex(self):
-        scen = four_user_scenario()
+        scen = preset_scenario()
         feas = scen.feasible_set()
         manual = BudgetSimplex(
             budgets=scen.budgets,
@@ -340,7 +350,7 @@ class TestScenario:
             assert np.allclose(feas.project(x), manual.project(x), atol=1e-12)
 
     def test_random_start_is_feasible(self):
-        scen = four_user_scenario()
+        scen = preset_scenario()
         sampler = random_feasible_start(scen, 4)
         feas = scen.feasible_set()
         blocks = sampler(np.random.default_rng(19))
@@ -349,7 +359,7 @@ class TestScenario:
             assert feas.contains(block)
 
     def test_problem_wiring(self):
-        scen = four_user_scenario()
+        scen = preset_scenario()
         problem = build_power_problem(scen, mc_trials=50)
         assert problem.dim == 8 and problem.n_agents == 4
         rng = np.random.default_rng(20)
