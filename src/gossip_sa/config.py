@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -417,6 +418,17 @@ def preset_spec(name: str) -> ExperimentSpec:
 # --- Assembly into engine objects --------------------------------------
 
 
+@contextmanager
+def _naming(path: str):
+    """Report a library error raised inside the block as a config error naming ``path``."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError(f"'{path}': a value derived from it overflows") from exc
+    except ValueError as exc:
+        raise ConfigError(f"'{path}': {exc}") from exc
+
+
 def _build_constraint(raw: dict | None, dim: int) -> ConstraintSet:
     if raw is None:
         return Unconstrained(dim)
@@ -428,7 +440,17 @@ def _build_constraint(raw: dict | None, dim: int) -> ConstraintSet:
 def _build_quadratic(spec: ExperimentSpec):
     dim, n_agents, sigma = spec.problem.dim, spec.graph.n_agents, spec.problem.noise_sigma
     centers = np.asarray(spec.problem.centers or _circle_centers(n_agents, dim), dtype=float)
-    constraint = _build_constraint(spec.problem.constraint, dim)
+    with _naming("problem.constraint"):
+        constraint = _build_constraint(spec.problem.constraint, dim)
+        low, high = -1.0, 1.0
+        if isinstance(constraint, Box):
+            # An open side draws from -1 or 1 instead.  rng.uniform refuses a
+            # span that overflows; refuse it here, before the run starts.
+            low = np.where(np.isfinite(constraint.lower), constraint.lower, -1.0)
+            high = np.where(np.isfinite(constraint.upper), constraint.upper, 1.0)
+            with np.errstate(over="ignore"):
+                if not np.isfinite(high - low).all():
+                    raise ValueError("box bounds span more than the largest float")
 
     def objective(average, rng):
         return float(0.5 * np.sum((average - centers) ** 2))
@@ -436,7 +458,8 @@ def _build_quadratic(spec: ExperimentSpec):
     clt_spec = None
     if isinstance(constraint, Unconstrained):
         # Averaged drift of the quadratic network: -(theta - mean center).
-        noise_cov = (sigma**2 / n_agents) * np.eye(dim)
+        with _naming("problem.noise_sigma"):
+            noise_cov = (sigma**2 / n_agents) * np.eye(dim)
         clt_spec = CltSpec(centers.mean(axis=0), -np.eye(dim), noise_cov)
 
     stacked = centers
@@ -457,11 +480,6 @@ def _build_quadratic(spec: ExperimentSpec):
         noise_scale=sigma, objective=objective, clt_spec=clt_spec,
     )
 
-    low, high = -1.0, 1.0
-    if isinstance(constraint, Box):
-        low = np.where(np.isfinite(constraint.lower), constraint.lower, -1.0)
-        high = np.where(np.isfinite(constraint.upper), constraint.upper, 1.0)
-
     def initial(rng):
         blocks = rng.uniform(low, high, size=(n_agents, dim))
         return constraint.project(blocks)
@@ -480,8 +498,13 @@ def _build_power(spec: ExperimentSpec):
 
 def build_run_config(spec: ExperimentSpec) -> RunConfig:
     """Assemble a validated experiment spec into a runnable configuration."""
+    weights = spec.graph.weights
+    with np.errstate(over="ignore"):
+        if weights is not None and not np.isfinite(np.sum(weights)):
+            raise ConfigError("'graph.weights' must have a finite sum")
     try:
-        graph = Graph.from_edges(spec.graph.n_agents, spec.graph.edges, spec.graph.weights)
+        with _naming("graph.edges"):
+            graph = Graph.from_edges(spec.graph.n_agents, spec.graph.edges, weights)
         lazy = spec.laziness
         gossip = GossipModel(graph, activation_scale=lazy.c, activation_decay=lazy.eta)
         schedule = StepSchedule(gamma0=spec.schedule.gamma0, xi=spec.schedule.xi)
@@ -494,6 +517,8 @@ def build_run_config(spec: ExperimentSpec) -> RunConfig:
             problem=problem, gossip=gossip, schedule=schedule, initial_state=initial,
             **vars(spec.run),
         )
+    except ConfigError:
+        raise
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -1,8 +1,9 @@
-"""Convex feasible sets with exact Euclidean projections.
+"""Convex polyhedra with exact Euclidean projections.
 
-Besides projection, each set exposes its inequality constraints
-``q_j(theta) <= 0`` through values and gradients, which is what the
-active-set and first-order optimality helpers below consume.
+Every constraint is linear, ``q_j(theta) = a_j . theta - b_j <= 0``: a set
+declares its rows ``a_j`` and ``b_j`` once, as ``normals`` and ``offsets``,
+which is what the feasibility, active-set and first-order optimality
+helpers below consume.
 """
 
 from __future__ import annotations
@@ -31,38 +32,47 @@ def default_active_tolerance(theta) -> float:
 
 
 class ConstraintSet:
-    """Closed convex subset of R^d described by inequality constraints.
+    """Polyhedron ``{theta in R^d : normals @ theta <= offsets}``.
 
+    A kind sets ``normals`` (one row per constraint, ``m x dim``) and
+    ``offsets`` (``m``) once and supplies an exact Euclidean ``project``.
     ``project`` and ``constraint_values`` act along the last axis; any
     leading axes are a stack of independent blocks of length ``dim``.
     """
 
     dim: int
+    normals: np.ndarray
+    offsets: np.ndarray
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection of every block of ``x`` onto the set."""
         raise NotImplementedError
 
     def constraint_values(self, theta) -> np.ndarray:
-        """Constraint values ``q_j(theta)`` per block; feasibility means all <= 0."""
-        raise NotImplementedError
+        """Constraint values ``q_j(theta)`` per block; feasibility means all <= 0.
 
-    def constraint_gradients(self, theta) -> np.ndarray:
-        """Gradients of the constraints at ``theta``, one row per constraint."""
-        raise NotImplementedError
+        Every block is reduced on its own, the same way whether it comes
+        alone or in a stack.
+        """
+        theta = np.asarray(theta, dtype=float)
+        return (theta[..., None, :] * self.normals).sum(axis=-1) - self.offsets
 
-    @property
-    def n_constraints(self) -> int:
-        raise NotImplementedError
+    def first_infeasible(self, blocks) -> int | None:
+        """0-based index of the first of the ``(k, dim)`` blocks outside the set.
 
-    def contains(self, theta, tol: float | None = None) -> bool:
-        """Feasibility check of one point within ``tol`` (scale-aware default)."""
-        vals = self.constraint_values(theta)
-        if vals.size == 0:
-            return True
-        if tol is None:
-            tol = default_active_tolerance(theta)
-        return bool(np.max(vals) <= tol)
+        Each block is held to its own scale-aware tolerance
+        :func:`default_active_tolerance`; ``None`` when every block is inside.
+        """
+        if not self.offsets.size:
+            return None
+        values = self.constraint_values(blocks)
+        tols = [default_active_tolerance(block) for block in blocks]
+        outside = np.flatnonzero(~(values.max(axis=-1) <= tols))
+        return int(outside[0]) if outside.size else None
+
+    def contains(self, theta) -> bool:
+        """Feasibility of one point within its scale-aware tolerance."""
+        return self.first_infeasible(np.atleast_2d(theta)) is None
 
 
 class Unconstrained(ConstraintSet):
@@ -72,19 +82,11 @@ class Unconstrained(ConstraintSet):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = int(dim)
+        self.normals = np.zeros((0, self.dim))
+        self.offsets = np.zeros(0)
 
     def project(self, x):
         return np.asarray(x, dtype=float)
-
-    def constraint_values(self, theta):
-        return np.zeros(np.shape(theta)[:-1] + (0,))
-
-    def constraint_gradients(self, theta):
-        return np.zeros((0, self.dim))
-
-    @property
-    def n_constraints(self) -> int:
-        return 0
 
     def __repr__(self) -> str:
         return f"Unconstrained(dim={self.dim})"
@@ -103,31 +105,16 @@ class Box(ConstraintSet):
         self.lower = lower
         self.upper = upper
         self.dim = lower.size
-        # Constraint rows exist only for finite bounds: uppers first, then lowers.
-        self._upper_idx = np.flatnonzero(np.isfinite(upper))
-        self._lower_idx = np.flatnonzero(np.isfinite(lower))
+        # Rows exist only for finite bounds: uppers first, then lowers.  Each
+        # row has one nonzero product, so its value is exactly the bound gap.
+        up = np.flatnonzero(np.isfinite(upper))
+        lo = np.flatnonzero(np.isfinite(lower))
+        eye = np.eye(self.dim)
+        self.normals = np.concatenate([eye[up], -eye[lo]])
+        self.offsets = np.concatenate([upper[up], -lower[lo]])
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-    def constraint_values(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        up = theta[..., self._upper_idx] - self.upper[self._upper_idx]
-        lo = self.lower[self._lower_idx] - theta[..., self._lower_idx]
-        return np.concatenate([up, lo], axis=-1)
-
-    def constraint_gradients(self, theta):
-        rows = np.zeros((self.n_constraints, self.dim))
-        for r, k in enumerate(self._upper_idx):
-            rows[r, k] = 1.0
-        off = self._upper_idx.size
-        for r, k in enumerate(self._lower_idx):
-            rows[off + r, k] = -1.0
-        return rows
-
-    @property
-    def n_constraints(self) -> int:
-        return int(self._upper_idx.size + self._lower_idx.size)
 
     def __repr__(self) -> str:
         return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
@@ -190,6 +177,11 @@ class BudgetSimplex(ConstraintSet):
         self.budgets = budgets
         self.groups = groups
         self.dim = dim
+        # Nonnegativity rows first, then one indicator row per group.
+        self.normals = np.concatenate([-np.eye(dim), np.zeros((len(groups), dim))])
+        for r, g in enumerate(groups):
+            self.normals[dim + r, list(g)] = 1.0
+        self.offsets = np.concatenate([np.zeros(dim), budgets])
         # Groups of one size are gathered together: (group numbers, a
         # (groups, size) coordinate index array, their budgets) per size.
         self._by_size = []
@@ -206,22 +198,14 @@ class BudgetSimplex(ConstraintSet):
         return out
 
     def constraint_values(self, theta):
+        # Each group is summed over its own coordinates only; the base
+        # formula's sum over all ``dim`` products rounds differently once a
+        # group has three or more coordinates.
         theta = np.asarray(theta, dtype=float)
         sums = np.empty(theta.shape[:-1] + self.budgets.shape)
         for rows, index, _ in self._by_size:
             sums[..., rows] = _gather(theta, index).sum(axis=-1)
         return np.concatenate([-theta, sums - self.budgets], axis=-1)
-
-    def constraint_gradients(self, theta):
-        rows = np.zeros((self.n_constraints, self.dim))
-        rows[: self.dim] = -np.eye(self.dim)
-        for r, g in enumerate(self.groups):
-            rows[self.dim + r, list(g)] = 1.0
-        return rows
-
-    @property
-    def n_constraints(self) -> int:
-        return self.dim + len(self.groups)
 
     @classmethod
     def per_user(cls, n_users: int, n_channels: int, budgets) -> "BudgetSimplex":
@@ -298,16 +282,6 @@ class Halfspaces(ConstraintSet):
             raise RuntimeError("projection enumeration found no feasible candidate")
         return best
 
-    def constraint_values(self, theta):
-        return _per_block(lambda block: self.normals @ block - self.offsets, theta)
-
-    def constraint_gradients(self, theta):
-        return self.normals.copy()
-
-    @property
-    def n_constraints(self) -> int:
-        return int(self.normals.shape[0])
-
     def __repr__(self) -> str:
         return f"Halfspaces(normals={self.normals.tolist()}, offsets={self.offsets.tolist()})"
 
@@ -359,7 +333,7 @@ def kt_residual(cs: ConstraintSet, theta, grad, tol: float | None = None) -> flo
     act = active_set(cs, theta, tol)
     if not act.indices:
         return float(np.linalg.norm(grad))
-    rows = cs.constraint_gradients(theta)[list(act.indices)]
+    rows = cs.normals[list(act.indices)]
     sv = np.linalg.svd(rows, compute_uv=False)
     if sv[-1] <= 1e-10 * max(float(sv[0]), 1.0):
         warnings.warn(

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import ConstraintSet, Unconstrained, default_active_tolerance, kt_residual
+from .constraints import ConstraintSet, Unconstrained, kt_residual
 from .diagnostics import CltSpec, TraceRecord, disagreement_norm, network_average
 from .network import GossipModel, check_doubly_stochastic, is_connected, sample_gossip, spectral_gap
 
@@ -213,25 +213,10 @@ def _validated_state(state: np.ndarray, problem: Problem) -> np.ndarray:
         )
     if not np.isfinite(state).all():
         raise ValueError("initial state must be finite")
-    agent = _infeasible_agent(state, problem.constraint)
-    if agent is not None:
-        raise ValueError(f"initial block of agent {agent} is infeasible")
+    outside = problem.constraint.first_infeasible(state)
+    if outside is not None:
+        raise ValueError(f"initial block of agent {outside + 1} is infeasible")
     return state
-
-
-def _infeasible_agent(theta: np.ndarray, constraint: ConstraintSet) -> int | None:
-    """1-based index of the first block outside ``constraint``, if any.
-
-    Each block is held to its own scale-aware tolerance, exactly as
-    ``constraint.contains(block)`` would hold it, but the constraint values
-    of all blocks are computed in one stacked call.
-    """
-    values = constraint.constraint_values(theta)
-    if values.shape[-1] == 0:
-        return None
-    tols = [default_active_tolerance(block) for block in theta]
-    outside = np.flatnonzero(~(values.max(axis=-1) <= tols))
-    return int(outside[0]) + 1 if outside.size else None
 
 
 def _initial_state(config: RunConfig, replica: int) -> np.ndarray:
@@ -325,10 +310,10 @@ def _make_record(n, gamma, theta, problem, diag_rng) -> TraceRecord:
 
 
 def _check_recorded_feasibility(theta, constraint, n) -> None:
-    agent = _infeasible_agent(theta, constraint)
-    if agent is not None:
+    outside = constraint.first_infeasible(theta)
+    if outside is not None:
         raise SimulationAbort(
-            f"block of agent {agent} left the feasible set at iteration {n}",
+            f"block of agent {outside + 1} left the feasible set at iteration {n}",
             iteration=n,
         )
 

@@ -2,10 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gossip_sa.constraints import (
     Box,
     BudgetSimplex,
+    ConstraintSet,
     DependentGradientsWarning,
     Halfspaces,
     InfeasiblePointError,
@@ -226,6 +230,90 @@ class TestStackedProjection:
                 assert np.array_equal(
                     cs.constraint_values(x), values.reshape(*x.shape[:-1], -1)
                 )
+
+
+def coords(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def constraint_sets(draw) -> ConstraintSet:
+    """A random set of every kind; box sides may be open, halfspaces are nonempty."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["unconstrained", "box", "simplex", "halfspaces"]))
+    if kind == "unconstrained":
+        return Unconstrained(dim)
+    if kind == "box":
+        lower = draw(st.lists(coords(-2.0, -0.1) | st.just(-np.inf), min_size=dim, max_size=dim))
+        upper = draw(st.lists(coords(0.1, 2.0) | st.just(np.inf), min_size=dim, max_size=dim))
+        return Box(lower, upper)
+    if kind == "simplex":
+        perm = draw(st.permutations(range(dim)))
+        cuts = sorted(draw(st.sets(st.integers(1, dim - 1)))) if dim > 1 else []
+        groups = [perm[a:b] for a, b in zip([0, *cuts], [*cuts, dim])]
+        budgets = draw(st.lists(coords(0.1, 3.0), min_size=len(groups), max_size=len(groups)))
+        return BudgetSimplex(budgets=budgets, groups=groups)
+    m = draw(st.integers(1, 4))
+    normals = draw(hnp.arrays(float, (m, dim), elements=coords(-2.0, 2.0)))
+    assume(np.all(np.linalg.norm(normals, axis=1) > 0.1))
+    inside = draw(hnp.arrays(float, dim, elements=coords(-1.0, 1.0)))
+    slack = draw(hnp.arrays(float, m, elements=coords(0.1, 1.0)))
+    return Halfspaces(normals, normals @ inside + slack)
+
+
+@st.composite
+def sets_and_stacks(draw):
+    """A set with two equally shaped stacks of blocks around it."""
+    cs = draw(constraint_sets())
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), cs.dim)
+    x, y = (draw(hnp.arrays(float, shape, elements=coords(-4.0, 4.0))) for _ in range(2))
+    return cs, x, y
+
+
+class TestConstraintInvariants:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(sets_and_stacks())
+    def test_rows_projection_and_stationarity(self, case):
+        cs, x, y = case
+        assert cs.normals.shape == (cs.offsets.size, cs.dim)
+        flat = x.reshape(-1, cs.dim)
+
+        # The values are the declared rows, evaluated block by block.
+        values = cs.constraint_values(x)
+        assert values.shape == x.shape[:-1] + cs.offsets.shape
+        if isinstance(cs, BudgetSimplex):
+            rows = x @ cs.normals.T - cs.offsets
+            scale = np.abs(x) @ np.abs(cs.normals.T) + np.abs(cs.offsets)
+            assert np.all(np.abs(values - rows) <= 1e-12 * scale)
+        else:
+            rows = [[np.sum(b * a) - o for a, o in zip(cs.normals, cs.offsets)] for b in flat]
+            assert np.array_equal(values.reshape(len(flat), -1), np.reshape(rows, (len(flat), -1)))
+        if isinstance(cs, Box):
+            up, lo = np.isfinite(cs.upper), np.isfinite(cs.lower)
+            gaps = np.concatenate([x[..., up] - cs.upper[up], cs.lower[lo] - x[..., lo]], axis=-1)
+            assert np.array_equal(values, gaps)
+
+        # Projection lands inside, stays put when repeated and never expands.
+        px, py = cs.project(x), cs.project(y)
+        assert cs.first_infeasible(px.reshape(-1, cs.dim)) is None
+        assert np.allclose(cs.project(px), px, rtol=0.0, atol=1e-12)
+        moved = np.linalg.norm(px - py, axis=-1)
+        assert np.all(moved <= np.linalg.norm(x - y, axis=-1) + 1e-12)
+
+        # The projection of an isotropic quadratic's center is its constrained
+        # minimizer, a Kuhn-Tucker point of the box.
+        if isinstance(cs, Box):
+            for center in flat:
+                theta = cs.project(center)
+                assert kt_residual(cs, theta, theta - center) <= 1e-12
+
+    def test_first_infeasible_is_zero_based_and_per_block(self):
+        cs = Box([0.0, 0.0], [1.0, 1.0])
+        blocks = np.array([[0.5, 0.5], [1.0 + 1e-9, 0.0], [2.0, 0.0]])
+        # 1e-9 is inside the second block's tolerance 1e-8 * (1 + |block|).
+        assert cs.first_infeasible(blocks) == 2
+        assert cs.first_infeasible(blocks[:2]) is None
+        assert Unconstrained(2).first_infeasible(np.full((3, 2), 1e300)) is None
 
 
 class TestActiveSet:
