@@ -9,21 +9,18 @@ helpers below consume.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 #: Hard cap on the number of halfspaces (projection enumerates active subsets).
 MAX_HALFSPACES = 10
+#: Relative rounding bound on the emptiness test of a halfspace system.
+EMPTINESS_TOL = 1e-12
 
 
 class InfeasiblePointError(ValueError):
     """A point lies outside the feasible set beyond the stated tolerance."""
-
-
-class DependentGradientsWarning(UserWarning):
-    """Active constraint gradients are numerically linearly dependent."""
 
 
 def default_active_tolerance(theta) -> float:
@@ -225,7 +222,12 @@ class Halfspaces(ConstraintSet):
     Projection enumerates subsets of potentially active constraints and
     keeps the KKT-consistent candidate, so the number of halfspaces is
     capped at ``MAX_HALFSPACES``.  Emptiness is rejected at construction
-    with a feasibility linear program.
+    by a linear program for the largest uniform slack ``t <= 1`` with
+    ``normals[i] @ y + t * |normals[i]| <= offsets[i]`` for every row.  The
+    set is empty exactly when ``t < 0``; rounding is allowed for up to
+    ``EMPTINESS_TOL * (1 + max_i |offsets[i]| / |normals[i]|)``, a far finer
+    cut than the solver's own feasibility tolerance, which lets through
+    empty systems that projection cannot satisfy.
     """
 
     def __init__(self, normals, offsets):
@@ -235,18 +237,21 @@ class Halfspaces(ConstraintSet):
             raise ValueError("need one offset per normal row")
         if normals.shape[0] > MAX_HALFSPACES:
             raise ValueError(f"at most {MAX_HALFSPACES} halfspaces are supported")
-        if np.any(np.linalg.norm(normals, axis=1) == 0.0):
+        lengths = np.linalg.norm(normals, axis=1)
+        if np.any(lengths == 0.0):
             raise ValueError("halfspace normals must be nonzero")
         import scipy.optimize  # deferred: costs most of the package's import time
 
-        feas = scipy.optimize.linprog(
-            c=np.zeros(normals.shape[1]),
-            A_ub=normals,
+        dim = normals.shape[1]
+        slack = scipy.optimize.linprog(
+            c=np.r_[np.zeros(dim), -1.0],
+            A_ub=np.column_stack([normals, lengths]),
             b_ub=offsets,
-            bounds=[(None, None)] * normals.shape[1],
+            bounds=[(None, None)] * dim + [(None, 1.0)],
             method="highs",
         )
-        if not feas.success:
+        bound = EMPTINESS_TOL * (1.0 + float(np.max(np.abs(offsets) / lengths)))
+        if not (slack.success and slack.x[-1] >= -bound):
             raise ValueError("halfspace system has an empty feasible set")
         self.normals = normals
         self.offsets = offsets
@@ -325,23 +330,14 @@ def kt_residual(cs: ConstraintSet, theta, grad, tol: float | None = None) -> flo
     Zero certifies first-order stationarity of ``theta`` for minimizing a
     function with gradient ``grad`` over the set.  With no active constraint
     the cone is ``{0}`` and the residual is simply ``|grad|``.  Nonnegative
-    multipliers are found by nonnegative least squares, which is well posed
-    when the active gradients are linearly independent; dependence triggers
-    :class:`DependentGradientsWarning`.
+    multipliers are found by nonnegative least squares; the distance to the
+    cone is unique even when the active gradients are linearly dependent.
     """
     grad = np.asarray(grad, dtype=float)
     act = active_set(cs, theta, tol)
     if not act.indices:
         return float(np.linalg.norm(grad))
     rows = cs.normals[list(act.indices)]
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(float(sv[0]), 1.0):
-        warnings.warn(
-            "active constraint gradients are numerically dependent; "
-            "the stationarity residual may be unreliable",
-            DependentGradientsWarning,
-            stacklevel=2,
-        )
     import scipy.optimize  # deferred: costs most of the package's import time
 
     _, resid = scipy.optimize.nnls(rows.T, -grad)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .constraints import ConstraintSet, Unconstrained, kt_residual
 from .diagnostics import CltSpec, TraceRecord, disagreement_norm, network_average
-from .network import GossipModel, check_doubly_stochastic, is_connected, sample_gossip, spectral_gap
+from .network import GossipModel, is_connected, sample_gossip, spectral_gap
 
-#: Stacked-state norm beyond which an unconstrained run is declared divergent.
+#: Stacked-state norm beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
 # Spawn keys deriving the independent random streams of a replica from the
@@ -230,10 +230,10 @@ def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
     """Projected ascent step ``P[theta_i + gamma * y_i]`` for every block.
 
     The stepped ``(n_agents, dim)`` stack is projected in one
-    ``constraint.project`` call, whatever the constraint kind.
+    ``constraint.project`` call, whatever the constraint kind.  ``gamma``
+    comes from a :class:`StepSchedule`, which keeps it nonnegative; a step
+    that underflows to zero leaves ``theta`` in place.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     finite = np.isfinite(y)
@@ -246,35 +246,14 @@ def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
 
 
 def gossip_step(theta, w) -> np.ndarray:
-    """Mix the agent blocks with a doubly stochastic matrix.
+    """Mix the agent blocks with the doubly stochastic matrix ``w``.
 
     Row ``i`` of the result is the ``w``-weighted combination of the input
     blocks; the network average is preserved because the column sums are one.
+    ``w`` is not checked here: the engine only passes matrices of its gossip
+    model, which are checked once, when the model builds them.
     """
-    theta = np.asarray(theta, dtype=float)
-    w = np.asarray(w, dtype=float)
-    check_doubly_stochastic(w)
     return w @ theta
-
-
-def rm_iterate(theta, n: int, config: RunConfig, rng: np.random.Generator) -> np.ndarray:
-    """Advance the stacked state by one full iteration.
-
-    Draws the stacked observation given the previous state, applies the
-    projected local step with the step size of iteration ``n``, then draws
-    the mixing matrix (independently of the observation) and mixes.
-    """
-    if n < 1:
-        raise ValueError("iteration index starts at 1")
-    gamma = config.schedule.gamma(n)
-    y = config.problem.oracle(theta, rng)
-    try:
-        temporary = local_step(theta, y, gamma, config.problem.constraint)
-    except SimulationAbort as err:
-        err.iteration = n
-        raise
-    w = sample_gossip(config.gossip, n, rng)
-    return gossip_step(temporary, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,11 +300,16 @@ def _check_recorded_feasibility(theta, constraint, n) -> None:
 def run(config: RunConfig, replica: int = 0) -> RunResult:
     """Execute one replica and return its trace and final state.
 
-    The run is bit-reproducible as a function of ``(config, replica)``.  A
-    record is emitted every ``record_every`` iterations and at the final
-    iteration.  Unconstrained runs abort with :class:`DivergenceError` when
-    the stacked norm passes :data:`DIVERGENCE_LIMIT` or is NaN; the exception
-    carries the records collected so far.
+    The run is bit-reproducible as a function of ``(config, replica)``.  Each
+    iteration draws the stacked observation given the previous state, takes
+    the projected local step with the step size of iteration ``n``, then
+    draws the mixing matrix (independently of the observation) and mixes.
+    A record is emitted every ``record_every`` iterations and at the final
+    iteration, after checking that every block is feasible.  Whatever the
+    constraint, the run aborts with :class:`DivergenceError` when the stacked
+    norm passes :data:`DIVERGENCE_LIMIT` or is NaN.  Every
+    :class:`SimulationAbort` carries its iteration and the records collected
+    so far.
     """
     report = validate_assumptions(config)
     if not report.ok and not config.override_checks:
@@ -334,27 +318,28 @@ def run(config: RunConfig, replica: int = 0) -> RunResult:
     diag_rng = _stream(config.seed, replica, _DIAGNOSTICS)
     theta0 = _initial_state(config, replica)
     theta = theta0.copy()
-    unconstrained = isinstance(config.problem.constraint, Unconstrained)
+    problem, schedule, gossip = config.problem, config.schedule, config.gossip
     records: list[TraceRecord] = []
     try:
         for n in range(1, config.n_iter + 1):
-            theta = rm_iterate(theta, n, config, rng)
-            if unconstrained:
-                # ``sqrt(x . x)`` is what ``np.linalg.norm`` computes, bit for
-                # bit; written ``not <=`` so that a NaN state aborts too.
-                flat = theta.ravel()
-                if not (math.sqrt(flat.dot(flat)) <= DIVERGENCE_LIMIT):
-                    raise DivergenceError(
-                        f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
-                        iteration=n,
-                    )
-            if n % config.record_every == 0 or n == config.n_iter:
-                if not unconstrained:
-                    _check_recorded_feasibility(theta, config.problem.constraint, n)
-                records.append(
-                    _make_record(n, config.schedule.gamma(n), theta, config.problem, diag_rng)
+            gamma = schedule.gamma(n)
+            y = problem.oracle(theta, rng)
+            temporary = local_step(theta, y, gamma, problem.constraint)
+            theta = gossip_step(temporary, sample_gossip(gossip, n, rng))
+            # ``sqrt(x . x)`` is what ``np.linalg.norm`` computes, bit for
+            # bit; written ``not <=`` so that a NaN state aborts too.
+            flat = theta.ravel()
+            if not (math.sqrt(flat.dot(flat)) <= DIVERGENCE_LIMIT):
+                raise DivergenceError(
+                    f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
+                    iteration=n,
                 )
+            if n % config.record_every == 0 or n == config.n_iter:
+                _check_recorded_feasibility(theta, problem.constraint, n)
+                records.append(_make_record(n, gamma, theta, problem, diag_rng))
     except SimulationAbort as err:
+        if err.iteration is None:
+            err.iteration = n
         err.records = tuple(records)
         raise
     return RunResult(

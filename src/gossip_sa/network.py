@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 #: Tolerance applied to every double-stochasticity check.
 DOUBLY_STOCHASTIC_TOL = 1e-12
-#: Distinct matrices whose passed check is remembered, each as a copy of its
-#: bytes; a gossip model's alphabet holds one identity plus one matrix per edge.
-CHECKED_MATRIX_CACHE_SIZE = 64
 
 
 def pairwise_matrix(i: int, j: int, n_agents: int) -> np.ndarray:
@@ -42,19 +39,11 @@ def pairwise_matrix(i: int, j: int, n_agents: int) -> np.ndarray:
 def check_doubly_stochastic(w: np.ndarray, tol: float = DOUBLY_STOCHASTIC_TOL) -> None:
     """Raise ``ValueError`` unless ``w`` is doubly stochastic within ``tol``.
 
-    NaN entries fail.  The reductions run once per distinct matrix content:
-    a matrix passes from the cache only if a bytewise-equal matrix passed
-    the full check before, and failures are never cached.
+    The matrix must be square; NaN entries fail.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-    _check_doubly_stochastic_content(w.shape[0], w.tobytes(), tol)
-
-
-@lru_cache(maxsize=CHECKED_MATRIX_CACHE_SIZE)
-def _check_doubly_stochastic_content(n: int, data: bytes, tol: float) -> None:
-    w = np.frombuffer(data, dtype=float).reshape(n, n)
     low = float(np.min(w))
     if not low >= -tol:
         raise ValueError(f"mixing matrix has a negative or NaN entry: {low:.3e}")
@@ -194,12 +183,17 @@ class GossipModel:
     @cached_property
     def _alphabet(self) -> tuple[np.ndarray, ...]:
         """Every realizable mixing matrix, read-only: the identity, then one
-        pairwise exchange per edge in edge order."""
+        pairwise exchange per edge in edge order.
+
+        Each is checked doubly stochastic here, once per model; this is what
+        lets the engine mix with them unchecked.
+        """
         n_agents = self.graph.n_agents
         matrices = (np.eye(n_agents),) + tuple(
             pairwise_matrix(i, j, n_agents) for i, j in self.graph.edges
         )
         for w in matrices:
+            check_doubly_stochastic(w)
             w.setflags(write=False)
         return matrices
 

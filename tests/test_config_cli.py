@@ -284,6 +284,25 @@ class TestCli:
         assert code == 3
         assert "aborted" in capsys.readouterr().err
 
+    def test_constrained_divergence_stopped_by_the_norm_guard(self, tmp_path, monkeypatch, capsys):
+        # A box open on three sides lets the state grow without bound; the
+        # stacked-norm guard stops the run before numpy overflows, whatever
+        # the constraint kind, and names the state rather than the oracle.
+        overrides = (
+            "schedule.gamma0=1000",
+            "schedule.xi=0.51",
+            "problem.constraint.lower=[-.inf, -.inf]",
+            "problem.constraint.upper=[.inf, 1]",
+            "run.n_iter=200",
+        )
+        assert run_from(tmp_path, monkeypatch, "constrained-toy", *overrides) == 3
+        assert "stacked state norm exceeded 1e+12 at iteration 5" in capsys.readouterr().err
+
+    def test_step_underflowing_to_zero_runs(self, tmp_path, monkeypatch):
+        # gamma(2) underflows to 0.0 from the smallest positive gamma0: a
+        # zero step leaves the state in place instead of failing the run.
+        assert run_from(tmp_path, monkeypatch, "quadratic-consensus", "schedule.gamma0=5.0e-324") == 0
+
     def test_assumption_abort_exit_code(self, tmp_path, capsys):
         # Break the xi = 1 step-scale condition: the run aborts with exit 3
         # unless the checks are explicitly overridden.
@@ -405,6 +424,13 @@ MALFORMED = [
         "problem.constraint",
     ),
     ("quadratic-consensus", "problem.noise_sigma=1.0e+300", "problem.noise_sigma"),
+    # Empty, though within the linear solver's own feasibility tolerance.
+    (
+        "constrained-toy",
+        "problem.constraint={kind: halfspaces, normals: [[1.0, 0.0], [-1.0, 0.0]], "
+        "offsets: [-1.0, 0.99999999]}",
+        "problem.constraint",
+    ),
 ]
 
 

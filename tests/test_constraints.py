@@ -10,7 +10,6 @@ from gossip_sa.constraints import (
     Box,
     BudgetSimplex,
     ConstraintSet,
-    DependentGradientsWarning,
     Halfspaces,
     InfeasiblePointError,
     Unconstrained,
@@ -363,11 +362,14 @@ class TestKtResidual:
             g = rng.normal(size=2)
             assert kt_residual(cs, theta, g) == pytest.approx(np.linalg.norm(g))
 
-    def test_dependent_gradients_warn(self):
-        # Two coinciding halfspaces make the active gradients dependent.
-        cs = Halfspaces([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
-        with pytest.warns(DependentGradientsWarning):
-            kt_residual(cs, [1.0, 0.0], [1.0, 1.0])
+    def test_dependent_gradients_give_the_independent_residual(self):
+        # Two coinciding halfspaces make the active gradients dependent; the
+        # cone they span, and so the distance to it, is that of one of them.
+        dependent = Halfspaces([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
+        single = Halfspaces([[1.0, 0.0]], [1.0])
+        for grad in ([1.0, 1.0], [-3.0, 0.5], [0.0, -2.0]):
+            expected = kt_residual(single, [1.0, 0.0], grad)
+            assert abs(kt_residual(dependent, [1.0, 0.0], grad) - expected) <= 1e-12
 
     def test_tangential_component_survives(self):
         cs = Box([0.0], [1.0])

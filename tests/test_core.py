@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gossip_sa import network
 from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
     _ENSEMBLE,
@@ -16,7 +17,6 @@ from gossip_sa.core import (
     _stream,
     gossip_step,
     local_step,
-    rm_iterate,
     run,
     run_ensemble,
     run_replicas,
@@ -172,13 +172,18 @@ class TestGossipStep:
         out = gossip_step(theta, pairwise_matrix(1, 2, 3))
         assert np.allclose(out, [[1.0], [1.0], [5.0]], atol=1e-15)
 
-    def test_rejects_non_doubly_stochastic(self):
-        with pytest.raises(ValueError, match="doubly stochastic"):
-            gossip_step(np.zeros((2, 1)), np.array([[0.7, 0.3], [0.5, 0.5]]))
-
-    def test_rejects_nan_matrix(self):
-        with pytest.raises(ValueError, match="NaN"):
-            gossip_step(np.ones((2, 1)), np.array([[np.nan, 0.5], [0.5, 0.5]]))
+    def test_model_rejects_matrices_that_are_not_doubly_stochastic(self, monkeypatch):
+        # gossip_step trusts its matrix: the model checks each one once, when
+        # it builds its alphabet, so a bad exchange matrix never reaches a run.
+        bad = [
+            (np.array([[0.7, 0.3], [0.5, 0.5]]), "doubly stochastic"),
+            (np.array([[np.nan, 0.5], [0.5, 0.5]]), "NaN"),
+        ]
+        for w, message in bad:
+            monkeypatch.setattr(network, "pairwise_matrix", lambda i, j, n, w=w: w.copy())
+            model = GossipModel(Graph.from_edges(2, [(1, 2)]))
+            with pytest.raises(ValueError, match=message):
+                model._alphabet
 
     def test_average_preserved_and_disagreement_contracts(self):
         rng = np.random.default_rng(0)
@@ -194,12 +199,12 @@ class TestGossipStep:
 
 
 class TestRmIterate:
+    """One full iteration of ``run``: local step, then gossip."""
+
     def test_two_agent_hand_computed_step(self):
         # Quadratic pulls toward (0, 4); first step halves the gap, gossip averages.
-        config = two_agent_config()
-        rng = np.random.default_rng(0)
-        out = rm_iterate(np.zeros((2, 1)), 1, config, rng)
-        assert np.allclose(out, [[1.0], [1.0]], atol=1e-15)
+        result = run(two_agent_config(n_iter=1))
+        assert np.array_equal(result.final_state, [[1.0], [1.0]])
 
     def test_zero_noise_decoupled_without_gossip(self):
         # Lazy network (tiny activation): each agent descends its own quadratic.

@@ -4,7 +4,6 @@ import pytest
 from gossip_sa.network import (
     Graph,
     GossipModel,
-    _check_doubly_stochastic_content,
     check_doubly_stochastic,
     expected_mixing_matrix,
     is_connected,
@@ -317,16 +316,6 @@ class TestCheckDoublyStochastic:
         check_doubly_stochastic(w, tol=1e-6)
         with pytest.raises(ValueError, match="doubly stochastic"):
             check_doubly_stochastic(w, tol=1e-12)
-
-    def test_reductions_run_once_per_distinct_matrix(self):
-        model = triangle_model()
-        _check_doubly_stochastic_content.cache_clear()
-        for _ in range(5):
-            for w in model._alphabet:
-                check_doubly_stochastic(w)
-        info = _check_doubly_stochastic_content.cache_info()
-        assert info.misses == len(model._alphabet)
-        assert info.hits == 4 * len(model._alphabet)
 
     def test_shape_checked_before_the_cache(self):
         check_doubly_stochastic(np.eye(4))
