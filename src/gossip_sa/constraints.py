@@ -2,14 +2,13 @@
 
 Every constraint is linear, ``q_j(theta) = a_j . theta - b_j <= 0``: a set
 declares its rows ``a_j`` and ``b_j`` once, as ``normals`` and ``offsets``,
-which is what the feasibility, active-set and first-order optimality
-helpers below consume.
+which is what the feasibility helpers below consume.  First-order
+optimality is measured through the set's own projection.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +18,8 @@ MAX_HALFSPACES = 10
 EMPTINESS_TOL = 1e-12
 
 
-class InfeasiblePointError(ValueError):
-    """A point lies outside the feasible set beyond the stated tolerance."""
-
-
 def default_active_tolerance(theta) -> float:
-    """Scale-aware tolerance for declaring a constraint active at ``theta``."""
+    """Scale-aware tolerance on the constraint values of a point ``theta``."""
     return 1e-8 * (1.0 + float(np.linalg.norm(theta)))
 
 
@@ -273,12 +268,18 @@ class Halfspaces(ConstraintSet):
                         lam = np.linalg.solve(a @ a.T, a @ x - self.offsets[list(subset)])
                     except np.linalg.LinAlgError:
                         continue  # rank-deficient subset
+                    if not np.isfinite(lam).all():
+                        continue  # numerically rank-deficient: the solve overflowed
                     if np.any(lam < -1e-12):
                         continue  # multiplier signs rule this subset out
                     y = x - a.T @ lam
                 else:
                     y = x
+                # The rounding bound above grows with |x|, so a far-away x
+                # could admit a candidate that ``contains`` rejects.
                 if np.max(self.normals @ y - self.offsets, initial=-np.inf) > tol:
+                    continue
+                if self.first_infeasible(y[None]) is not None:
                     continue
                 d2 = float(np.dot(y - x, y - x))
                 if d2 < best_d2:
@@ -300,48 +301,17 @@ def _per_block(fn, x) -> np.ndarray:
     return out.reshape(*x.shape[:-1], out.shape[-1])
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Indices (0-based) of constraints active at a point, with the tolerance used."""
+def kt_residual(cs: ConstraintSet, theta, grad) -> float:
+    """Natural stationarity residual ``|theta - P(theta - grad)|``.
 
-    indices: tuple[int, ...]
-    tolerance: float
-
-
-def active_set(cs: ConstraintSet, theta, tol: float | None = None) -> ActiveSet:
-    """Constraints with ``q_j(theta) >= -tol``; ``theta`` must be feasible within ``tol``."""
-    theta = np.asarray(theta, dtype=float)
-    if tol is None:
-        tol = default_active_tolerance(theta)
-    vals = cs.constraint_values(theta)
-    if vals.size and float(np.max(vals)) > tol:
-        worst = int(np.argmax(vals))
-        raise InfeasiblePointError(
-            f"point violates constraint {worst} by {float(vals[worst]):.3e} "
-            f"(tolerance {tol:.3e})"
-        )
-    idx = np.flatnonzero(vals >= -tol)
-    return ActiveSet(indices=tuple(int(k) for k in idx), tolerance=float(tol))
-
-
-def kt_residual(cs: ConstraintSet, theta, grad, tol: float | None = None) -> float:
-    """Distance from ``-grad`` to the cone spanned by active constraint gradients.
-
-    Zero certifies first-order stationarity of ``theta`` for minimizing a
-    function with gradient ``grad`` over the set.  With no active constraint
-    the cone is ``{0}`` and the residual is simply ``|grad|``.  Nonnegative
-    multipliers are found by nonnegative least squares; the distance to the
-    cone is unique even when the active gradients are linearly dependent.
+    It vanishes exactly at the Kuhn-Tucker points of minimizing a function
+    with gradient ``grad`` over the convex set (Calamai & More, Math.
+    Programming 39, 1987), and is ``|grad|`` wherever the unit step stays
+    inside.  It needs no active-set tolerance: the set's own projection
+    decides which constraints bind.
     """
     grad = np.asarray(grad, dtype=float)
-    act = active_set(cs, theta, tol)
-    if not act.indices:
-        return float(np.linalg.norm(grad))
-    rows = cs.normals[list(act.indices)]
-    import scipy.optimize  # deferred: costs most of the package's import time
-
-    _, resid = scipy.optimize.nnls(rows.T, -grad)
-    return float(resid)
+    return float(np.linalg.norm(projection_drift(cs, theta, -grad, 1.0)))
 
 
 def projection_drift(cs: ConstraintSet, theta, y, gamma: float) -> np.ndarray:

@@ -108,8 +108,7 @@ class Problem:
     ``oracle(theta, rng)`` must return the stacked observation for every
     agent given the ``(n_agents, dim)`` block matrix.  When omitted it is
     ``-gradient(theta)`` plus isotropic Gaussian noise of standard deviation
-    ``noise_scale`` (a scalar, or a callable of the block matrix for
-    state-dependent scaling).
+    ``noise_scale``.
 
     ``objective`` and ``residual`` are optional diagnostic hooks with
     signature ``(average, rng) -> float``; the residual defaults to the
@@ -121,7 +120,7 @@ class Problem:
     n_agents: int
     gradient: Callable[[np.ndarray], np.ndarray] | None
     constraint: ConstraintSet | None = None
-    noise_scale: float | Callable = 0.0
+    noise_scale: float = 0.0
     oracle: Callable | None = None
     objective: Callable | None = None
     residual: Callable | None = None
@@ -153,10 +152,9 @@ class Problem:
 
     def _gaussian_oracle(self, theta, rng: np.random.Generator) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        scale = self.noise_scale(theta) if callable(self.noise_scale) else self.noise_scale
         # ``s*z - g`` in place: bit-identical to ``-g + s*z`` without temporaries.
         y = rng.standard_normal(theta.shape)
-        y *= scale
+        y *= self.noise_scale
         y -= self.gradient(theta)
         return y
 

@@ -17,6 +17,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .core import StepSchedule
 
+#: Fewest replicas a fluctuation study may use.
+MIN_CLT_REPLICAS = 100
+
 
 class InsufficientReplicasError(RuntimeError):
     """Too few replicas survive the convergence filter to estimate a covariance."""
@@ -211,8 +214,10 @@ def clt_check(
     if finals.ndim != 3:
         raise ValueError("final_states must have shape (replicas, n_agents, dim)")
     n_replicas = finals.shape[0]
-    if n_replicas < 100:
-        raise ValueError(f"at least 100 replicas are required, got {n_replicas}")
+    if n_replicas < MIN_CLT_REPLICAS:
+        raise ValueError(
+            f"at least {MIN_CLT_REPLICAS} replicas are required, got {n_replicas}"
+        )
     d = clt_spec.dim
     if finals.shape[2] != d:
         raise ValueError("state dimension does not match the limit-point dimension")

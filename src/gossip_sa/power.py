@@ -29,7 +29,7 @@ class PowerScenario:
     budgets: np.ndarray
     noise_vars: np.ndarray
     weights: np.ndarray
-    channel_distribution: str | Callable = "exponential"
+    channel_distribution: str = "exponential"
 
     def __post_init__(self) -> None:
         if self.n_users < 1 or self.n_channels < 1:
@@ -61,18 +61,13 @@ def sample_channels(
     n_users: int,
     n_channels: int,
     n_draws: int | None = None,
-    distribution: str | Callable = "exponential",
+    distribution: str = "exponential",
 ) -> np.ndarray:
     """Draw i.i.d. channel power gains ``gains[j, i, k]`` (transmitter j,
     receiver i, subchannel k), optionally with a leading draw axis."""
     shape: tuple[int, ...] = (n_users, n_users, n_channels)
     if n_draws is not None:
         shape = (n_draws, *shape)
-    if callable(distribution):
-        gains = np.asarray(distribution(rng, shape), dtype=float)
-        if gains.shape != shape:
-            raise ValueError("channel sampler returned the wrong shape")
-        return gains
     if distribution == "exponential":
         return rng.standard_exponential(shape)
     if distribution == "constant":
@@ -242,13 +237,6 @@ def weighted_gradient_estimate(
     return total
 
 
-#: Active-set tolerance for trace residuals of projected runs.  Iterates hover
-#: an O(step size) distance off the boundary (own-power observations are
-#: strictly positive, so projection is undone a little every round), which the
-#: strict default tolerance would classify as "no constraint active".
-RESIDUAL_ACTIVE_TOL = 1e-3
-
-
 def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Problem:
     """Wrap a scenario as an engine problem.
 
@@ -266,8 +254,7 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Probl
 
     def residual(average, rng):
         ascent = weighted_gradient_estimate(scenario, average, mc_trials, rng)
-        tol = RESIDUAL_ACTIVE_TOL * (1.0 + float(np.linalg.norm(average)))
-        return kt_residual(feasible, average, -ascent, tol=tol)
+        return kt_residual(feasible, average, -ascent)
 
     return Problem(
         dim=scenario.dim,

@@ -17,14 +17,12 @@ import numpy as np
 from .config import ConfigError, ExperimentSpec, build_run_config
 from .core import RunResult, run_ensemble, run_replicas, validate_assumptions
 from .diagnostics import (
+    MIN_CLT_REPLICAS,
     CltEstimate,
     clt_check,
     fit_decay_exponent,
     replica_mean_squared_disagreement,
 )
-
-#: Minimum number of replicas a fluctuation study may be configured with.
-MIN_CLT_REPLICAS = 100
 
 
 def _fmt(value: float) -> str:
@@ -157,7 +155,7 @@ class CltStudyResult:
     summary: dict
 
 
-def run_clt_study(spec: ExperimentSpec, radius: float = 0.5) -> CltStudyResult:
+def run_clt_study(spec: ExperimentSpec) -> CltStudyResult:
     """Estimate the fluctuation covariance across many replicas.
 
     Replicas are advanced together by the vectorized ensemble runner; the
@@ -176,9 +174,7 @@ def run_clt_study(spec: ExperimentSpec, radius: float = 0.5) -> CltStudyResult:
             "specification (limit point, drift, noise covariance)"
         )
     finals = run_ensemble(config)
-    estimate = clt_check(
-        finals, config.problem.clt_spec, config.schedule, spec.run.n_iter, radius=radius
-    )
+    estimate = clt_check(finals, config.problem.clt_spec, config.schedule, spec.run.n_iter)
 
     out = Path(spec.output.directory)
     out.mkdir(parents=True, exist_ok=True)

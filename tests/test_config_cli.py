@@ -303,6 +303,22 @@ class TestCli:
         # zero step leaves the state in place instead of failing the run.
         assert run_from(tmp_path, monkeypatch, "quadratic-consensus", "schedule.gamma0=5.0e-324") == 0
 
+    def test_far_start_stays_inside_a_thin_halfspace_cone(self, tmp_path, capsys):
+        # Centers far from a thin cone once made the first projection accept
+        # a point that the recorded-feasibility check then rejected (exit 3).
+        overrides = (
+            "run.n_iter=300",
+            "run.record_every=1",
+            "run.replicas=1",
+            "problem.constraint={kind: halfspaces, normals: [[1, 2], [-2, -2], [0, -2]], "
+            "offsets: [1.0e-8, 1.0e-8, 1.0e-8]}",
+            "problem.centers=[[95, -65], [95, -65], [95, -65], [95, -65]]",
+        )
+        argv = ["run", "--preset", "quadratic-consensus", "--seed", "2"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main([*argv, "--out", str(tmp_path / "cone")]) == 0, capsys.readouterr().err
+
     def test_assumption_abort_exit_code(self, tmp_path, capsys):
         # Break the xi = 1 step-scale condition: the run aborts with exit 3
         # unless the checks are explicitly overridden.
@@ -344,8 +360,8 @@ class TestCli:
         assert "insufficient data" in capsys.readouterr().err
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize dominates start-up time; only halfspace sets and the
-        # stationarity residual need it, and they import it when called.
+        # scipy.optimize dominates start-up time; only halfspace sets need it,
+        # and they import it when built.
         src = os.path.dirname(os.path.dirname(gossip_sa.__file__))
         probe = "import sys, gossip_sa.cli; print('scipy.optimize' in sys.modules)"
         out = subprocess.run(
@@ -370,6 +386,26 @@ class TestCli:
         )
         out = subprocess.run(
             [sys.executable, "-c", probe, str(tmp_path / "clt")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "0 []"
+
+    def test_power_run_leaves_scipy_unloaded(self, tmp_path):
+        # The stationarity residual of power records goes through the
+        # budget-simplex projection, so a power run needs no scipy module.
+        src = os.path.dirname(os.path.dirname(gossip_sa.__file__))
+        probe = (
+            "import sys\n"
+            "from gossip_sa.cli import main\n"
+            "code = main(['run', '--preset', 'power-alloc', '--override', 'run.n_iter=300',\n"
+            "             '--override', 'problem.power.mc_trials=20', '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "power")],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,

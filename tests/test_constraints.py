@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -11,9 +12,7 @@ from gossip_sa.constraints import (
     BudgetSimplex,
     ConstraintSet,
     Halfspaces,
-    InfeasiblePointError,
     Unconstrained,
-    active_set,
     default_active_tolerance,
     kt_residual,
     projection_drift,
@@ -107,6 +106,23 @@ class TestProject:
         cs = Halfspaces([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
         assert np.allclose(cs.project([3.0, 2.0]), [1.0, 1.0], atol=1e-12)
 
+    def test_halfspaces_far_point_lands_inside_a_thin_cone(self):
+        # The candidate test's rounding bound grows with |x|; at |x| ~ 115 it
+        # once accepted [0, -4.5e-8], which violates a row by 4e-8.
+        cs = Halfspaces([[1, 2], [-2, -2], [0, -2]], [1e-8] * 3)
+        y = cs.project([95.0, -65.0])
+        assert cs.contains(y)
+        assert np.linalg.norm(y) <= 1e-7
+
+    def test_nearly_dependent_rows_skip_the_overflowing_subset(self):
+        # Rows 1, 2 are parallel and row 3 nearly repeats row 0: the solve on
+        # rows 1-3 returns infinite multipliers instead of raising.
+        cs = Halfspaces(
+            [[1.0, 0.0, 0.0], [0.0, -1.75, 0.0], [0.0, 1.0, 0.0], [1.0, -7.85e-154, 0.0]],
+            [1.0] * 4,
+        )
+        assert np.array_equal(cs.project(np.zeros(3)), np.zeros(3))
+
     def test_empty_halfspace_system_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Halfspaces([[1.0], [-1.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
@@ -144,6 +160,19 @@ class TestProjectionProperties:
                 x = rng.normal(scale=2.0, size=cs.dim)
                 once = cs.project(x)
                 assert np.allclose(cs.project(once), once, atol=1e-12)
+
+    def test_far_points_land_inside_thin_halfspace_systems(self):
+        # Rows with offsets of 1e-8 leave a set far thinner than the rounding
+        # bound of the candidate test at |x| ~ 100.
+        rng = np.random.default_rng(40)
+        for trial in range(100):
+            dim, m = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            normals = rng.normal(size=(m, dim))
+            inside = 1e-8 * rng.normal(size=dim)
+            slack = 1e-8 * (1.0 if trial % 2 else rng.uniform(size=m))
+            cs = Halfspaces(normals, normals @ inside + slack)
+            for x in rng.normal(scale=100.0, size=(5, dim)):
+                assert cs.contains(cs.project(x))
 
     def test_variational_characterization(self):
         rng = np.random.default_rng(3)
@@ -269,6 +298,14 @@ def sets_and_stacks(draw):
     return cs, x, y
 
 
+def cone_distance(cs, theta, grad):
+    """Distance from ``-grad`` to the cone of the rows with ``q_j(theta) >= 0``."""
+    rows = cs.normals[cs.constraint_values(theta) >= 0.0]
+    if not rows.size:
+        return float(np.linalg.norm(grad))
+    return float(scipy.optimize.nnls(rows.T, -np.asarray(grad))[1])
+
+
 class TestConstraintInvariants:
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(sets_and_stacks())
@@ -300,11 +337,24 @@ class TestConstraintInvariants:
         assert np.all(moved <= np.linalg.norm(x - y, axis=-1) + 1e-12)
 
         # The projection of an isotropic quadratic's center is its constrained
-        # minimizer, a Kuhn-Tucker point of the box.
-        if isinstance(cs, Box):
-            for center in flat:
-                theta = cs.project(center)
-                assert kt_residual(cs, theta, theta - center) <= 1e-12
+        # minimizer, a Kuhn-Tucker point of the set.
+        for center in flat:
+            theta = cs.project(center)
+            assert kt_residual(cs, theta, theta - center) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(sets_and_stacks())
+    def test_residual_is_the_unit_projected_step(self, case):
+        cs, x, y = case
+        for theta, grad in zip(cs.project(x).reshape(-1, cs.dim), y.reshape(-1, cs.dim)):
+            residual = kt_residual(cs, theta, grad)
+            assert residual == np.linalg.norm(theta - cs.project(theta - grad))
+            # At a point of the set the unit-step residual is at most the
+            # distance from -g to the normal cone, the cone of the rows active
+            # there: the projected step shrinks per unit length as the step
+            # grows (Calamai & More 1987), and its short-step limit is -g less
+            # its normal-cone part (Moreau's decomposition).
+            assert residual <= cone_distance(cs, theta, grad) + 1e-12
 
     def test_first_infeasible_is_zero_based_and_per_block(self):
         cs = Box([0.0, 0.0], [1.0, 1.0])
@@ -313,27 +363,6 @@ class TestConstraintInvariants:
         assert cs.first_infeasible(blocks) == 2
         assert cs.first_infeasible(blocks[:2]) is None
         assert Unconstrained(2).first_infeasible(np.full((3, 2), 1e300)) is None
-
-
-class TestActiveSet:
-    def test_box_upper_bound_active(self):
-        cs = Box([0.0], [1.0])
-        act = active_set(cs, [1.0], tol=1e-9)
-        assert act.indices == (0,)  # the single finite upper bound
-
-    def test_budget_active_at_face(self):
-        cs = BudgetSimplex(budgets=[1.0], groups=[(0, 1)])
-        act = active_set(cs, [0.5, 0.5], tol=1e-9)
-        assert act.indices == (2,)  # 0,1 are positivity rows, 2 is the budget
-
-    def test_interior_empty(self):
-        cs = Box([0.0, 0.0], [1.0, 1.0])
-        assert active_set(cs, [0.4, 0.6], tol=1e-9).indices == ()
-
-    def test_grossly_infeasible_rejected(self):
-        cs = Box([0.0], [1.0])
-        with pytest.raises(InfeasiblePointError):
-            active_set(cs, [1.5], tol=1e-9)
 
     def test_default_tolerance_is_scale_aware(self):
         theta = np.array([1e6, 0.0])
@@ -359,8 +388,13 @@ class TestKtResidual:
         cs = Box([-1.0, -1.0], [1.0, 1.0])
         for _ in range(100):
             theta = rng.uniform(-0.5, 0.5, size=2)
-            g = rng.normal(size=2)
+            # The unit step theta - g stays inside: the residual is |g|.
+            g = rng.uniform(-0.5, 0.5, size=2)
             assert kt_residual(cs, theta, g) == pytest.approx(np.linalg.norm(g))
+            # A longer step is cut where it leaves the box.
+            g = 4.0 * rng.normal(size=2)
+            stop = np.clip(theta - g, -1.0, 1.0)
+            assert kt_residual(cs, theta, g) == pytest.approx(np.linalg.norm(theta - stop))
 
     def test_dependent_gradients_give_the_independent_residual(self):
         # Two coinciding halfspaces make the active gradients dependent; the
@@ -372,9 +406,13 @@ class TestKtResidual:
             assert abs(kt_residual(dependent, [1.0, 0.0], grad) - expected) <= 1e-12
 
     def test_tangential_component_survives(self):
-        cs = Box([0.0], [1.0])
-        # -g points inward: nothing absorbable, residual is |g|.
-        assert kt_residual(cs, [1.0], [2.0]) == pytest.approx(2.0)
+        # On the face x = 1 the outward part of -g is absorbed and the
+        # tangential part is what remains.
+        cs = Box([0.0, 0.0], [1.0, 1.0])
+        assert kt_residual(cs, [1.0, 0.5], [-3.0, 0.25]) == 0.25
+        # -g points inward: nothing is absorbed, but the unit step stops at
+        # the far bound 0, so the residual is 1 rather than |g| = 2.
+        assert kt_residual(Box([0.0], [1.0]), [1.0], [2.0]) == 1.0
 
 
 def halfspace_drift_limit(normal, theta, y):

@@ -337,17 +337,6 @@ class TestOracle:
             err = np.linalg.norm(batch[:, i, :].mean(axis=0) - expected)
             assert err <= bound
 
-    def test_state_dependent_scale_hook(self):
-        centers = np.array([[0.0]])
-        problem = Problem(
-            dim=1,
-            n_agents=1,
-            gradient=lambda th: th,
-            noise_scale=lambda theta: 0.0,
-        )
-        out = problem.oracle(np.array([[2.0]]), np.random.default_rng(0))
-        assert np.allclose(out, [[-2.0]], atol=1e-15)
-
     def test_stacked_oracle_equals_per_agent_literal(self):
         sigma = 0.3
         rng = np.random.default_rng(12)

@@ -24,11 +24,11 @@ GOLDEN = {
     ),
     ("run", "constrained-toy"): (
         (N_ITER,),
-        "e9a026a06052bf3e7f282634225ffd2ac96948439bcb7ce766f5fd698778337f",
+        "016aecf1a8f1e32ac7d5ea71fcaf6ec7863c728a8bb9c0ce6b305d7344c5bb2c",
     ),
     ("run", "power-alloc"): (
         (N_ITER,),
-        "ec88d84cc4af2d0606591e80f9c860fbcfd6a6f5c3882bd3947c7b357e311276",
+        "7c571d02b2caf2245a5429449f0d6fc35adaaeced39ecc4ed2aea9ae9580ce7c",
     ),
     ("clt", "scalar-clt"): (
         (N_ITER, CLT_REPLICAS),

@@ -160,12 +160,6 @@ class TestSampleChannels:
         gains = sample_channels(np.random.default_rng(8), 2, 3, distribution="constant")
         assert np.array_equal(gains, np.ones((2, 2, 3)))
 
-    def test_callable_distribution(self):
-        gains = sample_channels(
-            np.random.default_rng(9), 2, 2, distribution=lambda rng, s: np.full(s, 2.0)
-        )
-        assert np.array_equal(gains, np.full((2, 2, 2), 2.0))
-
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError, match="distribution"):
             sample_channels(np.random.default_rng(0), 2, 2, distribution="rayleigh")
