@@ -120,16 +120,20 @@ def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     sorted-threshold rule projects onto the budget face (Duchi et al., ICML
     2008); ``rho`` is the last sorted index whose threshold condition holds.
     """
+    # Array methods rather than the ``np.`` wrappers: the same kernels,
+    # without a Python call each on a path taken at every projection.
     y = np.maximum(x, 0.0)
-    tight = np.nonzero(~(y.sum(axis=-1) <= budgets))
+    tight = (~(y.sum(axis=-1) <= budgets)).nonzero()
     if not tight[0].size:
         return y
     xt = x[tight]
-    u = np.sort(xt, axis=-1)[:, ::-1]
-    css = np.cumsum(u, axis=-1) - budgets[tight[-1], None]
+    u = xt.copy()
+    u.sort(axis=-1)
+    u = u[:, ::-1]
+    css = u.cumsum(axis=-1) - budgets[tight[-1], None]
     size = x.shape[-1]
     held = u > css / np.arange(1, size + 1)
-    last = size - 1 - np.argmax(held[:, ::-1], axis=-1)
+    last = size - 1 - held[:, ::-1].argmax(axis=-1)
     tau = css[np.arange(last.size), last] / (last + 1)
     y[tight] = np.maximum(xt - tau[:, None], 0.0)
     return y
@@ -142,7 +146,7 @@ def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     is what makes them equal, bit for bit, the sum of each group taken on
     its own (``x[..., index]`` would put the stack axis innermost).
     """
-    return np.take(x, index, axis=-1)
+    return x.take(index, axis=-1)
 
 
 class BudgetSimplex(ConstraintSet):

@@ -2,10 +2,11 @@
 
 Each iteration applies a projected ascent step per agent along a noisy
 observation of its own negative utility gradient, then mixes the agents'
-temporary states with a random doubly stochastic matrix.  The state is an
-``(n_agents, dim)`` array of per-agent blocks; the mixing matrix acts on
-blocks, so the Kronecker lift onto the stacked vector never needs to be
-materialized.
+temporary states with a random doubly stochastic matrix.  The state of a
+replica is an ``(n_agents, dim)`` array of per-agent blocks; the mixing
+matrix acts on blocks, so the Kronecker lift onto the stacked vector never
+needs to be materialized.  :func:`run` advances several replicas as one
+``(replicas, n_agents, dim)`` batch, each on its own random streams.
 """
 
 from __future__ import annotations
@@ -38,12 +39,19 @@ def _stream(seed: int, replica: int, role: int) -> np.random.Generator:
 
 
 class SimulationAbort(RuntimeError):
-    """A run stopped before completing; carries the records emitted so far."""
+    """A run stopped before completing; carries the records emitted so far.
 
-    def __init__(self, message: str, iteration: int | None = None, records=()):
+    ``replica`` names the replica that failed, when one did; :func:`run`
+    reports it by replica number, and ``records`` are that replica's.
+    """
+
+    def __init__(
+        self, message: str, iteration: int | None = None, records=(), replica: int | None = None
+    ):
         super().__init__(message)
         self.iteration = iteration
         self.records = tuple(records)
+        self.replica = replica
 
 
 class DivergenceError(SimulationAbort):
@@ -53,8 +61,15 @@ class DivergenceError(SimulationAbort):
 class NonFiniteObservationError(SimulationAbort):
     """An oracle draw contained NaN or infinity."""
 
-    def __init__(self, message: str, agent: int, iteration: int | None = None, records=()):
-        super().__init__(message, iteration=iteration, records=records)
+    def __init__(
+        self,
+        message: str,
+        agent: int,
+        iteration: int | None = None,
+        records=(),
+        replica: int | None = None,
+    ):
+        super().__init__(message, iteration=iteration, records=records, replica=replica)
         self.agent = agent
 
 
@@ -106,9 +121,11 @@ class Problem:
     lets many replicas advance at once.
 
     ``oracle(theta, rng)`` must return the stacked observation for every
-    agent given the ``(n_agents, dim)`` block matrix.  When omitted it is
+    agent given the ``(n_agents, dim)`` block matrix; :func:`run` calls it
+    once per replica, with that replica's generator, on a view of the state
+    that it later updates in place.  When omitted it is
     ``-gradient(theta)`` plus isotropic Gaussian noise of standard deviation
-    ``noise_scale``.
+    ``noise_scale``, which :func:`run` draws for all replicas in one call.
 
     ``objective`` and ``residual`` are optional diagnostic hooks with
     signature ``(average, rng) -> float``; the residual defaults to the
@@ -150,10 +167,22 @@ class Problem:
         stacked = np.broadcast_to(theta, (self.n_agents, self.dim))
         return self.gradient(stacked).sum(axis=0)
 
-    def _gaussian_oracle(self, theta, rng: np.random.Generator) -> np.ndarray:
+    def _gaussian_oracle(self, theta, rng, out: np.ndarray | None = None) -> np.ndarray:
+        """``-gradient(theta) + noise_scale * z`` for standard normal ``z``.
+
+        ``rng`` is one generator for the whole stack, or a sequence of
+        generators, one per leading slice of ``theta``: each fills its own
+        slice of ``z``, in order, with the numbers it would give that slice
+        alone.  The result is written to ``out`` when it is given.
+        """
         theta = np.asarray(theta, dtype=float)
+        y = np.empty(theta.shape) if out is None else out
+        if isinstance(rng, np.random.Generator):
+            rng.standard_normal(out=y)
+        else:
+            for g, z in zip(rng, y):
+                g.standard_normal(out=z)
         # ``s*z - g`` in place: bit-identical to ``-g + s*z`` without temporaries.
-        y = rng.standard_normal(theta.shape)
         y *= self.noise_scale
         y -= self.gradient(theta)
         return y
@@ -224,34 +253,47 @@ def _initial_state(config: RunConfig, replica: int) -> np.ndarray:
     return np.array(config.initial_state, dtype=float)
 
 
+def _first_non_finite(y: np.ndarray, shape: tuple) -> tuple[int, int]:
+    """0-based replica and 1-based agent of the first non-finite entry of ``y``."""
+    bad = np.flatnonzero(~np.isfinite(np.broadcast_to(y, shape)))[0]
+    replica, agent, _ = np.unravel_index(bad, shape)
+    return int(replica), int(agent) + 1
+
+
 def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
     """Projected ascent step ``P[theta_i + gamma * y_i]`` for every block.
 
-    The stepped ``(n_agents, dim)`` stack is projected in one
-    ``constraint.project`` call, whatever the constraint kind.  ``gamma``
-    comes from a :class:`StepSchedule`, which keeps it nonnegative; a step
-    that underflows to zero leaves ``theta`` in place.
+    ``theta`` and ``y`` are an ``(n_agents, dim)`` stack of blocks or an
+    ``(replicas, n_agents, dim)`` batch of them; either way all blocks are
+    projected in one ``constraint.project`` call, whatever the constraint
+    kind.  A non-finite observation names its 0-based position in the batch
+    (``replica``) and its 1-based agent.  ``gamma`` comes from a
+    :class:`StepSchedule`, which keeps it nonnegative; a step that
+    underflows to zero leaves ``theta`` in place.
     """
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
-    finite = np.isfinite(y)
-    if not finite.all():
-        agent = int(np.argwhere(~finite.all(axis=-1))[0][0]) + 1
+    if not np.isfinite(y).all():
+        batch = y.reshape(-1, *y.shape[-2:])
+        replica, agent = _first_non_finite(batch, batch.shape)
         raise NonFiniteObservationError(
-            f"non-finite observation for agent {agent}", agent=agent
+            f"non-finite observation for agent {agent}", agent=agent, replica=replica
         )
     return constraint.project(theta + gamma * y)
 
 
-def gossip_step(theta, w) -> np.ndarray:
+def gossip_step(theta, w, out: np.ndarray | None = None) -> np.ndarray:
     """Mix the agent blocks with the doubly stochastic matrix ``w``.
 
     Row ``i`` of the result is the ``w``-weighted combination of the input
     blocks; the network average is preserved because the column sums are one.
+    A batch of ``(replicas, n_agents, dim)`` states is mixed by a
+    ``(replicas, n_agents, n_agents)`` stack of matrices, one per replica.
     ``w`` is not checked here: the engine only passes matrices of its gossip
-    model, which are checked once, when the model builds them.
+    model, which are checked once, when the model builds them.  The result
+    is written to ``out`` when it is given.
     """
-    return w @ theta
+    return np.matmul(w, theta, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,67 +329,114 @@ def _make_record(n, gamma, theta, problem, diag_rng) -> TraceRecord:
 
 
 def _check_recorded_feasibility(theta, constraint, n) -> None:
-    outside = constraint.first_infeasible(theta)
+    """Abort unless every block of the stack or batch ``theta`` is feasible.
+
+    The batch is flattened to one ``(replicas * n_agents, dim)`` stack, so
+    that each block is held to its own tolerance; the first failure names
+    its 0-based position in the batch (``replica``) and its 1-based agent.
+    """
+    n_agents, dim = theta.shape[-2:]
+    outside = constraint.first_infeasible(theta.reshape(-1, dim))
     if outside is not None:
+        replica, agent = divmod(outside, n_agents)
         raise SimulationAbort(
-            f"block of agent {outside + 1} left the feasible set at iteration {n}",
+            f"block of agent {agent + 1} left the feasible set at iteration {n}",
             iteration=n,
+            replica=replica,
         )
 
 
-def run(config: RunConfig, replica: int = 0) -> RunResult:
-    """Execute one replica and return its trace and final state.
+def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
+    """Execute the given replicas of ``config`` as one batch.
 
-    The run is bit-reproducible as a function of ``(config, replica)``.  Each
-    iteration draws the stacked observation given the previous state, takes
-    the projected local step with the step size of iteration ``n``, then
-    draws the mixing matrix (independently of the observation) and mixes.
-    A record is emitted every ``record_every`` iterations and at the final
-    iteration, after checking that every block is feasible.  Whatever the
-    constraint, the run aborts with :class:`DivergenceError` when the stacked
-    norm passes :data:`DIVERGENCE_LIMIT` or is NaN.  Every
-    :class:`SimulationAbort` carries its iteration and the records collected
-    so far.
+    Returns one result per entry of ``replicas``, in order.  The batch state
+    is a ``(replicas, n_agents, dim)`` array, and each replica draws from its
+    own ``(seed, replica)`` streams exactly the numbers a solo run draws, so
+    replica ``r`` of any batch equals ``run(config, [r])[0]`` bit for bit.
+    Each iteration draws the stacked observations given the previous state,
+    takes the projected local step with the step size of iteration ``n``,
+    then draws each replica's mixing matrix (independently of its
+    observation) and mixes.  Records are emitted every ``record_every``
+    iterations and at the final iteration, after checking that every block
+    is feasible.  Whatever the constraint, a replica aborts the run with
+    :class:`DivergenceError` when its stacked norm passes
+    :data:`DIVERGENCE_LIMIT` or is NaN.
+
+    The batch stops at the first iteration where any replica fails.  The
+    :class:`SimulationAbort` names the lowest-numbered position that failed
+    there: its ``replica`` attribute and message give that replica's
+    number, and it carries the iteration and that replica's records.
     """
     report = validate_assumptions(config)
     if not report.ok and not config.override_checks:
         raise AssumptionError(report)
-    rng = _stream(config.seed, replica, _DYNAMICS)
-    diag_rng = _stream(config.seed, replica, _DIAGNOSTICS)
-    theta0 = _initial_state(config, replica)
+    replicas = [int(r) for r in replicas]
+    if not replicas or min(replicas) < 0:
+        raise ValueError("replicas must be a nonempty sequence of nonnegative integers")
+    rngs = [_stream(config.seed, r, _DYNAMICS) for r in replicas]
+    diag_rngs = [_stream(config.seed, r, _DIAGNOSTICS) for r in replicas]
+    theta0 = np.stack([_initial_state(config, r) for r in replicas])
     theta = theta0.copy()
     problem, schedule, gossip = config.problem, config.schedule, config.gossip
-    records: list[TraceRecord] = []
+    custom = problem.oracle != problem._gaussian_oracle
+    y = np.empty_like(theta)
+    w = np.empty((len(replicas), problem.n_agents, problem.n_agents))
+    # Per-replica views of the state, observation and mixing buffers, which
+    # every iteration updates in place, and the replica's generator.
+    slots = list(zip(theta, y, w, rngs))
+    flat = theta.reshape(-1)
+    records: list[list[TraceRecord]] = [[] for _ in replicas]
+    # Each replica's norm is at most the batch's; half the limit leaves room
+    # for any rounding, so below it no replica can fail its own check.
+    screen = 0.5 * DIVERGENCE_LIMIT
     try:
         for n in range(1, config.n_iter + 1):
             gamma = schedule.gamma(n)
-            y = problem.oracle(theta, rng)
-            temporary = local_step(theta, y, gamma, problem.constraint)
-            theta = gossip_step(temporary, sample_gossip(gossip, n, rng))
+            if not custom:
+                problem._gaussian_oracle(theta, rngs, out=y)
+            # Each replica's stream draws its observation, then its mixing matrix.
+            for state, obs, mix, g in slots:
+                if custom:
+                    obs[...] = problem.oracle(state, g)
+                mix[...] = sample_gossip(gossip, n, g)
+            gossip_step(local_step(theta, y, gamma, problem.constraint), w, out=theta)
             # ``sqrt(x . x)`` is what ``np.linalg.norm`` computes, bit for
             # bit; written ``not <=`` so that a NaN state aborts too.
-            flat = theta.ravel()
-            if not (math.sqrt(flat.dot(flat)) <= DIVERGENCE_LIMIT):
-                raise DivergenceError(
-                    f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
-                    iteration=n,
-                )
+            if not (math.sqrt(flat.dot(flat)) <= screen):
+                for r, x in enumerate(theta.reshape(len(replicas), -1)):
+                    if not (math.sqrt(x.dot(x)) <= DIVERGENCE_LIMIT):
+                        raise DivergenceError(
+                            f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} "
+                            f"at iteration {n}",
+                            iteration=n,
+                            replica=r,
+                        )
             if n % config.record_every == 0 or n == config.n_iter:
                 _check_recorded_feasibility(theta, problem.constraint, n)
-                records.append(_make_record(n, gamma, theta, problem, diag_rng))
+                for r, g in enumerate(diag_rngs):
+                    records[r].append(_make_record(n, gamma, theta[r], problem, g))
     except SimulationAbort as err:
+        position = err.replica or 0
+        err.replica = replicas[position]
+        err.args = (f"{err.args[0]} in replica {err.replica}",)
         if err.iteration is None:
             err.iteration = n
-        err.records = tuple(records)
+        err.records = tuple(records[position])
         raise
-    return RunResult(
-        records=tuple(records), final_state=theta, initial_state=theta0, replica=replica
-    )
+    return [
+        RunResult(
+            records=tuple(records[r]),
+            final_state=theta[r],
+            initial_state=theta0[r],
+            replica=replica,
+        )
+        for r, replica in enumerate(replicas)
+    ]
 
 
 def run_replicas(config: RunConfig) -> list[RunResult]:
-    """Execute ``config.replicas`` independent replicas sequentially."""
-    return [run(config, replica) for replica in range(config.replicas)]
+    """Execute all ``config.replicas`` replicas as one batch."""
+    return run(config, range(config.replicas))
 
 
 def run_ensemble(config: RunConfig) -> np.ndarray:
@@ -407,6 +496,7 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
                 f"at iteration {n}",
                 agent=agent,
                 iteration=n,
+                replica=replica,
             )
         theta += gammas[n - 1] * y
         rng.random(out=uniforms)
@@ -427,13 +517,6 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
                 iteration=n,
             )
     return theta
-
-
-def _first_non_finite(y: np.ndarray, shape: tuple) -> tuple[int, int]:
-    """0-based replica and 1-based agent of the first non-finite entry of ``y``."""
-    bad = np.flatnonzero(~np.isfinite(np.broadcast_to(y, shape)))[0]
-    replica, agent, _ = np.unravel_index(bad, shape)
-    return int(replica), int(agent) + 1
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ estimates of the ergodic gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,6 +43,11 @@ class PowerScenario:
                 raise ValueError(f"{name} must be positive")
             object.__setattr__(self, name, arr)
 
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """``arange(n_users)``: indexes each receiver's own transmitter."""
+        return np.arange(self.n_users)
+
     @property
     def dim(self) -> int:
         """Length of the stacked allocation vector."""
@@ -60,14 +66,15 @@ def sample_channels(
     rng: np.random.Generator,
     n_users: int,
     n_channels: int,
-    n_draws: int | None = None,
+    n_draws: int | tuple[int, ...] | None = None,
     distribution: str = "exponential",
 ) -> np.ndarray:
     """Draw i.i.d. channel power gains ``gains[j, i, k]`` (transmitter j,
-    receiver i, subchannel k), optionally with a leading draw axis."""
+    receiver i, subchannel k), optionally with leading draw axes: one of
+    length ``n_draws``, or the shape ``n_draws`` when it is a tuple."""
     shape: tuple[int, ...] = (n_users, n_users, n_channels)
     if n_draws is not None:
-        shape = (n_draws, *shape)
+        shape = (*np.atleast_1d(n_draws), *shape)
     if distribution == "exponential":
         return rng.standard_exponential(shape)
     if distribution == "constant":
@@ -123,17 +130,18 @@ def rate_gradient(scenario: PowerScenario, theta, gains, user: int) -> np.ndarra
 def _all_receiver_terms(scenario, p, gains):
     """Per-channel terms of every receiver at once, indexed ``[..., i, k]``.
 
-    ``p[i]`` is the ``(n_users, n_channels)`` power matrix receiver ``i``
-    sees.  Returns the incoming gains ``[..., i, j, k]`` (transmitter ``j``
-    toward receiver ``i``), the own gains, the signals and the
+    ``p[..., i, :, :]`` is the ``(n_users, n_channels)`` power matrix
+    receiver ``i`` sees; leading axes of ``p`` and ``gains`` broadcast.
+    Returns the incoming gains ``[..., i, j, k]`` (transmitter ``j`` toward
+    receiver ``i``), the own gains, the signals and the
     interference-plus-noise floors, each the same numbers
     :func:`_receiver_terms` gives for one receiver.
     """
-    diag = np.arange(scenario.n_users)
-    incoming = np.swapaxes(gains, -3, -2)
+    diag = scenario.diagonal
+    incoming = gains.swapaxes(-3, -2)
     own_gain = incoming[..., diag, diag, :]
-    load = np.einsum("...ijk,ijk->...ik", incoming, p)
-    signal = own_gain * p[diag, diag]
+    load = np.einsum("...ijk,...ijk->...ik", incoming, p)
+    signal = own_gain * p[..., diag, diag, :]
     interference = load - signal
     return incoming, own_gain, signal, scenario.noise_vars[:, None] + interference
 
@@ -142,13 +150,15 @@ def _all_rate_gradients(scenario, p, gains) -> np.ndarray:
     """Every receiver's rate gradient, ``[..., i, :]`` for user ``i + 1``.
 
     Row ``i`` equals ``rate_gradient(scenario, p_i, gains, i + 1)``, where
-    ``p_i = p[i]`` is the matrix receiver ``i`` sees.
+    ``p_i = p[..., i, :, :]`` is the matrix receiver ``i`` sees.
     """
-    diag = np.arange(scenario.n_users)
+    diag = scenario.diagonal
     incoming, own_gain, signal, floor = _all_receiver_terms(scenario, p, gains)
     total = floor + signal
     cross_factor = (signal / (floor * total))[..., None, :]
-    grad = -incoming * cross_factor
+    # ``-(a * b)`` in place: bit-identical to ``(-a) * b`` with one temporary less.
+    grad = incoming * cross_factor
+    np.negative(grad, out=grad)
     grad[..., diag, diag, :] = own_gain / total
     return grad.reshape(*grad.shape[:-2], scenario.dim)
 
@@ -161,23 +171,27 @@ def stochastic_oracle(
     Agent ``i`` is receiver ``i`` evaluated at its own allocation estimate
     ``theta_blocks[i]``; all agents are evaluated together, and row ``i``
     equals ``weights[i] * rate_gradient(scenario, theta_blocks[i], gains,
-    i + 1)`` bit for bit.  Conforms to the engine's oracle interface; the
-    sign is an ascent direction, equivalent to descending the negated
+    i + 1)`` bit for bit.  Leading axes of ``theta_blocks`` are independent
+    stacks, each with its own realization: the gains are drawn with the same
+    leading shape, in one call.  Conforms to the engine's oracle interface;
+    the sign is an ascent direction, equivalent to descending the negated
     weighted ergodic sum rate.
     """
     theta_blocks = np.asarray(theta_blocks, dtype=float)
-    if theta_blocks.shape != (scenario.n_users, scenario.dim):
+    if theta_blocks.shape[-2:] != (scenario.n_users, scenario.dim):
         raise ValueError(
             f"expected blocks of shape {(scenario.n_users, scenario.dim)}, "
             f"got {theta_blocks.shape}"
         )
+    lead = theta_blocks.shape[:-2]
     gains = sample_channels(
         rng,
         scenario.n_users,
         scenario.n_channels,
+        n_draws=lead or None,
         distribution=scenario.channel_distribution,
     )
-    p = theta_blocks.reshape(scenario.n_users, scenario.n_users, scenario.n_channels)
+    p = theta_blocks.reshape(*lead, scenario.n_users, scenario.n_users, scenario.n_channels)
     return scenario.weights[:, None] * _all_rate_gradients(scenario, p, gains)
 
 

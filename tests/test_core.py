@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gossip_sa import network
+from gossip_sa.config import apply_overrides, build_run_config, preset_dict, spec_from_dict
 from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
     _ENSEMBLE,
@@ -104,6 +105,14 @@ class TestLocalStep:
             local_step(theta, y, 0.1, Unconstrained(2))
         assert info.value.agent == 2
 
+    def test_nonfinite_observation_in_a_batch_names_replica_and_agent(self):
+        y = np.zeros((3, 4, 2))
+        y[1, 2, 1] = np.inf
+        y[2, 0, 0] = np.nan
+        with pytest.raises(NonFiniteObservationError) as info:
+            local_step(np.zeros_like(y), y, 0.1, Unconstrained(2))
+        assert (info.value.replica, info.value.agent) == (1, 3)
+
     def test_general_projection_path(self):
         cs = BudgetSimplex(budgets=[1.0], groups=[(0, 1)])
         theta = np.array([[0.4, 0.4], [0.1, 0.1]])
@@ -156,6 +165,20 @@ class TestRecordedFeasibility:
         with pytest.raises(SimulationAbort, match="agent 2"):
             _check_recorded_feasibility(np.stack([long_block, short_block]), cs, 1)
 
+    def test_batch_holds_each_block_to_its_own_tolerance(self):
+        # A batch is checked block by block, not replica by replica: the
+        # short block of replica 1 fails although that replica's stack, as
+        # one point, would be long enough to pass.
+        cs = Box([0.0, -10.0], [1.0, 10.0])
+        long_block = np.array([1.0 + 3e-8, 9.0])
+        short_block = np.array([1.0 + 3e-8, 0.0])
+        ok = np.stack([long_block, long_block, long_block])
+        batch = np.stack([ok, [long_block, short_block, long_block]])
+        _check_recorded_feasibility(np.stack([ok, ok]), cs, 3)
+        with pytest.raises(SimulationAbort, match="agent 2 left the feasible set at iteration 3") as info:
+            _check_recorded_feasibility(batch, cs, 3)
+        assert info.value.replica == 1
+
 
 class TestGossipStep:
     def test_identity(self):
@@ -203,7 +226,7 @@ class TestRmIterate:
 
     def test_two_agent_hand_computed_step(self):
         # Quadratic pulls toward (0, 4); first step halves the gap, gossip averages.
-        result = run(two_agent_config(n_iter=1))
+        (result,) = run(two_agent_config(n_iter=1))
         assert np.array_equal(result.final_state, [[1.0], [1.0]])
 
     def test_zero_noise_decoupled_without_gossip(self):
@@ -220,7 +243,7 @@ class TestRmIterate:
             seed=1,
             override_checks=True,  # probing a deliberately silent network
         )
-        result = run(config)
+        (result,) = run(config)
         assert np.allclose(result.final_state, centers, atol=1e-2)
 
     def test_matches_centralized_descent_under_full_averaging(self):
@@ -251,8 +274,8 @@ class TestRun:
         config = two_agent_config(
             problem=quadratic_problem([[0.0], [4.0]], sigma=0.3), n_iter=300
         )
-        a = run(config)
-        b = run(config)
+        (a,) = run(config)
+        (b,) = run(config)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra.n == rb.n
@@ -270,12 +293,12 @@ class TestRun:
         results = run_replicas(config)
         assert len(results) == 3
         assert not np.array_equal(results[0].final_state, results[1].final_state)
-        again = run(config, replica=1)
+        (again,) = run(config, [1])
         assert np.array_equal(again.final_state, results[1].final_state)
 
     def test_records_every_k_and_final(self):
         config = two_agent_config(n_iter=25, record_every=10)
-        result = run(config)
+        (result,) = run(config)
         assert [rec.n for rec in result.records] == [10, 20, 25]
 
     def test_divergence_guard_carries_partial_trace(self):
@@ -310,7 +333,7 @@ class TestRun:
             seed=4,
             record_every=25,
         )
-        result = run(config)
+        (result,) = run(config)
         for block in result.final_state:
             assert cs.contains(block)
         assert result.records[-1].residual >= 0.0
@@ -320,6 +343,109 @@ class TestRun:
         problem = quadratic_problem([[0.5], [0.5]], constraint=cs)
         with pytest.raises(ValueError, match="infeasible"):
             two_agent_config(problem=problem, initial_state=np.full((2, 1), 2.0))
+
+
+def preset_config(name, *overrides):
+    return build_run_config(spec_from_dict(apply_overrides(preset_dict(name), overrides)))
+
+
+def assert_same_result(got, want):
+    assert got.replica == want.replica
+    assert np.array_equal(got.initial_state, want.initial_state)
+    assert np.array_equal(got.final_state, want.final_state)
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.n, a.gamma, a.disagreement) == (b.n, b.gamma, b.disagreement)
+        assert np.array_equal(a.average, b.average)
+        assert np.array_equal([a.residual, a.objective], [b.residual, b.objective], equal_nan=True)
+
+
+class TestBatch:
+    """A batch advances replicas together; each equals its solo run exactly."""
+
+    @pytest.mark.parametrize(
+        "name,overrides",
+        [
+            # Exchange probability 0.6 * n**-0.2: lazy steps draw one
+            # uniform, exchanges two.
+            ("quadratic-consensus", ("laziness.c=0.6", "laziness.eta=0.2")),
+            ("constrained-toy", ("run.record_every=7",)),
+            ("power-alloc", ("problem.power.mc_trials=20", "run.record_every=25")),
+        ],
+    )
+    def test_replica_equals_its_solo_run_bitwise(self, name, overrides):
+        config = preset_config(name, "run.n_iter=150", "run.replicas=3", *overrides)
+        batch = run(config, range(3))
+        assert [res.replica for res in batch] == [0, 1, 2]
+        for r in range(3):
+            assert_same_result(batch[r], run(config, [r])[0])
+
+    def test_any_replica_selection_in_any_order(self):
+        config = preset_config("quadratic-consensus", "run.n_iter=100")
+        picked = run(config, [5, 2])
+        assert [res.replica for res in picked] == [5, 2]
+        assert_same_result(picked[0], run(config, [5])[0])
+        assert_same_result(picked[1], run_replicas(config)[2])
+
+    def test_rejects_an_empty_or_negative_selection(self):
+        config = two_agent_config()
+        for replicas in ([], [0, -1]):
+            with pytest.raises(ValueError, match="replicas"):
+                run(config, replicas)
+
+    @staticmethod
+    def counting_config(bad, n_replicas=3):
+        """Custom-oracle batch whose ``bad(iteration, position, y)`` may spoil
+        an observation; the oracle is called once per replica, in order."""
+        calls = []
+
+        def oracle(theta, rng):
+            iteration, position = divmod(len(calls), n_replicas)
+            calls.append(None)
+            y = -theta + 0.5 * rng.standard_normal(theta.shape)
+            bad(iteration + 1, position, y)
+            return y
+
+        problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle)
+        graph = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        return RunConfig(
+            problem=problem,
+            gossip=GossipModel(graph),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=np.ones((4, 1)),
+            n_iter=6,
+            record_every=1,
+            replicas=n_replicas,
+        )
+
+    def test_nonfinite_observation_names_replica_agent_and_its_records(self):
+        def spoil(iteration, position, y):
+            if (iteration, position) == (4, 2):
+                y[2, 0] = np.nan
+
+        clean = run_replicas(self.counting_config(lambda *args: None))
+        with pytest.raises(NonFiniteObservationError) as info:
+            run_replicas(self.counting_config(spoil))
+        err = info.value
+        assert (err.agent, err.replica, err.iteration) == (3, 2, 4)
+        assert "non-finite observation for agent 3 in replica 2" in str(err)
+        assert [rec.n for rec in err.records] == [1, 2, 3]
+        for got, want in zip(err.records, clean[2].records):
+            assert np.array_equal(got.average, want.average)
+            assert got.disagreement == want.disagreement
+
+    def test_divergence_names_the_first_failing_replica(self):
+        # Replicas 1 and 2 blow up at iteration 3, replica 0 never does.
+        def spoil(iteration, position, y):
+            if iteration == 3 and position >= 1:
+                y[:] = 1e13
+
+        with pytest.raises(DivergenceError) as info:
+            run_replicas(self.counting_config(spoil))
+        err = info.value
+        assert (err.replica, err.iteration) == (1, 3)
+        assert str(err) == "stacked state norm exceeded 1e+12 at iteration 3 in replica 1"
+        assert [rec.n for rec in err.records] == [1, 2]
 
 
 class TestOracle:
@@ -445,7 +571,7 @@ class TestRunEnsemble:
             replicas=3,
         )
         finals = run_ensemble(config)
-        sequential = run(config)
+        (sequential,) = run(config)
         for r in range(3):
             assert np.array_equal(finals[r], sequential.final_state)
 
@@ -464,7 +590,7 @@ class TestRunEnsemble:
         )
         finals = run_ensemble(config)
         ens_var = float(np.mean(finals.mean(axis=1) ** 2))
-        seq = [run(config, r).final_state for r in range(150)]
+        seq = [result.final_state for result in run(config, range(150))]
         seq_var = float(np.mean(np.asarray(seq).mean(axis=1) ** 2))
         assert ens_var == pytest.approx(seq_var, rel=0.4)
 

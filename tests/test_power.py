@@ -196,6 +196,27 @@ class TestStochasticOracle:
             )
             assert np.array_equal(obs, expected)
 
+    def test_leading_axes_draw_one_realization_per_stack(self):
+        # A (2, 3) batch of block stacks draws its gains with that leading
+        # shape in one call; each stack equals the per-agent loop on its own
+        # realization, bit for bit.
+        rng = np.random.default_rng(22)
+        scen = random_scenario(rng, 3, 2)
+        blocks = rng.uniform(0.0, 1.0, size=(2, 3, 3, scen.dim))
+        obs = stochastic_oracle(scen, blocks, np.random.default_rng(23))
+        gains = sample_channels(np.random.default_rng(23), 3, 2, n_draws=(2, 3))
+        assert obs.shape == blocks.shape
+        for a in range(2):
+            for b in range(3):
+                expected = np.stack(
+                    [
+                        scen.weights[i]
+                        * rate_gradient(scen, blocks[a, b, i], gains[a, b], i + 1)
+                        for i in range(3)
+                    ]
+                )
+                assert np.array_equal(obs[a, b], expected)
+
     def test_conditional_mean_matches_ergodic_gradient(self):
         # Oracle draws at a fixed block must average to the ergodic gradient,
         # estimated independently with ten times the sample size; the bound is
@@ -205,14 +226,9 @@ class TestStochasticOracle:
         theta = random_feasible_point(scen, rng)
         blocks = np.tile(theta, (3, 1))
         draws = 10**5
-        acc = np.zeros((3, scen.dim))
-        sq = np.zeros((3, scen.dim))
-        for _ in range(draws):
-            obs = stochastic_oracle(scen, blocks, rng)
-            acc += obs
-            sq += obs**2
-        mean = acc / draws
-        var = sq / draws - mean**2
+        obs = stochastic_oracle(scen, np.broadcast_to(blocks, (draws, 3, scen.dim)), rng)
+        mean = obs.sum(axis=0) / draws
+        var = (obs**2).sum(axis=0) / draws - mean**2
         ref_rng = np.random.default_rng(12)
         for i in range(3):
             chunks = [
