@@ -352,7 +352,9 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
     Returns one result per entry of ``replicas``, in order.  The batch state
     is a ``(replicas, n_agents, dim)`` array, and each replica draws from its
     own ``(seed, replica)`` streams exactly the numbers a solo run draws, so
-    replica ``r`` of any batch equals ``run(config, [r])[0]`` bit for bit.
+    replica ``r`` of any batch equals ``run(config, [r])[0]`` bit for bit,
+    given a ``problem.gradient`` that computes each block alike in a stack
+    of any size, as an elementwise one does.
     Each iteration draws the stacked observations given the previous state,
     takes the projected local step with the step size of iteration ``n``,
     then draws each replica's mixing matrix (independently of its
