@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -33,6 +34,26 @@ _QUADRATIC = ("quadratic-consensus", "constrained-toy")
 
 class ConfigError(ValueError):
     """A configuration could not be parsed or failed validation."""
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe YAML that reads exponent literals as floats, by the YAML 1.2 rule.
+
+    PyYAML follows YAML 1.1, where a float with an exponent also needs a dot
+    and a signed exponent, so ``5e-1``, ``1e300`` and ``1.0e3`` would load as
+    strings.  Plain integers match no exponent and stay ``int``.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
+def _load_yaml(text: str):
+    return yaml.load(text, Loader=_Loader)
 
 
 # --- The schema walk ---------------------------------------------------
@@ -292,7 +313,7 @@ def load_config_dict(source: str | Path) -> dict:
     )
     text = Path(source).expanduser().read_text() if is_path else str(source)
     try:
-        data = yaml.safe_load(text)
+        data = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -332,7 +353,7 @@ def apply_overrides(data: dict, overrides) -> dict:
         if not keys:
             raise ConfigError(f"override '{item}' has an empty key path")
         try:
-            value = yaml.safe_load(raw_value)
+            value = _load_yaml(raw_value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override '{item}' has an unparsable value: {exc}") from exc
         node = result

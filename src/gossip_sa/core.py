@@ -105,10 +105,6 @@ class StepSchedule:
             raise ValueError("iteration index starts at 1")
         return self.gamma0 * float(n) ** (-self.xi)
 
-    def gamma_array(self, n_iter: int) -> np.ndarray:
-        """Steps for iterations ``1..n_iter`` as one array."""
-        return self.gamma0 * np.arange(1, n_iter + 1, dtype=float) ** (-self.xi)
-
 
 @dataclass(eq=False)
 class Problem:
@@ -246,18 +242,58 @@ def _validated_state(state: np.ndarray, problem: Problem) -> np.ndarray:
     return state
 
 
-def _initial_state(config: RunConfig, replica: int) -> np.ndarray:
-    if callable(config.initial_state):
-        drawn = np.asarray(config.initial_state(_stream(config.seed, replica, _INITIAL)), float)
-        return _validated_state(drawn, config.problem)
-    return np.array(config.initial_state, dtype=float)
+def _initial_batch(config: RunConfig, replicas) -> np.ndarray:
+    """Pass the assumption gate, then stack the initial states of ``replicas``."""
+    report = validate_assumptions(config)
+    if not report.ok and not config.override_checks:
+        raise AssumptionError(report)
+    if not callable(config.initial_state):
+        return np.stack([config.initial_state] * len(replicas))
+    draws = [config.initial_state(_stream(config.seed, r, _INITIAL)) for r in replicas]
+    return np.stack([_validated_state(np.asarray(x, float), config.problem) for x in draws])
 
 
-def _first_non_finite(y: np.ndarray, shape: tuple) -> tuple[int, int]:
-    """0-based replica and 1-based agent of the first non-finite entry of ``y``."""
-    bad = np.flatnonzero(~np.isfinite(np.broadcast_to(y, shape)))[0]
-    replica, agent, _ = np.unravel_index(bad, shape)
-    return int(replica), int(agent) + 1
+def _check_finite(y: np.ndarray) -> None:
+    """Abort on a non-finite entry of the stack or batch ``y``, naming its
+    0-based position in the batch (``replica``) and its 1-based agent."""
+    if not np.isfinite(y).all():
+        batch = np.isfinite(y).reshape(-1, *y.shape[-2:])
+        replica, agent, _ = map(int, np.unravel_index(np.argmin(batch), batch.shape))
+        raise NonFiniteObservationError(
+            f"non-finite observation for agent {agent + 1}", agent=agent + 1, replica=replica
+        )
+
+
+def _check_divergence(theta: np.ndarray, n: int) -> None:
+    """Abort once the stacked norm of some replica of the batch ``theta``
+    passes :data:`DIVERGENCE_LIMIT` or is NaN, naming its 0-based position.
+
+    Entries within half the limit over ``sqrt(n_agents * dim)`` keep every
+    norm below half the limit, whatever the rounding, so one max-abs screen
+    clears the whole batch.  Only when it fails is each norm taken exactly,
+    as ``sqrt(x . x)``: ``np.linalg.norm``, bit for bit.  NaN fails ``<=``.
+    """
+    if np.abs(theta).max() <= 0.5 * DIVERGENCE_LIMIT / math.sqrt(theta[0].size):
+        return
+    for r, x in enumerate(theta.reshape(len(theta), -1)):
+        if not (math.sqrt(x.dot(x)) <= DIVERGENCE_LIMIT):
+            raise DivergenceError(
+                f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
+                iteration=n,
+                replica=r,
+            )
+
+
+def _report_abort(err: SimulationAbort, n: int, replicas, records) -> None:
+    """Complete ``err``, raised at iteration ``n`` by a check that named a
+    0-based position in the batch (or none, meaning the first): name that
+    replica's number, stamp the iteration and attach its records."""
+    position = err.replica or 0
+    err.replica = replicas[position]
+    err.args = (f"{err.args[0]} in replica {err.replica}",)
+    if err.iteration is None:
+        err.iteration = n
+    err.records = tuple(records[position])
 
 
 def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
@@ -273,12 +309,7 @@ def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        batch = y.reshape(-1, *y.shape[-2:])
-        replica, agent = _first_non_finite(batch, batch.shape)
-        raise NonFiniteObservationError(
-            f"non-finite observation for agent {agent}", agent=agent, replica=replica
-        )
+    _check_finite(y)
     return constraint.project(theta + gamma * y)
 
 
@@ -369,16 +400,13 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
     there: its ``replica`` attribute and message give that replica's
     number, and it carries the iteration and that replica's records.
     """
-    report = validate_assumptions(config)
-    if not report.ok and not config.override_checks:
-        raise AssumptionError(report)
     replicas = [int(r) for r in replicas]
     if not replicas or min(replicas) < 0:
         raise ValueError("replicas must be a nonempty sequence of nonnegative integers")
+    theta0 = _initial_batch(config, replicas)
+    theta = theta0.copy()
     rngs = [_stream(config.seed, r, _DYNAMICS) for r in replicas]
     diag_rngs = [_stream(config.seed, r, _DIAGNOSTICS) for r in replicas]
-    theta0 = np.stack([_initial_state(config, r) for r in replicas])
-    theta = theta0.copy()
     problem, schedule, gossip = config.problem, config.schedule, config.gossip
     custom = problem.oracle != problem._gaussian_oracle
     y = np.empty_like(theta)
@@ -386,11 +414,7 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
     # Per-replica views of the state, observation and mixing buffers, which
     # every iteration updates in place, and the replica's generator.
     slots = list(zip(theta, y, w, rngs))
-    flat = theta.reshape(-1)
     records: list[list[TraceRecord]] = [[] for _ in replicas]
-    # Each replica's norm is at most the batch's; half the limit leaves room
-    # for any rounding, so below it no replica can fail its own check.
-    screen = 0.5 * DIVERGENCE_LIMIT
     try:
         for n in range(1, config.n_iter + 1):
             gamma = schedule.gamma(n)
@@ -402,28 +426,13 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
                     obs[...] = problem.oracle(state, g)
                 mix[...] = sample_gossip(gossip, n, g)
             gossip_step(local_step(theta, y, gamma, problem.constraint), w, out=theta)
-            # ``sqrt(x . x)`` is what ``np.linalg.norm`` computes, bit for
-            # bit; written ``not <=`` so that a NaN state aborts too.
-            if not (math.sqrt(flat.dot(flat)) <= screen):
-                for r, x in enumerate(theta.reshape(len(replicas), -1)):
-                    if not (math.sqrt(x.dot(x)) <= DIVERGENCE_LIMIT):
-                        raise DivergenceError(
-                            f"stacked state norm exceeded {DIVERGENCE_LIMIT:g} "
-                            f"at iteration {n}",
-                            iteration=n,
-                            replica=r,
-                        )
+            _check_divergence(theta, n)
             if n % config.record_every == 0 or n == config.n_iter:
                 _check_recorded_feasibility(theta, problem.constraint, n)
                 for r, g in enumerate(diag_rngs):
                     records[r].append(_make_record(n, gamma, theta[r], problem, g))
     except SimulationAbort as err:
-        position = err.replica or 0
-        err.replica = replicas[position]
-        err.args = (f"{err.args[0]} in replica {err.replica}",)
-        if err.iteration is None:
-            err.iteration = n
-        err.records = tuple(records[position])
+        _report_abort(err, n, replicas, records)
         raise
     return [
         RunResult(
@@ -447,37 +456,27 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     Vectorizes the replica loop into array operations, which is what makes
     large fluctuation studies affordable.  Requires an unconstrained problem
     whose oracle broadcasts over a leading replica axis (the default
-    Gaussian oracle does).  Per-replica initial states match those of
-    sequential runs; the dynamics draws come from one shared stream, so the
-    ensemble is statistically equivalent to, but not draw-for-draw identical
-    with, a loop of :func:`run` calls.
+    Gaussian oracle does).  Per-replica initial states, step sizes and
+    exchange probabilities match those of :func:`run`; the dynamics draws
+    come from one shared stream, so the ensemble is statistically
+    equivalent to, but not draw-for-draw identical with, :func:`run`.
 
     Each iteration draws the observations, then one block of ``2 * replicas``
     uniforms: the first half decides which replicas exchange, the second
-    picks their edge by :meth:`GossipModel.pick_edges` (threshold counting,
-    linear in the number of edges; it beats a binary search up to about 60
-    edges).  Every replica is then mixed by one flat pairwise average
-    over the ``(replicas * n_agents, dim)`` view of the state; a lazy
-    replica averages an agent with itself, which leaves it unchanged
-    exactly.  The state is updated in place; the oracle's array is not.
-    The run aborts with :class:`DivergenceError` once some entry's magnitude
-    passes :data:`DIVERGENCE_LIMIT` or is NaN.
+    picks their edge by :meth:`GossipModel.pick_edges`.  Every replica is
+    then mixed by one flat pairwise average over the ``(replicas * n_agents,
+    dim)`` view of the state; a lazy replica averages an agent with itself,
+    which leaves it unchanged exactly.  The state is updated in place; the
+    oracle's array is not.  The ensemble aborts as :func:`run` does.
     """
-    report = validate_assumptions(config)
-    if not report.ok and not config.override_checks:
-        raise AssumptionError(report)
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")
-
-    n_replicas = config.replicas
+    replicas = range(config.replicas)
+    theta = _initial_batch(config, replicas)
     rng = _stream(config.seed, 0, _ENSEMBLE)
-    theta = np.stack([_initial_state(config, r) for r in range(n_replicas)])
-    n_agents = theta.shape[1]
-    flat = theta.reshape(n_replicas * n_agents, -1)
-    gammas = config.schedule.gamma_array(config.n_iter)
-    steps = np.arange(1, config.n_iter + 1, dtype=float)
-    gossip = config.gossip
-    activation = np.minimum(1.0, gossip.activation_scale * steps ** (-gossip.activation_decay))
+    problem, schedule, gossip = config.problem, config.schedule, config.gossip
+    n_replicas, n_agents, dim = theta.shape
+    flat = theta.reshape(n_replicas * n_agents, dim)
     endpoints = np.stack(gossip._edge_table[:2])
     offsets = np.arange(n_replicas) * n_agents
 
@@ -487,37 +486,29 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     lazy = np.empty(n_replicas, dtype=bool)
     picked = gossip.pick_edges(edge_draws)
     rows = np.empty((2, n_replicas), dtype=np.intp)
-    pair = np.empty((2, n_replicas, flat.shape[1]))
-
-    for n in range(1, config.n_iter + 1):
-        y = np.asarray(config.problem.oracle(theta, rng), dtype=float)
-        if not np.isfinite(y).all():
-            replica, agent = _first_non_finite(y, theta.shape)
-            raise NonFiniteObservationError(
-                f"non-finite observation for agent {agent} in replica {replica} "
-                f"at iteration {n}",
-                agent=agent,
-                iteration=n,
-                replica=replica,
-            )
-        theta += gammas[n - 1] * y
-        rng.random(out=uniforms)
-        gossip.pick_edges(edge_draws, out=picked)
-        np.take(endpoints, picked, axis=1, out=rows)
-        rows += offsets
-        if activation[n - 1] < 1.0:
-            np.greater_equal(activation_draws, activation[n - 1], out=lazy)
-            np.copyto(rows[1], rows[0], where=lazy)
-        np.take(flat, rows, axis=0, out=pair)
-        mixed = pair[0]
-        mixed += pair[1]
-        mixed *= 0.5
-        flat[rows] = mixed
-        if not (float(np.abs(theta).max()) <= DIVERGENCE_LIMIT):
-            raise DivergenceError(
-                f"ensemble state exceeded {DIVERGENCE_LIMIT:g} at iteration {n}",
-                iteration=n,
-            )
+    pair = np.empty((2, n_replicas, dim))
+    try:
+        for n in range(1, config.n_iter + 1):
+            y = np.asarray(problem.oracle(theta, rng), dtype=float)
+            _check_finite(y)
+            theta += schedule.gamma(n) * y
+            rng.random(out=uniforms)
+            gossip.pick_edges(edge_draws, out=picked)
+            np.take(endpoints, picked, axis=1, out=rows)
+            rows += offsets
+            p = gossip.activation_probability(n)
+            if p < 1.0:
+                np.greater_equal(activation_draws, p, out=lazy)
+                np.copyto(rows[1], rows[0], where=lazy)
+            np.take(flat, rows, axis=0, out=pair)
+            mixed = pair[0]
+            mixed += pair[1]
+            mixed *= 0.5
+            flat[rows] = mixed
+            _check_divergence(theta, n)
+    except SimulationAbort as err:
+        _report_abort(err, n, replicas, [()] * n_replicas)
+        raise
     return theta
 
 

@@ -134,15 +134,32 @@ class TestPresets:
 
 class TestOverrides:
     def test_typed_values(self):
-        data = apply_overrides({}, ["run.seed=3", "schedule.xi=0.8", "run.override_checks=true"])
+        overrides = ["run.seed=3", "schedule.xi=0.8", "run.override_checks=true"]
+        # Exponent literals are floats by the YAML 1.2 rule.
+        overrides += ["schedule.gamma0=5e-1", "a.b=1.0e3", "graph.weights=[1e-3, 2]"]
+        data = apply_overrides({}, overrides)
         assert data == {
             "run": {"seed": 3, "override_checks": True},
-            "schedule": {"xi": 0.8},
+            "schedule": {"xi": 0.8, "gamma0": 0.5},
+            "a": {"b": 1000.0},
+            "graph": {"weights": [0.001, 2]},
         }
+        assert parse_config(MINIMAL + "schedule: {gamma0: 1e-1}\n").schedule.gamma0 == 0.1
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError, match="section.key=value"):
             apply_overrides({}, ["no_equals_sign"])
+
+    def test_exponent_literal_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        outputs = []
+        for name, literal in (("short", "5e-1"), ("long", "5.0e-1")):
+            out = tmp_path / name
+            out.mkdir()
+            override = f"schedule.gamma0={literal}"
+            assert run_from(out, monkeypatch, "quadratic-consensus", override) == 0
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            outputs.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestRunExperiment:
@@ -297,6 +314,17 @@ class TestCli:
         )
         assert run_from(tmp_path, monkeypatch, "constrained-toy", *overrides) == 3
         assert "stacked state norm exceeded 1e+12 at iteration 5" in capsys.readouterr().err
+
+    def test_diverging_clt_names_the_replica(self, tmp_path, monkeypatch, capsys):
+        # The ensemble aborts under run's divergence rule, with run's report.
+        monkeypatch.chdir(tmp_path)
+        argv = ["clt", "--preset", "scalar-clt", "--replicas", "100"]
+        argv += ["--override", "schedule.gamma0=1000", "--override", "run.n_iter=50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "aborted: stacked state norm exceeded 1e+12 at iteration 5 in replica 0\n"
 
     def test_step_underflowing_to_zero_runs(self, tmp_path, monkeypatch):
         # gamma(2) underflows to 0.0 from the smallest positive gamma0: a
@@ -460,6 +488,8 @@ MALFORMED = [
         "problem.constraint",
     ),
     ("quadratic-consensus", "problem.noise_sigma=1.0e+300", "problem.noise_sigma"),
+    ("quadratic-consensus", "problem.noise_sigma=1e300", "problem.noise_sigma"),
+    ("quadratic-consensus", "run.n_iter=1e4", "run.n_iter"),
     # Empty, though within the linear solver's own feasibility tolerance.
     (
         "constrained-toy",

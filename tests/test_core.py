@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossip_sa import network
 from gossip_sa.config import apply_overrides, build_run_config, preset_dict, spec_from_dict
@@ -14,7 +16,7 @@ from gossip_sa.core import (
     SimulationAbort,
     StepSchedule,
     _check_recorded_feasibility,
-    _initial_state,
+    _initial_batch,
     _stream,
     gossip_step,
     local_step,
@@ -68,9 +70,8 @@ class TestStepSchedule:
 
     def test_strictly_decreasing(self):
         sched = StepSchedule(gamma0=1.0, xi=0.6)
-        gammas = sched.gamma_array(100)
+        gammas = [sched.gamma(n) for n in range(1, 101)]
         assert np.all(np.diff(gammas) < 0)
-        assert gammas[9] == pytest.approx(sched.gamma(10))
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
@@ -675,6 +676,102 @@ class TestRunEnsemble:
         assert info.value.iteration == 2
         assert "agent 3 in replica 2" in str(info.value)
 
+    def test_steps_by_the_schedule(self):
+        # gamma0 * 14**-0.75 differs in the last bit between scalar and array
+        # powers; both engines must take the step of StepSchedule.gamma.
+        def oracle(theta, rng):
+            calls.append(None)
+            return np.full(theta.shape, float(len(calls) == 14))
+
+        problem = Problem(dim=1, n_agents=2, gradient=None, oracle=oracle)
+        config = two_agent_config(problem=problem, n_iter=20)
+        calls = []
+        finals = run_ensemble(config)
+        calls = []
+        (sequential,) = run(config)
+        assert sequential.final_state[0, 0] == config.schedule.gamma(14)
+        assert np.array_equal(finals[0], sequential.final_state)
+
+    def test_divergence_names_the_first_failing_replica(self):
+        # Replicas 1 and 2 blow up at iteration 3, replica 0 never does.
+        calls = []
+
+        def oracle(theta, rng):
+            calls.append(None)
+            y = -theta
+            if len(calls) == 3:
+                y[1:] = 1e13
+            return y
+
+        problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle)
+        graph = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        config = RunConfig(
+            problem=problem,
+            gossip=GossipModel(graph),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=np.ones((4, 1)),
+            n_iter=6,
+            replicas=3,
+        )
+        with pytest.raises(DivergenceError) as info:
+            run_ensemble(config)
+        err = info.value
+        assert (err.replica, err.iteration, err.records) == (1, 3, ())
+        assert str(err) == "stacked state norm exceeded 1e+12 at iteration 3 in replica 1"
+
+
+class TestEnsembleMixer:
+    """One step of :func:`run_ensemble` under a zero oracle is pure mixing."""
+
+    @staticmethod
+    @st.composite
+    def configs(draw):
+        n_agents = draw(st.integers(2, 6))
+        pairs = [(i, j) for i in range(1, n_agents + 1) for j in range(i + 1, n_agents + 1)]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(edges), max_size=len(edges)))
+        dim = draw(st.integers(1, 3))
+        zero = lambda theta, rng: np.zeros_like(theta)  # noqa: E731
+        problem = Problem(dim=dim, n_agents=n_agents, gradient=None, oracle=zero)
+        return RunConfig(
+            problem=problem,
+            gossip=GossipModel(
+                Graph.from_edges(n_agents, edges, weights),
+                activation_scale=draw(st.just(1e-300) | st.floats(0.01, 2.0)),
+            ),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=lambda rng: rng.normal(size=(n_agents, dim)),
+            n_iter=1,
+            seed=draw(st.integers(0, 2**32)),
+            replicas=draw(st.integers(1, 40)),
+            override_checks=True,
+        )
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(configs())
+    def test_each_replica_averages_one_edge_or_stays(self, config):
+        # Initial rows are distinct normal draws, so an exchange changes both
+        # rows of its edge, and an unchanged replica is a lazy one.
+        before = _initial_batch(config, range(config.replicas))
+        after = run_ensemble(config)
+        edges = {(i - 1, j - 1) for i, j in config.gossip.graph.edges}
+        exchanged = 0
+        for old, new in zip(before, after):
+            changed = tuple(np.flatnonzero((old != new).any(axis=1)))
+            assert disagreement_norm(new) <= disagreement_norm(old)
+            if not changed:
+                continue
+            assert changed in edges
+            a, b = old[list(changed)]
+            assert np.array_equal(new[list(changed)], [0.5 * (a + b)] * 2)
+            assert np.array_equal(new[changed[0]] + new[changed[1]], a + b)
+            exchanged += 1
+        p = config.gossip.activation_probability(1)
+        if p == 1.0:
+            assert exchanged == config.replicas
+        if p == 1e-300:  # every replica is lazy, and unchanged bit for bit
+            assert exchanged == 0
+
 
 def literal_run_ensemble(config):
     """The ensemble loop as first written, without its guards: two uniform
@@ -682,19 +779,14 @@ def literal_run_ensemble(config):
     active replicas only.  The reference for bitwise checks of the lean loop."""
     n_replicas = config.replicas
     rng = _stream(config.seed, 0, _ENSEMBLE)
-    theta = np.stack([_initial_state(config, r) for r in range(n_replicas)])
-    gammas = config.schedule.gamma_array(config.n_iter)
-    steps = np.arange(1, config.n_iter + 1, dtype=float)
-    activation = np.minimum(
-        1.0, config.gossip.activation_scale * steps ** (-config.gossip.activation_decay)
-    )
+    theta = _initial_batch(config, range(n_replicas))
     edge_i, edge_j, cum = config.gossip._edge_table
     n_edges = cum.size
 
     for n in range(1, config.n_iter + 1):
         y = np.asarray(config.problem.oracle(theta, rng), dtype=float)
-        theta = theta + gammas[n - 1] * y
-        active = rng.random(n_replicas) < activation[n - 1]
+        theta = theta + config.schedule.gamma(n) * y
+        active = rng.random(n_replicas) < config.gossip.activation_probability(n)
         draws = rng.random(n_replicas)
         rows = np.flatnonzero(active)
         if rows.size:
@@ -735,4 +827,4 @@ class TestDivergenceGuards:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as info:
                 run_ensemble(self.overflowing_config(replicas=3))
-        assert info.value.iteration == 1
+        assert (info.value.replica, info.value.iteration) == (0, 1)
