@@ -95,8 +95,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     text = yaml.safe_dump(preset_dict(args.name), sort_keys=False)
     if args.out_file is not None:
-        with open(args.out_file, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out_file, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"'--out' cannot be written: {exc}") from exc
         print(f"wrote {args.out_file}")
     else:
         print(text, end="")

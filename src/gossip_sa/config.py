@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .constraints import MAX_HALFSPACES, Box, ConstraintSet, Halfspaces, Unconstrained
+from .constraints import Box, ConstraintSet, Halfspaces, Unconstrained
 from .core import Problem, RunConfig, StepSchedule
 from .diagnostics import CltSpec
 from .network import Graph, GossipModel
@@ -203,9 +203,7 @@ _CONSTRAINT = {
     # Box bounds may be infinite on the open side only.
     "lower": _Field(float, _repeat(0.0, "problem.dim"), "[-inf, inf)", ("problem.dim",), _BOX),
     "upper": _Field(float, _repeat(1.0, "problem.dim"), "(-inf, inf]", ("problem.dim",), _BOX),
-    "normals": _Field(
-        float, _REQUIRED, shape=(f"[1, {MAX_HALFSPACES}]", "problem.dim"), kinds=_HALFSPACES
-    ),
+    "normals": _Field(float, _REQUIRED, shape=("[1, inf)", "problem.dim"), kinds=_HALFSPACES),
     "offsets": _Field(float, _REQUIRED, shape=("problem.constraint.normals",), kinds=_HALFSPACES),
 }
 

@@ -2,25 +2,28 @@
 
 Every constraint is linear, ``q_j(theta) = a_j . theta - b_j <= 0``: a set
 declares its rows ``a_j`` and ``b_j`` once, as ``normals`` and ``offsets``,
-which is what the feasibility helpers below consume.  First-order
-optimality is measured through the set's own projection.
+which is what the feasibility helpers below consume.  Boxes clip, budget
+simplices threshold their sorted groups and general halfspace systems
+solve a least-distance program by NNLS.  First-order optimality is
+measured through the set's own projection.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-#: Hard cap on the number of halfspaces (projection enumerates active subsets).
-MAX_HALFSPACES = 10
 #: Relative rounding bound on the emptiness test of a halfspace system.
 EMPTINESS_TOL = 1e-12
 
 
-def default_active_tolerance(theta) -> float:
-    """Scale-aware tolerance on the constraint values of a point ``theta``."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(theta)))
+def default_active_tolerance(theta) -> np.ndarray:
+    """Scale-aware tolerance ``1e-8 * (1 + |block|)`` of every block of ``theta``.
+
+    The blocks lie along the last axis.  Their stacked dot products keep the
+    bits of ``np.linalg.norm`` taken on each block alone.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return 1e-8 * (1.0 + np.sqrt(np.matmul(theta[..., None, :], theta[..., :, None])[..., 0, 0]))
 
 
 class ConstraintSet:
@@ -58,8 +61,7 @@ class ConstraintSet:
         if not self.offsets.size:
             return None
         values = self.constraint_values(blocks)
-        tols = [default_active_tolerance(block) for block in blocks]
-        outside = np.flatnonzero(~(values.max(axis=-1) <= tols))
+        outside = np.flatnonzero(~(values.max(axis=-1) <= default_active_tolerance(blocks)))
         return int(outside[0]) if outside.size else None
 
     def contains(self, theta) -> bool:
@@ -218,9 +220,9 @@ class BudgetSimplex(ConstraintSet):
 class Halfspaces(ConstraintSet):
     """Intersection of halfspaces ``normals @ theta <= offsets``.
 
-    Projection enumerates subsets of potentially active constraints and
-    keeps the KKT-consistent candidate, so the number of halfspaces is
-    capped at ``MAX_HALFSPACES``.  Emptiness is rejected at construction
+    Projection solves Lawson & Hanson's least-distance program (*Solving
+    Least Squares Problems*, 1974, ch. 23) by NNLS, an active-set method, so
+    any number of rows is allowed.  Emptiness is rejected at construction
     by a linear program for the largest uniform slack ``t <= 1`` with
     ``normals[i] @ y + t * |normals[i]| <= offsets[i]`` for every row.  The
     set is empty exactly when ``t < 0``; rounding is allowed for up to
@@ -234,8 +236,6 @@ class Halfspaces(ConstraintSet):
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         if normals.ndim != 2 or offsets.ndim != 1 or normals.shape[0] != offsets.size:
             raise ValueError("need one offset per normal row")
-        if normals.shape[0] > MAX_HALFSPACES:
-            raise ValueError(f"at most {MAX_HALFSPACES} halfspaces are supported")
         lengths = np.linalg.norm(normals, axis=1)
         if np.any(lengths == 0.0):
             raise ValueError("halfspace normals must be nonzero")
@@ -254,55 +254,40 @@ class Halfspaces(ConstraintSet):
             raise ValueError("halfspace system has an empty feasible set")
         self.normals = normals
         self.offsets = offsets
-        self.dim = normals.shape[1]
+        self.dim = dim
+        self._lengths = lengths
+        self._unit_rows_t = (normals / lengths[:, None]).T
+        self._nnls = scipy.optimize.nnls
 
     def project(self, x):
-        return _per_block(self._project_block, x)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self._project_block(x)
+        return np.apply_along_axis(self._project_block, -1, x)
 
     def _project_block(self, x):
-        p = self.normals.shape[0]
-        tol = 1e-9 * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(self.offsets)))
-        best = None
-        best_d2 = np.inf
-        for size in range(p + 1):
-            for subset in itertools.combinations(range(p), size):
-                if subset:
-                    a = self.normals[list(subset)]
-                    try:
-                        lam = np.linalg.solve(a @ a.T, a @ x - self.offsets[list(subset)])
-                    except np.linalg.LinAlgError:
-                        continue  # rank-deficient subset
-                    if not np.isfinite(lam).all():
-                        continue  # numerically rank-deficient: the solve overflowed
-                    if np.any(lam < -1e-12):
-                        continue  # multiplier signs rule this subset out
-                    y = x - a.T @ lam
-                else:
-                    y = x
-                # The rounding bound above grows with |x|, so a far-away x
-                # could admit a candidate that ``contains`` rejects.
-                if np.max(self.normals @ y - self.offsets, initial=-np.inf) > tol:
-                    continue
-                if self.first_infeasible(y[None]) is not None:
-                    continue
-                d2 = float(np.dot(y - x, y - x))
-                if d2 < best_d2:
-                    best, best_d2 = y, d2
-        if best is None:
-            raise RuntimeError("projection enumeration found no feasible candidate")
-        return best
+        # Lawson & Hanson's least-distance program: d = P(x) - x is the
+        # shortest step with -A d >= A x - b.  On unit rows, with h = A x - b
+        # scaled by s = max |h|, NNLS gives the u >= 0 minimising |E u - f| for
+        # E = [-A^T; h^T / s] and f = e_last; then d = -s * r[:-1] / r[-1] for
+        # r = E u - f.  Without the scaling far points of thin sets land outside.
+        gaps = self.normals @ x - self.offsets
+        if gaps.max() <= 0.0:
+            return x
+        if not np.isfinite(gaps).all():
+            raise RuntimeError("cannot project a point with non-finite constraint values")
+        h = gaps / self._lengths
+        s = np.abs(h).max()
+        e = np.vstack([-self._unit_rows_t, h / s])
+        f = np.zeros(self.dim + 1)
+        f[-1] = 1.0
+        r = e @ self._nnls(e, f)[0] - f
+        if not r[-1] < 0.0:
+            raise RuntimeError("least-distance program found no feasible step")
+        return x - s * r[:-1] / r[-1]
 
     def __repr__(self) -> str:
         return f"Halfspaces(normals={self.normals.tolist()}, offsets={self.offsets.tolist()})"
-
-
-def _per_block(fn, x) -> np.ndarray:
-    """Apply the 1-d map ``fn`` to every block along the last axis of ``x``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return fn(x)
-    out = np.stack([fn(block) for block in x.reshape(-1, x.shape[-1])])
-    return out.reshape(*x.shape[:-1], out.shape[-1])
 
 
 def kt_residual(cs: ConstraintSet, theta, grad) -> float:

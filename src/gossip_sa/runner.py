@@ -84,6 +84,16 @@ class ExperimentResult:
     summary: dict
 
 
+def _output_directory(spec: ExperimentSpec) -> Path:
+    """Create ``output.directory``, before any engine work; failing is a config error."""
+    out = Path(spec.output.directory)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"'output.directory' cannot be created: {exc}") from exc
+    return out
+
+
 def _common_summary(spec: ExperimentSpec) -> dict:
     return {
         "problem": spec.problem.kind,
@@ -107,9 +117,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     the final residual are recomputable from the emitted traces alone.
     """
     config = build_run_config(spec)
-    out = Path(spec.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = _output_directory(spec)
     results = run_replicas(config)
     paths = []
     for res in results:
@@ -173,11 +181,9 @@ def run_clt_study(spec: ExperimentSpec) -> CltStudyResult:
             f"problem kind {spec.problem.kind!r} provides no fluctuation "
             "specification (limit point, drift, noise covariance)"
         )
+    out = _output_directory(spec)
     finals = run_ensemble(config)
     estimate = clt_check(finals, config.problem.clt_spec, config.schedule, spec.run.n_iter)
-
-    out = Path(spec.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
     summary = _common_summary(spec)
     summary.update(
         {

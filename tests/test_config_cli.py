@@ -255,6 +255,29 @@ class TestCli:
         assert (tmp_path / "out" / "trace_r001.csv").exists()
         assert main(["validate", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["run", "--preset", "quadratic-consensus", "--out", "{file}/sub"], "output.directory"),
+            (["clt", "--preset", "scalar-clt", "--out", "{file}/sub"], "output.directory"),
+            (["scenario", "quadratic-consensus", "--out", "{missing}/x.yaml"], "--out"),
+        ],
+        ids=["run", "clt", "scenario"],
+    )
+    def test_unwritable_output_exits_2_naming_the_field(
+        self, tmp_path, monkeypatch, capsys, argv, name
+    ):
+        # The output directory is made before any engine work, so no engine runs.
+        for engine in ("run_replicas", "run_ensemble"):
+            fail = lambda config, engine=engine: pytest.fail(f"{engine} ran")  # noqa: E731
+            monkeypatch.setattr(f"gossip_sa.runner.{engine}", fail)
+        (tmp_path / "file").write_text("")
+        paths = {"file": tmp_path / "file", "missing": tmp_path / "missing"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{name}'" in err
+        assert "Traceback" not in err
+
     def test_scenario_prints_yaml(self, capsys):
         assert main(["scenario", "power-alloc"]) == 0
         out = capsys.readouterr().out

@@ -53,6 +53,39 @@ def brute_force_capped_simplex(x, budget):
     return best
 
 
+def brute_force_halfspace_projection(cs, x):
+    """Enumerate subsets of potentially active rows of the ``Halfspaces`` ``cs``.
+
+    Each subset's candidate solves its rows as equalities; the nearest one
+    with nonnegative multipliers that lies inside (within a rounding bound
+    that grows with ``|x|``) is kept.  Exponential in the row count and
+    independent of the production least-distance program.
+    """
+    x = np.asarray(x, dtype=float)
+    p = cs.normals.shape[0]
+    tol = 1e-9 * (1.0 + np.linalg.norm(x) + np.linalg.norm(cs.offsets))
+    best, best_d2 = None, np.inf
+    for size in range(p + 1):
+        for subset in itertools.combinations(range(p), size):
+            y = x
+            if subset:
+                a = cs.normals[list(subset)]
+                try:
+                    lam = np.linalg.solve(a @ a.T, a @ x - cs.offsets[list(subset)])
+                except np.linalg.LinAlgError:
+                    continue  # rank-deficient subset
+                if not np.isfinite(lam).all() or np.any(lam < -1e-12):
+                    continue  # the solve overflowed, or the multiplier signs rule it out
+                y = x - a.T @ lam
+            if np.max(cs.normals @ y - cs.offsets) > tol or not cs.contains(y):
+                continue
+            d2 = float(np.dot(y - x, y - x))
+            if d2 < best_d2:
+                best, best_d2 = y, d2
+    assert best is not None
+    return best
+
+
 def random_sets(rng):
     dim = int(rng.integers(1, 5))
     box = Box(rng.uniform(-2, 0, size=dim), rng.uniform(0.5, 2, size=dim))
@@ -107,16 +140,18 @@ class TestProject:
         assert np.allclose(cs.project([3.0, 2.0]), [1.0, 1.0], atol=1e-12)
 
     def test_halfspaces_far_point_lands_inside_a_thin_cone(self):
-        # The candidate test's rounding bound grows with |x|; at |x| ~ 115 it
-        # once accepted [0, -4.5e-8], which violates a row by 4e-8.
+        # The cone is 1e-8 thin at |x| ~ 115: a projection accurate only to
+        # a rounding bound that grows with |x| lands outside, e.g. at
+        # [0, -4.5e-8], which violates a row by 4e-8.
         cs = Halfspaces([[1, 2], [-2, -2], [0, -2]], [1e-8] * 3)
         y = cs.project([95.0, -65.0])
         assert cs.contains(y)
         assert np.linalg.norm(y) <= 1e-7
 
     def test_nearly_dependent_rows_skip_the_overflowing_subset(self):
-        # Rows 1, 2 are parallel and row 3 nearly repeats row 0: the solve on
-        # rows 1-3 returns infinite multipliers instead of raising.
+        # Rows 1, 2 are parallel and row 3 nearly repeats row 0, so the
+        # equality solve on rows 1-3 overflows instead of raising; the
+        # origin is inside and must come back unchanged.
         cs = Halfspaces(
             [[1.0, 0.0, 0.0], [0.0, -1.75, 0.0], [0.0, 1.0, 0.0], [1.0, -7.85e-154, 0.0]],
             [1.0] * 4,
@@ -127,9 +162,48 @@ class TestProject:
         with pytest.raises(ValueError, match="empty"):
             Halfspaces([[1.0], [-1.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
 
-    def test_too_many_halfspaces_rejected(self):
-        with pytest.raises(ValueError, match="at most"):
-            Halfspaces(np.ones((11, 2)), np.ones(11))
+    def test_many_halfspaces_project_inside(self):
+        # 40 rows in dimension 3: no cap on the row count.
+        rng = np.random.default_rng(11)
+        normals = rng.normal(size=(40, 3))
+        cs = Halfspaces(normals, normals @ rng.normal(size=3) + rng.uniform(0.1, 1.0, size=40))
+        for _ in range(10):
+            x = rng.normal(scale=5.0, size=3)
+            px = cs.project(x)
+            assert cs.contains(px)
+            for _ in range(100):
+                z = cs.project(rng.normal(scale=5.0, size=3))
+                assert float(np.dot(x - px, z - px)) <= 1e-9
+
+    def test_halfspaces_match_the_enumeration(self):
+        # Random systems of up to 6 rows; every third one is 1e-8 thin, every
+        # third has zero slack (a cone apex) and every fourth a parallel row.
+        rng = np.random.default_rng(12)
+        for trial in range(150):
+            dim, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            normals = rng.normal(size=(m, dim))
+            if m > 1 and trial % 4 == 1:
+                normals[-1] = rng.uniform(0.5, 2.0) * normals[0]
+            inside = rng.normal(size=dim)
+            slack = [rng.uniform(0.1, 1.0, size=m), 1e-8 * rng.uniform(size=m), np.zeros(m)]
+            cs = Halfspaces(normals, normals @ inside + slack[trial % 3])
+            for x in inside + 10.0 ** rng.uniform(-1, 3, size=(2, 1)) * rng.normal(size=(2, dim)):
+                y, ref = cs.project(x), brute_force_halfspace_projection(cs, x)
+                scale = 1.0 + np.linalg.norm(x)
+                assert cs.contains(y)
+                values, ref_worst = cs.constraint_values(y), cs.constraint_values(ref).max()
+                assert values.max() <= max(ref_worst, 0.0) + 1e-12 * scale
+                # A reference point outside by more than rounding can be the
+                # nearer one; x - y then still lies in the normal cone below.
+                if ref_worst <= 1e-12 * scale:
+                    assert np.linalg.norm(y - x) <= np.linalg.norm(ref - x) + 1e-8 * scale
+                # Kuhn-Tucker: x - y is a nonnegative combination of the rows
+                # tight at y, so y is the nearest point of the set.
+                tight = values >= -1e-12 * scale
+                if tight.any():
+                    assert scipy.optimize.nnls(cs.normals[tight].T, x - y)[1] <= 1e-12 * scale
+                else:
+                    assert np.array_equal(y, x)
 
     def test_box_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
@@ -162,8 +236,8 @@ class TestProjectionProperties:
                 assert np.allclose(cs.project(once), once, atol=1e-12)
 
     def test_far_points_land_inside_thin_halfspace_systems(self):
-        # Rows with offsets of 1e-8 leave a set far thinner than the rounding
-        # bound of the candidate test at |x| ~ 100.
+        # Rows with offsets of 1e-8 leave a set far thinner than any rounding
+        # bound that grows with |x| ~ 100: only an exact projection lands inside.
         rng = np.random.default_rng(40)
         for trial in range(100):
             dim, m = int(rng.integers(2, 4)), int(rng.integers(2, 5))
@@ -367,6 +441,17 @@ class TestConstraintInvariants:
     def test_default_tolerance_is_scale_aware(self):
         theta = np.array([1e6, 0.0])
         assert default_active_tolerance(theta) == pytest.approx(1e-8 * (1.0 + 1e6))
+
+    def test_stacked_tolerances_equal_the_per_block_rule(self):
+        # One call on a stack gives, bit for bit, 1e-8 * (1 + norm(block))
+        # of every block taken alone, and of a single block.
+        rng = np.random.default_rng(13)
+        for _ in range(400):
+            dim, k = int(rng.integers(1, 9)), int(rng.integers(1, 100))
+            blocks = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+            expected = [1e-8 * (1.0 + float(np.linalg.norm(block))) for block in blocks]
+            assert np.array_equal(default_active_tolerance(blocks), expected)
+            assert default_active_tolerance(blocks[0]) == expected[0]
 
 
 class TestKtResidual:

@@ -773,6 +773,37 @@ class TestEnsembleMixer:
             assert exchanged == 0
 
 
+    @pytest.mark.parametrize("c", [1e-300, 0.1, 0.5, 0.6, np.nextafter(1.0, 0.0)])
+    def test_activation_exchanges_exactly_below_p(self, c, monkeypatch):
+        # One zero-oracle step on scripted uniforms: a replica whose
+        # activation draw is 0 or the float just below p exchanges; one at p
+        # or the float just above it stays lazy.
+        gossip = GossipModel(Graph.from_edges(2, [(1, 2)]), activation_scale=c)
+        p = gossip.activation_probability(1)
+        assert p < 1.0
+        activation = [0.0, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]
+
+        class ScriptedUniforms:
+            def random(self, out):
+                out[...] = np.r_[activation, np.zeros(len(activation))]
+                return out
+
+        monkeypatch.setattr("gossip_sa.core._stream", lambda *args: ScriptedUniforms())
+        zero = lambda theta, rng: np.zeros_like(theta)  # noqa: E731
+        start = np.array([[0.0], [1.0]])
+        config = RunConfig(
+            problem=Problem(dim=1, n_agents=2, gradient=None, oracle=zero),
+            gossip=gossip,
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=start,
+            n_iter=1,
+            replicas=len(activation),
+            override_checks=True,
+        )
+        after = run_ensemble(config)
+        assert np.array_equal(after, [[[0.5], [0.5]]] * 2 + [start] * 2)
+
+
 def literal_run_ensemble(config):
     """The ensemble loop as first written, without its guards: two uniform
     draws, a ``searchsorted`` edge pick and 2-D fancy-index mixing of the

@@ -196,6 +196,19 @@ class TestSampleGossip:
             assert model.pick_edges(draws, out=out) is out
             assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("c", [1e-300, 0.1, 0.5, 0.6, np.nextafter(1.0, 0.0)])
+    def test_activation_exchanges_exactly_below_p(self, c):
+        # The first uniform u exchanges iff u < p: at u = 0 and the float
+        # just below p, not at p or the float just above it.
+        model = triangle_model(c=c)
+        p = model.activation_probability(1)
+        assert p < 1.0
+        cases = [(0.0, True), (np.nextafter(p, 0.0), True), (p, False), (np.nextafter(p, 1.0), False)]
+        for u, exchanges in cases:
+            scripted = ScriptedRng([float(u), 0.0])
+            expected = model._alphabet[1] if exchanges else model._alphabet[0]
+            assert sample_gossip(model, 1, scripted) is expected
+
     def test_lazy_step_makes_one_draw(self):
         model = triangle_model(c=0.5)
         scripted = ScriptedRng([0.5, 0.1])
