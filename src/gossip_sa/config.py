@@ -471,8 +471,8 @@ def _build_quadratic(spec: ExperimentSpec):
                 if not np.isfinite(high - low).all():
                     raise ValueError("box bounds span more than the largest float")
 
-    def objective(average, rng):
-        return float(0.5 * np.sum((average - centers) ** 2))
+    def objective(averages, rngs):
+        return 0.5 * ((averages[:, None] - centers) ** 2).reshape(len(averages), -1).sum(axis=1)
 
     clt_spec = None
     if isinstance(constraint, Unconstrained):

@@ -16,14 +16,20 @@ import numpy as np
 EMPTINESS_TOL = 1e-12
 
 
-def default_active_tolerance(theta) -> np.ndarray:
-    """Scale-aware tolerance ``1e-8 * (1 + |block|)`` of every block of ``theta``.
+def block_norms(x) -> np.ndarray:
+    """Euclidean norm of every block of ``x``; the blocks lie along the last axis.
 
-    The blocks lie along the last axis.  Their stacked dot products keep the
-    bits of ``np.linalg.norm`` taken on each block alone.
+    Each norm is ``sqrt(x . x)`` taken as one stacked matrix product, which
+    keeps the bits of ``np.linalg.norm`` taken on each block alone
+    (``einsum`` and ``norm(axis=-1)`` do not).
     """
-    theta = np.asarray(theta, dtype=float)
-    return 1e-8 * (1.0 + np.sqrt(np.matmul(theta[..., None, :], theta[..., :, None])[..., 0, 0]))
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+
+
+def default_active_tolerance(theta) -> np.ndarray:
+    """Scale-aware tolerance ``1e-8 * (1 + |block|)`` of every block of ``theta``."""
+    return 1e-8 * (1.0 + block_norms(theta))
 
 
 class ConstraintSet:
@@ -275,7 +281,8 @@ class Halfspaces(ConstraintSet):
         if gaps.max() <= 0.0:
             return x
         if not np.isfinite(gaps).all():
-            raise RuntimeError("cannot project a point with non-finite constraint values")
+            # Nothing to project: the NaN block fails the engine's divergence guard.
+            return np.full(self.dim, np.nan)
         h = gaps / self._lengths
         s = np.abs(h).max()
         e = np.vstack([-self._unit_rows_t, h / s])
@@ -290,17 +297,21 @@ class Halfspaces(ConstraintSet):
         return f"Halfspaces(normals={self.normals.tolist()}, offsets={self.offsets.tolist()})"
 
 
-def kt_residual(cs: ConstraintSet, theta, grad) -> float:
+def kt_residual(cs: ConstraintSet, theta, grad):
     """Natural stationarity residual ``|theta - P(theta - grad)|``.
 
     It vanishes exactly at the Kuhn-Tucker points of minimizing a function
     with gradient ``grad`` over the convex set (Calamai & More, Math.
     Programming 39, 1987), and is ``|grad|`` wherever the unit step stays
     inside.  It needs no active-set tolerance: the set's own projection
-    decides which constraints bind.
+    decides which constraints bind.  ``theta`` and ``grad`` may be stacks of
+    blocks along the last axis, projected in one call: the result is then
+    one residual per block, each equal to the residual of its block alone,
+    and a float for a single block.
     """
+    theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    return float(np.linalg.norm(projection_drift(cs, theta, -grad, 1.0)))
+    return block_norms(cs.project(theta - grad) - theta)[()]
 
 
 def projection_drift(cs: ConstraintSet, theta, y, gamma: float) -> np.ndarray:

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import ConstraintSet, Unconstrained, kt_residual
-from .diagnostics import CltSpec, TraceRecord, disagreement_norm, network_average
+from .constraints import ConstraintSet, Unconstrained, block_norms, kt_residual
+from .diagnostics import CltSpec, TraceRecord, disagreement_norm
 from .network import GossipModel, is_connected, sample_gossip, spectral_gap
 
 #: Stacked-state norm beyond which a run is declared divergent.
@@ -123,10 +123,11 @@ class Problem:
     ``-gradient(theta)`` plus isotropic Gaussian noise of standard deviation
     ``noise_scale``, which :func:`run` draws for all replicas in one call.
 
-    ``objective`` and ``residual`` are optional diagnostic hooks with
-    signature ``(average, rng) -> float``; the residual defaults to the
-    norm of the summed gradient (unconstrained) or the stationarity
-    residual against the constraint set.
+    ``objective`` and ``residual`` are optional diagnostic hooks
+    ``(averages, rngs) -> one float per row`` of the ``(replicas, dim)``
+    stack of network averages, with ``rngs`` the replicas' diagnostics
+    generators in order.  The residual defaults to the norm of the summed
+    gradient (unconstrained) or the stationarity residual against the set.
     """
 
     dim: int
@@ -156,12 +157,12 @@ class Problem:
             raise ValueError("clt_spec dimension does not match the problem dimension")
 
     def mean_gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Gradient of the aggregate utility (sum over agents) at one point."""
+        """Gradient of the aggregate utility (sum over agents) at each point of a stack."""
         if self.gradient is None:
             raise ValueError("this problem has no closed-form gradient")
         theta = np.asarray(theta, dtype=float)
-        stacked = np.broadcast_to(theta, (self.n_agents, self.dim))
-        return self.gradient(stacked).sum(axis=0)
+        shape = (*theta.shape[:-1], self.n_agents, self.dim)
+        return self.gradient(np.broadcast_to(theta[..., None, :], shape)).sum(axis=-2)
 
     def _gaussian_oracle(self, theta, rng, out: np.ndarray | None = None) -> np.ndarray:
         """``-gradient(theta) + noise_scale * z`` for standard normal ``z``.
@@ -183,11 +184,11 @@ class Problem:
         y -= self.gradient(theta)
         return y
 
-    def _gradient_residual(self, average, rng) -> float:
-        grad = self.mean_gradient(average)
+    def _gradient_residual(self, averages, rngs) -> np.ndarray:
+        grads = self.mean_gradient(averages)
         if isinstance(self.constraint, Unconstrained):
-            return float(np.linalg.norm(grad))
-        return kt_residual(self.constraint, average, grad)
+            return block_norms(grads)
+        return kt_residual(self.constraint, averages, grads)
 
 
 @dataclass(eq=False)
@@ -341,22 +342,20 @@ class RunResult:
         return disagreement_norm(self.initial_state)
 
 
-def _make_record(n, gamma, theta, problem, diag_rng) -> TraceRecord:
-    average = network_average(theta)
-    record_residual = float("nan")
-    if problem.residual is not None:
-        record_residual = float(problem.residual(average, diag_rng))
-    record_objective = float("nan")
-    if problem.objective is not None:
-        record_objective = float(problem.objective(average, diag_rng))
-    return TraceRecord(
-        n=n,
-        gamma=gamma,
-        disagreement=disagreement_norm(theta),
-        average=average,
-        residual=record_residual,
-        objective=record_objective,
-    )
+def _make_record(n, gamma, theta, problem, diag_rngs) -> list[TraceRecord]:
+    """One record per replica of the ``(replicas, n_agents, dim)`` batch ``theta``.
+
+    Each reduction over the batch keeps the bits of the one on a single
+    replica.  The residual hook, then the objective hook, gets the stacked
+    averages and ``diag_rngs``, one generator per replica.
+    """
+    averages = theta.mean(axis=1)
+    disagreements = block_norms((theta - averages[:, None]).reshape(len(theta), -1))
+    nan = [float("nan")] * len(theta)
+    residuals = nan if problem.residual is None else problem.residual(averages, diag_rngs)
+    objectives = nan if problem.objective is None else problem.objective(averages, diag_rngs)
+    rows = zip(disagreements, averages, residuals, objectives)
+    return [TraceRecord(n, gamma, float(d), a, float(res), float(obj)) for d, a, res, obj in rows]
 
 
 def _check_recorded_feasibility(theta, constraint, n) -> None:
@@ -389,10 +388,10 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
     Each iteration draws the stacked observations given the previous state,
     takes the projected local step with the step size of iteration ``n``,
     then draws each replica's mixing matrix (independently of its
-    observation) and mixes.  Records are emitted every ``record_every``
-    iterations and at the final iteration, after checking that every block
-    is feasible.  Whatever the constraint, a replica aborts the run with
-    :class:`DivergenceError` when its stacked norm passes
+    observation) and mixes.  Every ``record_every`` iterations and at the
+    last, once every block is checked feasible, one :func:`_make_record`
+    call records all replicas.  Whatever the constraint, a replica aborts
+    the run with :class:`DivergenceError` when its stacked norm passes
     :data:`DIVERGENCE_LIMIT` or is NaN.
 
     The batch stops at the first iteration where any replica fails.  The
@@ -429,8 +428,9 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
             _check_divergence(theta, n)
             if n % config.record_every == 0 or n == config.n_iter:
                 _check_recorded_feasibility(theta, problem.constraint, n)
-                for r, g in enumerate(diag_rngs):
-                    records[r].append(_make_record(n, gamma, theta[r], problem, g))
+                batch = _make_record(n, gamma, theta, problem, diag_rngs)
+                for kept, record in zip(records, batch):
+                    kept.append(record)
     except SimulationAbort as err:
         _report_abort(err, n, replicas, records)
         raise

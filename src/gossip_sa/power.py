@@ -256,19 +256,28 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Probl
 
     The stationarity residual and the objective of trace records are
     Monte-Carlo estimates over fresh channel draws (the ergodic gradient has
-    no closed form), evaluated with ``mc_trials`` samples each.
+    no closed form), evaluated with ``mc_trials`` samples each.  Each
+    replica's estimates are drawn from its own diagnostics generator, one
+    replica after another; the residuals are then taken in one stacked
+    :func:`kt_residual` call.
     """
     feasible = scenario.feasible_set()
 
     def oracle(blocks, rng):
         return stochastic_oracle(scenario, blocks, rng)
 
-    def objective(average, rng):
-        return estimate_objective(scenario, average, mc_trials, rng).value
+    def objective(averages, rngs):
+        return [
+            estimate_objective(scenario, average, mc_trials, g).value
+            for average, g in zip(averages, rngs)
+        ]
 
-    def residual(average, rng):
-        ascent = weighted_gradient_estimate(scenario, average, mc_trials, rng)
-        return kt_residual(feasible, average, -ascent)
+    def residual(averages, rngs):
+        ascents = [
+            weighted_gradient_estimate(scenario, average, mc_trials, g)
+            for average, g in zip(averages, rngs)
+        ]
+        return kt_residual(feasible, averages, -np.stack(ascents))
 
     return Problem(
         dim=scenario.dim,

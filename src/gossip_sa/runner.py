@@ -94,6 +94,14 @@ def _output_directory(spec: ExperimentSpec) -> Path:
     return out
 
 
+def _write(write, path: Path, *args) -> None:
+    """``write(path, *args)``; a file that cannot be written there is a config error."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"'output.directory': {path.name} cannot be written: {exc}") from exc
+
+
 def _common_summary(spec: ExperimentSpec) -> dict:
     return {
         "problem": spec.problem.kind,
@@ -122,7 +130,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     paths = []
     for res in results:
         path = trace_path(out, res.replica)
-        write_trace(path, res.records, spec.problem.dim)
+        _write(write_trace, path, res.records, spec.problem.dim)
         paths.append(path)
 
     finals = [res.records[-1] for res in results]
@@ -145,7 +153,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         }
     )
     summary_path = out / "summary.txt"
-    write_summary(summary_path, summary)
+    _write(write_summary, summary_path, summary)
     return ExperimentResult(
         spec=spec,
         results=tuple(results),
@@ -205,7 +213,7 @@ def run_clt_study(spec: ExperimentSpec) -> CltStudyResult:
                 estimate.theoretical_cov[a, b]
             )
     summary_path = out / "clt_summary.txt"
-    write_summary(summary_path, summary)
+    _write(write_summary, summary_path, summary)
     return CltStudyResult(
         spec=spec, estimate=estimate, summary_path=summary_path, summary=summary
     )

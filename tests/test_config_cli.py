@@ -278,6 +278,25 @@ class TestCli:
         assert err.startswith("config error:") and f"'{name}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,blocked",
+        [
+            (["run", "--preset", "quadratic-consensus", "--replicas", "1"], "trace_r000.csv"),
+            (["run", "--preset", "quadratic-consensus", "--replicas", "1"], "summary.txt"),
+            (["clt", "--preset", "scalar-clt"], "clt_summary.txt"),
+        ],
+        ids=["run-trace", "run-summary", "clt-summary"],
+    )
+    def test_unwritable_output_file_exits_2_naming_the_field(self, tmp_path, capsys, argv, blocked):
+        # A directory in the way of an output file inside an existing --out.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = [*argv, "--override", "run.n_iter=50", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'output.directory'" in err
+        assert blocked in err and "Traceback" not in err
+
     def test_scenario_prints_yaml(self, capsys):
         assert main(["scenario", "power-alloc"]) == 0
         out = capsys.readouterr().out
@@ -348,6 +367,28 @@ class TestCli:
             assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "aborted: stacked state norm exceeded 1e+12 at iteration 5 in replica 0\n"
+
+    def test_overflowing_halfspace_run_aborts_without_a_traceback(self, tmp_path):
+        # The first step overflows to infinity; the halfspace projection
+        # gives that point a NaN block, which the divergence guard stops.
+        src = os.path.dirname(os.path.dirname(gossip_sa.__file__))
+        argv = ["run", "--preset", "quadratic-consensus", "--out", str(tmp_path / "h")]
+        for item in (
+            "problem.constraint={kind: halfspaces, normals: [[1, 0]], offsets: [1]}",
+            "schedule.gamma0=1e200",
+            "problem.noise_sigma=1e150",
+            "run.n_iter=5",
+        ):
+            argv += ["--override", item]
+        out = subprocess.run(
+            [sys.executable, "-m", "gossip_sa.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 3
+        assert "aborted: stacked state norm exceeded 1e+12 at iteration 1" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_step_underflowing_to_zero_runs(self, tmp_path, monkeypatch):
         # gamma(2) underflows to 0.0 from the smallest positive gamma0: a

@@ -13,6 +13,7 @@ from gossip_sa.constraints import (
     ConstraintSet,
     Halfspaces,
     Unconstrained,
+    block_norms,
     default_active_tolerance,
     kt_residual,
     projection_drift,
@@ -157,6 +158,15 @@ class TestProject:
             [1.0] * 4,
         )
         assert np.array_equal(cs.project(np.zeros(3)), np.zeros(3))
+
+    def test_halfspaces_give_a_nan_block_for_a_non_finite_point(self):
+        # No projection exists to compute; the engine's divergence guard
+        # stops a run on the NaN block.
+        cs = Halfspaces([[1.0, 0.0]], [1.0])
+        assert np.isnan(cs.project([np.inf, 0.0])).all()
+        projected = cs.project([[0.0, 0.0], [np.inf, 0.0]])
+        assert np.array_equal(projected[0], [0.0, 0.0])
+        assert np.isnan(projected[1]).all()
 
     def test_empty_halfspace_system_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -454,7 +464,32 @@ class TestConstraintInvariants:
             assert default_active_tolerance(blocks[0]) == expected[0]
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        length=st.integers(1, 64),
+        rows=st.integers(1, 20),
+        exponent=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_norms_equal_per_row_norms_bitwise(self, length, rows, exponent, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, length)) * 10.0**exponent
+        expected = [np.linalg.norm(row) for row in x]
+        assert np.array_equal(block_norms(x), expected)
+        assert np.array_equal(block_norms(x.reshape(1, rows, length))[0], expected)
+        assert block_norms(x[0]) == expected[0]
+
+
 class TestKtResidual:
+    def test_stacked_residuals_equal_per_block_calls(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            for cs in random_sets(rng):
+                theta = cs.project(rng.normal(size=(5, cs.dim)))
+                grad = rng.normal(scale=2.0, size=(5, cs.dim))
+                expected = [kt_residual(cs, t, g) for t, g in zip(theta, grad)]
+                assert np.array_equal(kt_residual(cs, theta, grad), expected)
+
     def test_unconstrained_is_gradient_norm(self):
         cs = Unconstrained(2)
         assert kt_residual(cs, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(np.sqrt(5.0))

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossip_sa import network
+from gossip_sa import core, network
 from gossip_sa.config import apply_overrides, build_run_config, preset_dict, spec_from_dict
-from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
+from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained, kt_residual
 from gossip_sa.core import (
+    _DIAGNOSTICS,
     _ENSEMBLE,
     AssumptionError,
     DivergenceError,
@@ -25,8 +26,9 @@ from gossip_sa.core import (
     run_replicas,
     validate_assumptions,
 )
-from gossip_sa.diagnostics import CltSpec, disagreement_norm, network_average
+from gossip_sa.diagnostics import CltSpec, TraceRecord, disagreement_norm, network_average
 from gossip_sa.network import Graph, GossipModel, pairwise_matrix
+from gossip_sa.power import PowerScenario, estimate_objective, weighted_gradient_estimate
 
 
 def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
@@ -45,7 +47,8 @@ def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
         gradient=lambda th: th - centers,
         constraint=constraint,
         noise_scale=sigma,
-        objective=lambda avg, rng: float(0.5 * np.sum((avg - centers) ** 2)),
+        objective=lambda avgs, rngs: 0.5
+        * ((avgs[:, None] - centers) ** 2).reshape(len(avgs), -1).sum(axis=1),
         clt_spec=clt_spec,
     )
 
@@ -350,15 +353,19 @@ def preset_config(name, *overrides):
     return build_run_config(spec_from_dict(apply_overrides(preset_dict(name), overrides)))
 
 
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.n, a.gamma, a.disagreement) == (b.n, b.gamma, b.disagreement)
+        assert np.array_equal(a.average, b.average)
+        assert np.array_equal([a.residual, a.objective], [b.residual, b.objective], equal_nan=True)
+
+
 def assert_same_result(got, want):
     assert got.replica == want.replica
     assert np.array_equal(got.initial_state, want.initial_state)
     assert np.array_equal(got.final_state, want.final_state)
-    assert len(got.records) == len(want.records)
-    for a, b in zip(got.records, want.records):
-        assert (a.n, a.gamma, a.disagreement) == (b.n, b.gamma, b.disagreement)
-        assert np.array_equal(a.average, b.average)
-        assert np.array_equal([a.residual, a.objective], [b.residual, b.objective], equal_nan=True)
+    assert_same_records(got.records, want.records)
 
 
 class TestBatch:
@@ -447,6 +454,89 @@ class TestBatch:
         assert (err.replica, err.iteration) == (1, 3)
         assert str(err) == "stacked state norm exceeded 1e+12 at iteration 3 in replica 1"
         assert [rec.n for rec in err.records] == [1, 2]
+
+
+def literal_make_record(n, gamma, theta, residual, objective, diag_rng):
+    """One replica's record from its ``(n_agents, dim)`` state, as ``run``
+    made it before records were batched: ``residual`` and ``objective`` are
+    per-point hooks ``(average, rng) -> float``."""
+    average = network_average(theta)
+    return TraceRecord(
+        n=n,
+        gamma=gamma,
+        disagreement=disagreement_norm(theta),
+        average=average,
+        residual=float(residual(average, diag_rng)),
+        objective=float(objective(average, diag_rng)),
+    )
+
+
+def literal_hooks(name, problem):
+    """The per-point residual and objective of a preset, written out."""
+    spec = spec_from_dict(preset_dict(name)).problem
+    if name == "power-alloc":
+        power = dict(spec.power)
+        trials = power.pop("mc_trials")
+        scenario = PowerScenario(n_users=problem.n_agents, **power)
+
+        def residual(average, rng):
+            ascent = weighted_gradient_estimate(scenario, average, trials, rng)
+            return kt_residual(problem.constraint, average, -ascent)
+
+        def objective(average, rng):
+            return estimate_objective(scenario, average, trials, rng).value
+
+        return residual, objective
+    centers = np.asarray(spec.centers, dtype=float)
+
+    def residual(average, rng):
+        grad = np.sum([average - c for c in centers], axis=0)
+        if isinstance(problem.constraint, Unconstrained):
+            return np.linalg.norm(grad)
+        return np.linalg.norm(problem.constraint.project(average - grad) - average)
+
+    def objective(average, rng):
+        return 0.5 * np.sum((average - centers) ** 2)
+
+    return residual, objective
+
+
+class TestBatchedRecords:
+    """One record call per record step gives every replica its own record."""
+
+    @pytest.mark.parametrize(
+        "name,overrides",
+        [
+            ("quadratic-consensus", ()),
+            ("quadratic-consensus", ("laziness.c=0.6", "laziness.eta=0.2")),
+            ("constrained-toy", ()),
+            ("power-alloc", ()),
+        ],
+    )
+    def test_records_equal_the_per_replica_reference_bitwise(self, monkeypatch, name, overrides):
+        config = preset_config(name, "run.n_iter=150", *overrides)
+        states = []
+
+        def capture(n, gamma, theta, problem, diag_rngs):
+            states.append((n, gamma, theta.copy()))
+            return make_record(n, gamma, theta, problem, diag_rngs)
+
+        make_record = core._make_record
+        monkeypatch.setattr(core, "_make_record", capture)
+        results = run(config, range(3))
+        ns = [n for n in range(1, 151) if n % config.record_every == 0 or n == 150]
+        assert [n for n, _, _ in states] == ns
+        hooks = literal_hooks(name, config.problem)
+        for r, result in enumerate(results):
+            diag_rng = _stream(config.seed, r, _DIAGNOSTICS)
+            want = [literal_make_record(n, g, theta[r], *hooks, diag_rng) for n, g, theta in states]
+            assert_same_records(result.records, want)
+
+    def test_missing_hooks_record_nan(self):
+        problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, rng: -theta)
+        (result,) = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
+        for record in result.records:
+            assert np.isnan(record.residual) and np.isnan(record.objective)
 
 
 class TestOracle:

@@ -377,5 +377,5 @@ class TestScenario:
         obs = problem.oracle(blocks, rng)
         assert obs.shape == (4, 8)
         avg = blocks.mean(axis=0)
-        assert problem.objective(avg, rng) > 0.0
-        assert problem.residual(avg, rng) >= 0.0
+        assert problem.objective(avg[None], [rng])[0] > 0.0
+        assert problem.residual(avg[None], [rng])[0] >= 0.0
