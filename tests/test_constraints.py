@@ -463,7 +463,6 @@ class TestConstraintInvariants:
             assert np.array_equal(default_active_tolerance(blocks), expected)
             assert default_active_tolerance(blocks[0]) == expected[0]
 
-
     @settings(max_examples=200, deadline=None)
     @given(
         length=st.integers(1, 64),

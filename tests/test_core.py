@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gossip_sa import core, network
 from gossip_sa.config import apply_overrides, build_run_config, preset_dict, spec_from_dict
-from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained, kt_residual
+from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
     _DIAGNOSTICS,
     _ENSEMBLE,
@@ -481,7 +481,7 @@ def literal_hooks(name, problem):
 
         def residual(average, rng):
             ascent = weighted_gradient_estimate(scenario, average, trials, rng)
-            return kt_residual(problem.constraint, average, -ascent)
+            return np.linalg.norm(problem.constraint.project(average + ascent) - average)
 
         def objective(average, rng):
             return estimate_objective(scenario, average, trials, rng).value
@@ -516,12 +516,12 @@ class TestBatchedRecords:
     def test_records_equal_the_per_replica_reference_bitwise(self, monkeypatch, name, overrides):
         config = preset_config(name, "run.n_iter=150", *overrides)
         states = []
+        make_record = core._make_record
 
         def capture(n, gamma, theta, problem, diag_rngs):
             states.append((n, gamma, theta.copy()))
             return make_record(n, gamma, theta, problem, diag_rngs)
 
-        make_record = core._make_record
         monkeypatch.setattr(core, "_make_record", capture)
         results = run(config, range(3))
         ns = [n for n in range(1, 151) if n % config.record_every == 0 or n == 150]
