@@ -116,12 +116,12 @@ class Problem:
     quadratic utilities.  It must broadcast over leading axes; this is what
     lets many replicas advance at once.
 
-    ``oracle(theta, rng)`` must return the stacked observation for every
-    agent given the ``(n_agents, dim)`` block matrix; :func:`run` calls it
-    once per replica, with that replica's generator, on a view of the state
-    that it later updates in place.  When omitted it is
-    ``-gradient(theta)`` plus isotropic Gaussian noise of standard deviation
-    ``noise_scale``, which :func:`run` draws for all replicas in one call.
+    ``oracle(theta, rngs)`` returns every agent's observation in the shape
+    of the ``(replicas, n_agents, dim)`` batch ``theta``.  ``rngs`` is the
+    draw source: the replicas' generators in order (:func:`run`) or one
+    shared generator (:func:`run_ensemble`).  Both call it once per
+    iteration, on a state they later update in place.  When omitted it is
+    ``-gradient(theta)`` plus Gaussian noise of scale ``noise_scale``.
 
     ``objective`` and ``residual`` are optional diagnostic hooks
     ``(averages, rngs) -> one float per row`` of the ``(replicas, dim)``
@@ -164,20 +164,20 @@ class Problem:
         shape = (*theta.shape[:-1], self.n_agents, self.dim)
         return self.gradient(np.broadcast_to(theta[..., None, :], shape)).sum(axis=-2)
 
-    def _gaussian_oracle(self, theta, rng, out: np.ndarray | None = None) -> np.ndarray:
+    def _gaussian_oracle(self, theta, rngs) -> np.ndarray:
         """``-gradient(theta) + noise_scale * z`` for standard normal ``z``.
 
-        ``rng`` is one generator for the whole stack, or a sequence of
+        ``rngs`` is one generator for the whole stack, or a sequence of
         generators, one per leading slice of ``theta``: each fills its own
         slice of ``z``, in order, with the numbers it would give that slice
-        alone.  The result is written to ``out`` when it is given.
+        alone.
         """
         theta = np.asarray(theta, dtype=float)
-        y = np.empty(theta.shape) if out is None else out
-        if isinstance(rng, np.random.Generator):
-            rng.standard_normal(out=y)
+        y = np.empty(theta.shape)
+        if isinstance(rngs, np.random.Generator):
+            rngs.standard_normal(out=y)
         else:
-            for g, z in zip(rng, y):
+            for g, z in zip(rngs, y):
                 g.standard_normal(out=z)
         # ``s*z - g`` in place: bit-identical to ``-g + s*z`` without temporaries.
         y *= self.noise_scale
@@ -383,15 +383,17 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
     is a ``(replicas, n_agents, dim)`` array, and each replica draws from its
     own ``(seed, replica)`` streams exactly the numbers a solo run draws, so
     replica ``r`` of any batch equals ``run(config, [r])[0]`` bit for bit,
-    given a ``problem.gradient`` that computes each block alike in a stack
-    of any size, as an elementwise one does.
-    Each iteration draws the stacked observations given the previous state,
-    takes the projected local step with the step size of iteration ``n``,
-    then draws each replica's mixing matrix (independently of its
-    observation) and mixes.  Every ``record_every`` iterations and at the
-    last, once every block is checked feasible, one :func:`_make_record`
-    call records all replicas.  Whatever the constraint, a replica aborts
-    the run with :class:`DivergenceError` when its stacked norm passes
+    given an oracle that computes each replica alike in a batch of any size
+    from that replica's generator alone, as the default one does with an
+    elementwise ``problem.gradient``.
+    Each iteration makes one ``problem.oracle(theta, rngs)`` call, draws
+    each replica's mixing matrix (independently of its observation), takes
+    the projected local step with the step size of iteration ``n`` and
+    mixes, ignoring floating-point overflow, which the divergence guard
+    reports.  Every ``record_every`` iterations and at the last, once every
+    block is checked feasible, one :func:`_make_record` call records all
+    replicas.  Whatever the constraint, a replica aborts the run with
+    :class:`DivergenceError` when its stacked norm passes
     :data:`DIVERGENCE_LIMIT` or is NaN.
 
     The batch stops at the first iteration where any replica fails.  The
@@ -407,24 +409,19 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
     rngs = [_stream(config.seed, r, _DYNAMICS) for r in replicas]
     diag_rngs = [_stream(config.seed, r, _DIAGNOSTICS) for r in replicas]
     problem, schedule, gossip = config.problem, config.schedule, config.gossip
-    custom = problem.oracle != problem._gaussian_oracle
-    y = np.empty_like(theta)
     w = np.empty((len(replicas), problem.n_agents, problem.n_agents))
-    # Per-replica views of the state, observation and mixing buffers, which
-    # every iteration updates in place, and the replica's generator.
-    slots = list(zip(theta, y, w, rngs))
+    # Per-replica views of the mixing buffer, and the replica's generator.
+    slots = list(zip(w, rngs))
     records: list[list[TraceRecord]] = [[] for _ in replicas]
     try:
         for n in range(1, config.n_iter + 1):
             gamma = schedule.gamma(n)
-            if not custom:
-                problem._gaussian_oracle(theta, rngs, out=y)
             # Each replica's stream draws its observation, then its mixing matrix.
-            for state, obs, mix, g in slots:
-                if custom:
-                    obs[...] = problem.oracle(state, g)
+            y = problem.oracle(theta, rngs)
+            for mix, g in slots:
                 mix[...] = sample_gossip(gossip, n, g)
-            gossip_step(local_step(theta, y, gamma, problem.constraint), w, out=theta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gossip_step(local_step(theta, y, gamma, problem.constraint), w, out=theta)
             _check_divergence(theta, n)
             if n % config.record_every == 0 or n == config.n_iter:
                 _check_recorded_feasibility(theta, problem.constraint, n)
@@ -454,12 +451,12 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     """Advance all replicas simultaneously and return the final states.
 
     Vectorizes the replica loop into array operations, which is what makes
-    large fluctuation studies affordable.  Requires an unconstrained problem
-    whose oracle broadcasts over a leading replica axis (the default
-    Gaussian oracle does).  Per-replica initial states, step sizes and
-    exchange probabilities match those of :func:`run`; the dynamics draws
-    come from one shared stream, so the ensemble is statistically
-    equivalent to, but not draw-for-draw identical with, :func:`run`.
+    large fluctuation studies affordable.  Requires an unconstrained
+    problem; its oracle gets the batch and the one shared generator.
+    Per-replica initial states, step sizes and exchange probabilities match
+    those of :func:`run`; the dynamics draws come from one shared stream, so
+    the ensemble is statistically equivalent to, but not draw-for-draw
+    identical with, :func:`run`.
 
     Each iteration draws the observations, then one block of ``2 * replicas``
     uniforms: the first half decides which replicas exchange, the second
@@ -467,7 +464,8 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     then mixed by one flat pairwise average over the ``(replicas * n_agents,
     dim)`` view of the state; a lazy replica averages an agent with itself,
     which leaves it unchanged exactly.  The state is updated in place; the
-    oracle's array is not.  The ensemble aborts as :func:`run` does.
+    oracle's array is not.  The step and the mix ignore floating-point
+    overflow, and the ensemble aborts as :func:`run` does.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")
@@ -491,7 +489,6 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
         for n in range(1, config.n_iter + 1):
             y = np.asarray(problem.oracle(theta, rng), dtype=float)
             _check_finite(y)
-            theta += schedule.gamma(n) * y
             rng.random(out=uniforms)
             gossip.pick_edges(edge_draws, out=picked)
             np.take(endpoints, picked, axis=1, out=rows)
@@ -500,11 +497,13 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
             if p < 1.0:
                 np.greater_equal(activation_draws, p, out=lazy)
                 np.copyto(rows[1], rows[0], where=lazy)
-            np.take(flat, rows, axis=0, out=pair)
-            mixed = pair[0]
-            mixed += pair[1]
-            mixed *= 0.5
-            flat[rows] = mixed
+            with np.errstate(over="ignore", invalid="ignore"):
+                theta += schedule.gamma(n) * y
+                np.take(flat, rows, axis=0, out=pair)
+                mixed = pair[0]
+                mixed += pair[1]
+                mixed *= 0.5
+                flat[rows] = mixed
             _check_divergence(theta, n)
     except SimulationAbort as err:
         _report_abort(err, n, replicas, [()] * n_replicas)

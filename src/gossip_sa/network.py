@@ -144,19 +144,19 @@ class GossipModel:
         """0-based endpoint arrays plus the cumulative edge distribution."""
         i = np.array([e[0] - 1 for e in self.graph.edges], dtype=np.intp)
         j = np.array([e[1] - 1 for e in self.graph.edges], dtype=np.intp)
-        cum = np.cumsum(np.asarray(self.graph.pair_probs, dtype=float))
-        cum[-1] = 1.0  # guard against rounding in the final bin
-        return i, j, cum
+        return i, j, np.cumsum(np.asarray(self.graph.pair_probs, dtype=float))
 
     @cached_property
     def _edge_cdf(self) -> list[float]:
-        """The cumulative edge distribution as a Python list.
+        """The inner thresholds ``cum[:-1]`` of the cumulative edge
+        distribution, as a Python list: the one edge-pick rule.
 
-        ``bisect.bisect_right`` on it picks the same index as
-        ``np.searchsorted(cum, u, side="right")`` for every float ``u``, at a
-        fraction of the call cost on a handful of edges.
+        The index of an edge is the number of thresholds its draw has
+        reached.  ``bisect.bisect_right`` on the list counts them at a
+        fraction of the call cost of ``np.searchsorted`` on a handful of
+        edges.
         """
-        return self._edge_table[2].tolist()
+        return self._edge_table[2][:-1].tolist()
 
     def pick_edges(self, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """0-based edge index for each uniform draw in ``draws``.
@@ -174,7 +174,7 @@ class GossipModel:
         if out is None:
             out = np.empty(draws.shape, dtype=np.min_scalar_type(len(self._edge_cdf)))
         # A single edge has no inner threshold: every draw picks edge 0.
-        first, *rest = self._edge_cdf[:-1] or [np.inf]
+        first, *rest = self._edge_cdf or [np.inf]
         np.greater_equal(draws, first, out=out)
         for c in rest:
             out += draws >= c
@@ -207,27 +207,32 @@ def sample_gossip(model: GossipModel, n: int, rng: np.random.Generator) -> np.nd
     p = model.activation_probability(n)
     if rng.random() >= p:
         return model._alphabet[0]
-    cdf = model._edge_cdf
-    k = min(bisect.bisect_right(cdf, rng.random()), len(cdf) - 1)
-    return model._alphabet[k + 1]
+    return model._alphabet[bisect.bisect_right(model._edge_cdf, rng.random()) + 1]
 
 
 def expected_mixing_matrix(model: GossipModel, n: int) -> np.ndarray:
-    """Exact expectation of the step-``n`` mixing matrix over its finite alphabet."""
-    identity, *exchanges = model._alphabet
-    avg = np.zeros_like(identity)
-    for w, q in zip(exchanges, model.graph.pair_probs):
-        avg += q * w
-    p = model.activation_probability(n)
-    return p * avg + (1.0 - p) * identity
+    """Exact expectation ``I - (p/2) L_q`` of the step-``n`` mixing matrix.
+
+    An exchange on edge ``(i, j)`` is ``I - (e_i - e_j)(e_i - e_j)^T / 2``,
+    so with exchange probability ``p`` the expectation subtracts half of
+    ``p`` times the graph Laplacian ``L_q`` weighted by ``pair_probs``
+    (Boyd, Ghosh, Prabhakar & Shah, "Randomized gossip algorithms", IEEE
+    Trans. Inf. Theory 52, 2006).
+    """
+    n_agents = model.graph.n_agents
+    i, j, _ = model._edge_table
+    q = np.asarray(model.graph.pair_probs, dtype=float)
+    laplacian = np.diag(np.bincount(np.r_[i, j], weights=np.r_[q, q], minlength=n_agents))
+    laplacian[i, j] = laplacian[j, i] = -q
+    return np.eye(n_agents) - 0.5 * model.activation_probability(n) * laplacian
 
 
 def spectral_gap(model: GossipModel, n: int = 1) -> float:
     """Spectral radius of ``E[W W^T] - 11^T/N`` at step ``n``.
 
     Pairwise exchange matrices are symmetric idempotent, so
-    ``E[W W^T] = E[W]`` and the expectation is enumerated exactly over the
-    alphabet rather than sampled.  Values below one certify that mixing
+    ``E[W W^T] = E[W]``, which :func:`expected_mixing_matrix` gives in
+    closed form rather than sampled.  Values below one certify that mixing
     contracts the disagreement between agents.
     """
     n_agents = model.graph.n_agents

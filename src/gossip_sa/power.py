@@ -173,9 +173,10 @@ def stochastic_oracle(
     equals ``weights[i] * rate_gradient(scenario, theta_blocks[i], gains,
     i + 1)`` bit for bit.  Leading axes of ``theta_blocks`` are independent
     stacks, each with its own realization: the gains are drawn with the same
-    leading shape, in one call.  Conforms to the engine's oracle interface;
-    the sign is an ascent direction, equivalent to descending the negated
-    weighted ergodic sum rate.
+    leading shape, in one call.  The oracle of :func:`build_power_problem`
+    calls it once per replica, on that replica's generator.  The sign is an
+    ascent direction, equivalent to descending the negated weighted ergodic
+    sum rate.
     """
     theta_blocks = np.asarray(theta_blocks, dtype=float)
     if theta_blocks.shape[-2:] != (scenario.n_users, scenario.dim):
@@ -257,14 +258,17 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Probl
     The stationarity residual and the objective of trace records are
     Monte-Carlo estimates over fresh channel draws (the ergodic gradient has
     no closed form), evaluated with ``mc_trials`` samples each.  Each
-    replica's estimates are drawn from its own diagnostics generator, one
-    replica after another; the residuals are then taken in one stacked
+    replica's observations and estimates are drawn from its own generators,
+    one replica after another; the residuals are then taken in one stacked
     :func:`kt_residual` call.
     """
     feasible = scenario.feasible_set()
 
-    def oracle(blocks, rng):
-        return stochastic_oracle(scenario, blocks, rng)
+    def oracle(theta, rngs):
+        observations = np.empty(theta.shape)
+        for out, blocks, g in zip(observations, theta, rngs):
+            out[...] = stochastic_oracle(scenario, blocks, g)
+        return observations
 
     def objective(averages, rngs):
         return [

@@ -390,6 +390,35 @@ class TestCli:
         assert "aborted: stacked state norm exceeded 1e+12 at iteration 1" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["run", "--preset", "quadratic-consensus"], 3),
+            (
+                ["run", "--preset", "quadratic-consensus", "--override",
+                 "problem.constraint={kind: halfspaces, normals: [[1, 0]], offsets: [1]}"],
+                3,
+            ),
+            (["run", "--preset", "constrained-toy"], 0),
+            (["clt", "--preset", "scalar-clt", "--override", "run.override_checks=true"], 3),
+        ],
+    )
+    def test_overflowing_step_warns_nothing(self, argv, code, tmp_path, monkeypatch, capsys):
+        # The step overflows at iteration 1; the divergence guard or the box
+        # projection deals with the result, and numpy stays silent.
+        monkeypatch.chdir(tmp_path)
+        for item in ("schedule.gamma0=1e200", "problem.noise_sigma=1e150", "run.n_iter=5"):
+            argv = [*argv, "--override", item]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert caught == []
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err == "aborted: stacked state norm exceeded 1e+12 at iteration 1 in replica 0\n"
+        else:
+            assert err == ""
+
     def test_step_underflowing_to_zero_runs(self, tmp_path, monkeypatch):
         # gamma(2) underflows to 0.0 from the smallest positive gamma0: a
         # zero step leaves the state in place instead of failing the run.

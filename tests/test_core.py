@@ -8,6 +8,7 @@ from gossip_sa.config import apply_overrides, build_run_config, preset_dict, spe
 from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
     _DIAGNOSTICS,
+    _DYNAMICS,
     _ENSEMBLE,
     AssumptionError,
     DivergenceError,
@@ -395,6 +396,33 @@ class TestBatch:
         assert_same_result(picked[0], run(config, [5])[0])
         assert_same_result(picked[1], run_replicas(config)[2])
 
+    def test_one_oracle_call_per_iteration_on_the_whole_batch(self):
+        # Each call gets the (replicas, n_agents, dim) batch and the
+        # replicas' dynamics generators, in replica order, the same each time.
+        calls = []
+
+        def oracle(theta, rngs):
+            calls.append((theta.shape, list(rngs), [g.bit_generator.state for g in rngs]))
+            return -theta
+
+        problem = Problem(dim=2, n_agents=4, gradient=None, oracle=oracle)
+        config = RunConfig(
+            problem=problem,
+            gossip=GossipModel(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=np.ones((4, 2)),
+            n_iter=6,
+            seed=3,
+        )
+        run(config, [4, 0, 7])
+        assert len(calls) == 6
+        _, first, states = calls[0]
+        fresh = [_stream(3, r, _DYNAMICS).bit_generator.state for r in (4, 0, 7)]
+        assert states == fresh
+        for shape, rngs, _ in calls:
+            assert shape == (3, 4, 2)
+            assert len(rngs) == 3 and all(g is h for g, h in zip(rngs, first))
+
     def test_rejects_an_empty_or_negative_selection(self):
         config = two_agent_config()
         for replicas in ([], [0, -1]):
@@ -404,15 +432,17 @@ class TestBatch:
     @staticmethod
     def counting_config(bad, n_replicas=3):
         """Custom-oracle batch whose ``bad(iteration, position, y)`` may spoil
-        an observation; the oracle is called once per replica, in order."""
+        an observation; the oracle visits the replicas in order."""
         calls = []
 
-        def oracle(theta, rng):
-            iteration, position = divmod(len(calls), n_replicas)
-            calls.append(None)
-            y = -theta + 0.5 * rng.standard_normal(theta.shape)
-            bad(iteration + 1, position, y)
-            return y
+        def oracle(theta, rngs):
+            observations = np.empty_like(theta)
+            for y, state, rng in zip(observations, theta, rngs):
+                iteration, position = divmod(len(calls), n_replicas)
+                calls.append(None)
+                y[...] = -state + 0.5 * rng.standard_normal(state.shape)
+                bad(iteration + 1, position, y)
+            return observations
 
         problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle)
         graph = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])

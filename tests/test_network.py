@@ -100,13 +100,11 @@ class TestSampleGossip:
         model = triangle_model(c=0.5)
         rng = np.random.default_rng(2)
         counts = {edge: 0 for edge in model.graph.edges}
-        eye = np.eye(3)
         for _ in range(10**5):
-            w = sample_gossip(model, 1, rng)
-            if np.array_equal(w, eye):
-                continue
-            active = tuple(np.flatnonzero(np.isclose(np.diag(w), 0.5)) + 1)
-            counts[active] += 1
+            # An exchange halves exactly its two diagonal entries; the identity none.
+            active = tuple(np.flatnonzero(np.diag(sample_gossip(model, 1, rng)) == 0.5) + 1)
+            if active:
+                counts[active] += 1
         total = sum(counts.values())
         for edge, count in counts.items():
             assert abs(count / total - 1.0 / 3.0) <= 0.01, edge
@@ -268,6 +266,22 @@ class TestSpectralGap:
                 assert rho < 1.0 - 1e-12
             else:
                 assert abs(rho - 1.0) <= 1e-12
+
+    def test_expected_matrix_equals_the_enumeration(self):
+        # The closed form I - (p/2) L_q against the average over every
+        # realizable matrix, on 2 to 11 agents and decaying activation.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            graph = random_model(rng, max_agents=11).graph
+            decay = float(rng.uniform(0.0, 1.0))
+            model = GossipModel(graph, float(rng.uniform(0.05, 2.0)), decay)
+            n = int(rng.integers(1, 50))
+            p = model.activation_probability(n)
+            exchanges = np.zeros((graph.n_agents, graph.n_agents))
+            for (i, j), q in zip(graph.edges, graph.pair_probs):
+                exchanges += q * pairwise_matrix(i, j, graph.n_agents)
+            enumerated = p * exchanges + (1.0 - p) * np.eye(graph.n_agents)
+            assert np.abs(expected_mixing_matrix(model, n) - enumerated).max() <= 1e-15
 
     def test_expected_matrix_is_doubly_stochastic(self):
         rng = np.random.default_rng(6)

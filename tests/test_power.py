@@ -374,8 +374,21 @@ class TestScenario:
         assert problem.dim == 8 and problem.n_agents == 4
         rng = np.random.default_rng(20)
         blocks = random_feasible_start(scen, 4)(rng)
-        obs = problem.oracle(blocks, rng)
-        assert obs.shape == (4, 8)
+        obs = problem.oracle(blocks[None], [rng])
+        assert obs.shape == (1, 4, 8)
         avg = blocks.mean(axis=0)
         assert problem.objective(avg[None], [rng])[0] > 0.0
         assert problem.residual(avg[None], [rng])[0] >= 0.0
+
+    def test_oracle_draws_each_replica_from_its_own_generator(self):
+        # Row r of the hook's batch is the stacked oracle on replica r alone.
+        scen = preset_scenario()
+        problem = build_power_problem(scen, mc_trials=50)
+        rng = np.random.default_rng(21)
+        theta = np.stack([random_feasible_start(scen, 4)(rng) for _ in range(3)])
+        seeds = (5, 6, 7)
+        obs = problem.oracle(theta, [np.random.default_rng(s) for s in seeds])
+        assert obs.shape == theta.shape
+        for r, seed in enumerate(seeds):
+            want = stochastic_oracle(scen, theta[r], np.random.default_rng(seed))
+            assert np.array_equal(obs[r], want)
