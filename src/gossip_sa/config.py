@@ -471,8 +471,10 @@ def _build_quadratic(spec: ExperimentSpec):
                 if not np.isfinite(high - low).all():
                     raise ValueError("box bounds span more than the largest float")
 
-    def objective(averages, rngs):
-        return 0.5 * ((averages[:, None] - centers) ** 2).reshape(len(averages), -1).sum(axis=1)
+    def evaluate(averages, rngs):
+        # ``problem`` is bound below, before any record asks for this hook.
+        gaps = (averages[:, None] - centers).reshape(len(averages), -1)
+        return problem.gradient_residual(averages), 0.5 * (gaps**2).sum(axis=1)
 
     clt_spec = None
     if isinstance(constraint, Unconstrained):
@@ -496,7 +498,7 @@ def _build_quadratic(spec: ExperimentSpec):
 
     problem = Problem(
         dim=dim, n_agents=n_agents, gradient=gradient, constraint=constraint,
-        noise_scale=sigma, objective=objective, clt_spec=clt_spec,
+        noise_scale=sigma, evaluate=evaluate, clt_spec=clt_spec,
     )
 
     def initial(rng):

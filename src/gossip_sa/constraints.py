@@ -138,12 +138,15 @@ def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     u = xt.copy()
     u.sort(axis=-1)
     u = u[:, ::-1]
-    css = u.cumsum(axis=-1) - budgets[tight[-1], None]
+    css = u.cumsum(axis=-1)
+    css -= budgets[tight[-1], None]
     size = x.shape[-1]
-    held = u > css / np.arange(1, size + 1)
-    last = size - 1 - held[:, ::-1].argmax(axis=-1)
-    tau = css[np.arange(last.size), last] / (last + 1)
-    y[tight] = np.maximum(xt - tau[:, None], 0.0)
+    # The threshold ``css[rho] / (rho + 1)`` is the entry of ``ratio`` at rho.
+    ratio = css / np.arange(1, size + 1)
+    last = size - 1 - (u > ratio)[:, ::-1].argmax(axis=-1)
+    # ``xt`` is a copy (advanced indexing), so it is shifted and clipped in place.
+    xt -= ratio[np.arange(last.size), last, None]
+    y[tight] = np.maximum(xt, 0.0, out=xt)
     return y
 
 
@@ -186,8 +189,14 @@ class BudgetSimplex(ConstraintSet):
         for r, g in enumerate(groups):
             self.normals[dim + r, list(g)] = 1.0
         self.offsets = np.concatenate([np.zeros(dim), budgets])
-        # Groups of one size are gathered together: (group numbers, a
-        # (groups, size) coordinate index array, their budgets) per size.
+        # Groups that run in order over equal contiguous blocks (as
+        # ``per_user`` builds them) are the last axis reshaped to
+        # (groups, size): no gather, no scatter.
+        size = dim // len(groups)
+        blocks = tuple(tuple(range(r * size, (r + 1) * size)) for r in range(len(groups)))
+        self._blocks = (len(groups), size) if groups == blocks else None
+        # Otherwise groups of one size are gathered together: (group numbers,
+        # a (groups, size) coordinate index array, their budgets) per size.
         self._by_size = []
         for size in sorted({len(g) for g in groups}):
             rows = np.array([r for r, g in enumerate(groups) if len(g) == size])
@@ -196,6 +205,9 @@ class BudgetSimplex(ConstraintSet):
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
+        if self._blocks is not None:
+            blocks = x.reshape(*x.shape[:-1], *self._blocks)
+            return _project_capped_simplex(blocks, self.budgets).reshape(x.shape)
         out = np.empty_like(x)
         for _, index, budgets in self._by_size:
             out[..., index] = _project_capped_simplex(_gather(x, index), budgets)
@@ -206,6 +218,9 @@ class BudgetSimplex(ConstraintSet):
         # formula's sum over all ``dim`` products rounds differently once a
         # group has three or more coordinates.
         theta = np.asarray(theta, dtype=float)
+        if self._blocks is not None:
+            sums = theta.reshape(*theta.shape[:-1], *self._blocks).sum(axis=-1)
+            return np.concatenate([-theta, sums - self.budgets], axis=-1)
         sums = np.empty(theta.shape[:-1] + self.budgets.shape)
         for rows, index, _ in self._by_size:
             sums[..., rows] = _gather(theta, index).sum(axis=-1)

@@ -123,11 +123,11 @@ class Problem:
     iteration, on a state they later update in place.  When omitted it is
     ``-gradient(theta)`` plus Gaussian noise of scale ``noise_scale``.
 
-    ``objective`` and ``residual`` are optional diagnostic hooks
-    ``(averages, rngs) -> one float per row`` of the ``(replicas, dim)``
-    stack of network averages, with ``rngs`` the replicas' diagnostics
-    generators in order.  The residual defaults to the norm of the summed
-    gradient (unconstrained) or the stationarity residual against the set.
+    ``evaluate(averages, rngs) -> (residuals, objectives)`` is the optional
+    diagnostic hook of trace records: one residual and one objective per
+    row of the ``(replicas, dim)`` stack of network averages, with ``rngs``
+    the replicas' diagnostics generators in order.  Given a gradient it
+    defaults to :meth:`gradient_residual` and no objective (NaN).
     """
 
     dim: int
@@ -136,8 +136,7 @@ class Problem:
     constraint: ConstraintSet | None = None
     noise_scale: float = 0.0
     oracle: Callable | None = None
-    objective: Callable | None = None
-    residual: Callable | None = None
+    evaluate: Callable | None = None
     clt_spec: CltSpec | None = None
 
     def __post_init__(self) -> None:
@@ -151,8 +150,8 @@ class Problem:
             if self.gradient is None:
                 raise ValueError("provide either an oracle or a gradient")
             self.oracle = self._gaussian_oracle
-        if self.residual is None and self.gradient is not None:
-            self.residual = self._gradient_residual
+        if self.evaluate is None and self.gradient is not None:
+            self.evaluate = self._gradient_evaluate
         if self.clt_spec is not None and self.clt_spec.dim != self.dim:
             raise ValueError("clt_spec dimension does not match the problem dimension")
 
@@ -184,11 +183,16 @@ class Problem:
         y -= self.gradient(theta)
         return y
 
-    def _gradient_residual(self, averages, rngs) -> np.ndarray:
+    def gradient_residual(self, averages) -> np.ndarray:
+        """Norm of the summed gradient (unconstrained) or the stationarity
+        residual against the set, at every point of a stack."""
         grads = self.mean_gradient(averages)
         if isinstance(self.constraint, Unconstrained):
             return block_norms(grads)
         return kt_residual(self.constraint, averages, grads)
+
+    def _gradient_evaluate(self, averages, rngs):
+        return self.gradient_residual(averages), [float("nan")] * len(averages)
 
 
 @dataclass(eq=False)
@@ -346,14 +350,15 @@ def _make_record(n, gamma, theta, problem, diag_rngs) -> list[TraceRecord]:
     """One record per replica of the ``(replicas, n_agents, dim)`` batch ``theta``.
 
     Each reduction over the batch keeps the bits of the one on a single
-    replica.  The residual hook, then the objective hook, gets the stacked
-    averages and ``diag_rngs``, one generator per replica.
+    replica.  One ``problem.evaluate`` call gets the stacked averages and
+    ``diag_rngs``, one generator per replica, and gives both columns.
     """
     averages = theta.mean(axis=1)
     disagreements = block_norms((theta - averages[:, None]).reshape(len(theta), -1))
-    nan = [float("nan")] * len(theta)
-    residuals = nan if problem.residual is None else problem.residual(averages, diag_rngs)
-    objectives = nan if problem.objective is None else problem.objective(averages, diag_rngs)
+    if problem.evaluate is None:
+        residuals = objectives = [float("nan")] * len(theta)
+    else:
+        residuals, objectives = problem.evaluate(averages, diag_rngs)
     rows = zip(disagreements, averages, residuals, objectives)
     return [TraceRecord(n, gamma, float(d), a, float(res), float(obj)) for d, a, res, obj in rows]
 

@@ -146,14 +146,15 @@ def _all_receiver_terms(scenario, p, gains):
     return incoming, own_gain, signal, scenario.noise_vars[:, None] + interference
 
 
-def _all_rate_gradients(scenario, p, gains) -> np.ndarray:
+def _all_rate_gradients(scenario, terms) -> np.ndarray:
     """Every receiver's rate gradient, ``[..., i, :]`` for user ``i + 1``.
 
-    Row ``i`` equals ``rate_gradient(scenario, p_i, gains, i + 1)``, where
+    ``terms`` are :func:`_all_receiver_terms` of ``(p, gains)``; row ``i``
+    equals ``rate_gradient(scenario, p_i, gains, i + 1)``, where
     ``p_i = p[..., i, :, :]`` is the matrix receiver ``i`` sees.
     """
     diag = scenario.diagonal
-    incoming, own_gain, signal, floor = _all_receiver_terms(scenario, p, gains)
+    incoming, own_gain, signal, floor = terms
     total = floor + signal
     cross_factor = (signal / (floor * total))[..., None, :]
     # ``-(a * b)`` in place: bit-identical to ``(-a) * b`` with one temporary less.
@@ -193,12 +194,14 @@ def stochastic_oracle(
         distribution=scenario.channel_distribution,
     )
     p = theta_blocks.reshape(*lead, scenario.n_users, scenario.n_users, scenario.n_channels)
-    return scenario.weights[:, None] * _all_rate_gradients(scenario, p, gains)
+    terms = _all_receiver_terms(scenario, p, gains)
+    return scenario.weights[:, None] * _all_rate_gradients(scenario, terms)
 
 
 class ObjectiveEstimate(NamedTuple):
     value: float
     std_error: float
+    ascent: np.ndarray
 
 
 def _shared(scenario: PowerScenario, theta) -> np.ndarray:
@@ -222,45 +225,46 @@ def _draw_gains(scenario: PowerScenario, mc_trials: int, rng: np.random.Generato
 def estimate_objective(
     scenario: PowerScenario, theta, mc_trials: int, rng: np.random.Generator
 ) -> ObjectiveEstimate:
-    """Monte-Carlo estimate of the weighted ergodic sum rate at ``theta``.
+    """Monte-Carlo estimates of the weighted ergodic sum rate at ``theta``
+    and of its ascent gradient, both over one sample of ``mc_trials``
+    channel draws (common random numbers).
 
-    The users' weighted rates are summed in user order, starting from zero.
+    The users' weighted rates, and their weighted mean gradients, are summed
+    in user order, starting from zero.
     """
     gains = _draw_gains(scenario, mc_trials, rng)
-    _, _, signal, floor = _all_receiver_terms(scenario, _shared(scenario, theta), gains)
+    terms = _all_receiver_terms(scenario, _shared(scenario, theta), gains)
+    _, _, signal, floor = terms
     rates = np.log1p(signal / floor).sum(axis=-1)
     totals = np.zeros(mc_trials)
     for i in range(scenario.n_users):
         totals += scenario.weights[i] * rates[:, i]
     std_error = float(totals.std(ddof=1) / np.sqrt(mc_trials)) if mc_trials > 1 else 0.0
-    return ObjectiveEstimate(value=float(totals.mean()), std_error=std_error)
+    means = _all_rate_gradients(scenario, terms).mean(axis=0)
+    ascent = np.zeros(scenario.dim)
+    for i in range(scenario.n_users):
+        ascent += scenario.weights[i] * means[i]
+    return ObjectiveEstimate(value=float(totals.mean()), std_error=std_error, ascent=ascent)
 
 
 def weighted_gradient_estimate(
     scenario: PowerScenario, theta, mc_trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Monte-Carlo estimate of the ascent gradient of the weighted ergodic sum rate.
-
-    The users' weighted mean gradients are summed in user order, starting
-    from zero.
-    """
-    gains = _draw_gains(scenario, mc_trials, rng)
-    means = _all_rate_gradients(scenario, _shared(scenario, theta), gains).mean(axis=0)
-    total = np.zeros(scenario.dim)
-    for i in range(scenario.n_users):
-        total += scenario.weights[i] * means[i]
-    return total
+    """Monte-Carlo estimate of the ascent gradient of the weighted ergodic
+    sum rate: the ``ascent`` of :func:`estimate_objective`."""
+    return estimate_objective(scenario, theta, mc_trials, rng).ascent
 
 
 def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Problem:
     """Wrap a scenario as an engine problem.
 
-    The stationarity residual and the objective of trace records are
-    Monte-Carlo estimates over fresh channel draws (the ergodic gradient has
-    no closed form), evaluated with ``mc_trials`` samples each.  Each
-    replica's observations and estimates are drawn from its own generators,
-    one replica after another; the residuals are then taken in one stacked
-    :func:`kt_residual` call.
+    The stationarity residual and the objective of a trace record are
+    Monte-Carlo estimates (the ergodic gradient has no closed form) over one
+    common sample of ``mc_trials`` channel draws per replica: one
+    :func:`estimate_objective` call gives both.  Each replica's observations
+    and estimates are drawn from its own generators, one replica after
+    another; the residuals are then taken in one stacked :func:`kt_residual`
+    call.
     """
     feasible = scenario.feasible_set()
 
@@ -270,18 +274,13 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Probl
             out[...] = stochastic_oracle(scenario, blocks, g)
         return observations
 
-    def objective(averages, rngs):
-        return [
-            estimate_objective(scenario, average, mc_trials, g).value
+    def evaluate(averages, rngs):
+        estimates = [
+            estimate_objective(scenario, average, mc_trials, g)
             for average, g in zip(averages, rngs)
         ]
-
-    def residual(averages, rngs):
-        ascents = [
-            weighted_gradient_estimate(scenario, average, mc_trials, g)
-            for average, g in zip(averages, rngs)
-        ]
-        return kt_residual(feasible, averages, -np.stack(ascents))
+        ascents = np.stack([e.ascent for e in estimates])
+        return kt_residual(feasible, averages, -ascents), [e.value for e in estimates]
 
     return Problem(
         dim=scenario.dim,
@@ -289,8 +288,7 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Probl
         gradient=None,
         constraint=feasible,
         oracle=oracle,
-        objective=objective,
-        residual=residual,
+        evaluate=evaluate,
     )
 
 

@@ -330,6 +330,32 @@ class TestStackedProjection:
             ]
             assert np.array_equal(cs.constraint_values(x), np.stack(expected))
 
+    def test_per_user_layout_equals_the_gather_path(self):
+        # ``per_user`` groups are a reshape of the last axis; the same
+        # partition with its groups listed out of order is gathered instead.
+        rng = np.random.default_rng(33)
+        for trial in range(400):
+            n_users, n_channels = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+            budgets = rng.uniform(0.1, 3.0, size=n_users)
+            cs = BudgetSimplex.per_user(n_users, n_channels, budgets)
+            order = rng.permutation(n_users)
+            if np.array_equal(order, np.arange(n_users)):
+                order = order[::-1]
+            shuffled = BudgetSimplex(budgets[order], [cs.groups[r] for r in order])
+            assert cs._blocks is not None and shuffled._blocks is None
+            shape = [(), (3,), (2, 4)][trial % 3]
+            x = rng.uniform(-2.0, 2.0, size=(*shape, cs.dim)) * rng.choice([0.2, 1.0, 5.0])
+            assert np.array_equal(cs.project(x), shuffled.project(x))
+            values = cs.constraint_values(x)
+            want = shuffled.constraint_values(x)
+            back = np.argsort(order)  # the shuffled set's group rows, in user order
+            assert np.array_equal(values[..., : cs.dim], want[..., : cs.dim])
+            assert np.array_equal(values[..., cs.dim :], want[..., cs.dim :][..., back])
+            # Blocks on, just inside and just outside their budgets.
+            blocks = cs.project(x).reshape(-1, cs.dim)
+            blocks *= rng.choice([1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-7], size=(len(blocks), 1))
+            assert cs.first_infeasible(blocks) == shuffled.first_infeasible(blocks)
+
     def test_box_and_halfspaces_equal_per_block(self):
         rng = np.random.default_rng(32)
         for _ in range(20):

@@ -29,7 +29,7 @@ from gossip_sa.core import (
 )
 from gossip_sa.diagnostics import CltSpec, TraceRecord, disagreement_norm, network_average
 from gossip_sa.network import Graph, GossipModel, pairwise_matrix
-from gossip_sa.power import PowerScenario, estimate_objective, weighted_gradient_estimate
+from gossip_sa.power import PowerScenario, _draw_gains, estimate_objective
 
 
 def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
@@ -42,16 +42,21 @@ def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
             drift_jacobian=-np.eye(dim),
             noise_cov=(sigma**2 / n_agents) * np.eye(dim),
         )
-    return Problem(
+
+    def evaluate(avgs, rngs):
+        gaps = (avgs[:, None] - centers).reshape(len(avgs), -1)
+        return problem.gradient_residual(avgs), 0.5 * (gaps**2).sum(axis=1)
+
+    problem = Problem(
         dim=dim,
         n_agents=n_agents,
         gradient=lambda th: th - centers,
         constraint=constraint,
         noise_scale=sigma,
-        objective=lambda avgs, rngs: 0.5
-        * ((avgs[:, None] - centers) ** 2).reshape(len(avgs), -1).sum(axis=1),
+        evaluate=evaluate,
         clt_spec=clt_spec,
     )
+    return problem
 
 
 def two_agent_config(**kwargs):
@@ -486,22 +491,23 @@ class TestBatch:
         assert [rec.n for rec in err.records] == [1, 2]
 
 
-def literal_make_record(n, gamma, theta, residual, objective, diag_rng):
+def literal_make_record(n, gamma, theta, evaluate, diag_rng):
     """One replica's record from its ``(n_agents, dim)`` state, as ``run``
-    made it before records were batched: ``residual`` and ``objective`` are
-    per-point hooks ``(average, rng) -> float``."""
+    made it before records were batched: ``evaluate`` is a per-point hook
+    ``(average, rng) -> (residual, objective)``."""
     average = network_average(theta)
+    residual, objective = evaluate(average, diag_rng)
     return TraceRecord(
         n=n,
         gamma=gamma,
         disagreement=disagreement_norm(theta),
         average=average,
-        residual=float(residual(average, diag_rng)),
-        objective=float(objective(average, diag_rng)),
+        residual=float(residual),
+        objective=float(objective),
     )
 
 
-def literal_hooks(name, problem):
+def literal_hook(name, problem):
     """The per-point residual and objective of a preset, written out."""
     spec = spec_from_dict(preset_dict(name)).problem
     if name == "power-alloc":
@@ -509,26 +515,24 @@ def literal_hooks(name, problem):
         trials = power.pop("mc_trials")
         scenario = PowerScenario(n_users=problem.n_agents, **power)
 
-        def residual(average, rng):
-            ascent = weighted_gradient_estimate(scenario, average, trials, rng)
-            return np.linalg.norm(problem.constraint.project(average + ascent) - average)
+        def evaluate(average, rng):
+            # One sample gives both columns.
+            estimate = estimate_objective(scenario, average, trials, rng)
+            step = problem.constraint.project(average + estimate.ascent) - average
+            return np.linalg.norm(step), estimate.value
 
-        def objective(average, rng):
-            return estimate_objective(scenario, average, trials, rng).value
-
-        return residual, objective
+        return evaluate
     centers = np.asarray(spec.centers, dtype=float)
 
-    def residual(average, rng):
+    def evaluate(average, rng):
         grad = np.sum([average - c for c in centers], axis=0)
         if isinstance(problem.constraint, Unconstrained):
-            return np.linalg.norm(grad)
-        return np.linalg.norm(problem.constraint.project(average - grad) - average)
+            residual = np.linalg.norm(grad)
+        else:
+            residual = np.linalg.norm(problem.constraint.project(average - grad) - average)
+        return residual, 0.5 * np.sum((average - centers) ** 2)
 
-    def objective(average, rng):
-        return 0.5 * np.sum((average - centers) ** 2)
-
-    return residual, objective
+    return evaluate
 
 
 class TestBatchedRecords:
@@ -556,11 +560,34 @@ class TestBatchedRecords:
         results = run(config, range(3))
         ns = [n for n in range(1, 151) if n % config.record_every == 0 or n == 150]
         assert [n for n, _, _ in states] == ns
-        hooks = literal_hooks(name, config.problem)
+        hook = literal_hook(name, config.problem)
         for r, result in enumerate(results):
             diag_rng = _stream(config.seed, r, _DIAGNOSTICS)
-            want = [literal_make_record(n, g, theta[r], *hooks, diag_rng) for n, g, theta in states]
+            want = [literal_make_record(n, g, theta[r], hook, diag_rng) for n, g, theta in states]
             assert_same_records(result.records, want)
+
+    def test_power_record_draws_one_sample_per_replica(self, monkeypatch):
+        # After the one record of a one-iteration run, every diagnostics
+        # stream has made exactly one draw of ``mc_trials`` channel sets.
+        config = preset_config("power-alloc", "run.n_iter=1")
+        streams = []
+        make_record = core._make_record
+
+        def capture(n, gamma, theta, problem, diag_rngs):
+            streams.append(diag_rngs)
+            return make_record(n, gamma, theta, problem, diag_rngs)
+
+        monkeypatch.setattr(core, "_make_record", capture)
+        run(config, range(2))
+        (diag_rngs,) = streams
+        spec = spec_from_dict(preset_dict("power-alloc")).problem
+        power = dict(spec.power)
+        trials = power.pop("mc_trials")
+        scenario = PowerScenario(n_users=config.problem.n_agents, **power)
+        for r, got in enumerate(diag_rngs):
+            fresh = _stream(config.seed, r, _DIAGNOSTICS)
+            _draw_gains(scenario, trials, fresh)
+            assert got.bit_generator.state == fresh.bit_generator.state
 
     def test_missing_hooks_record_nan(self):
         problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, rng: -theta)
@@ -969,13 +996,11 @@ class TestDivergenceGuards:
         )
 
     def test_run_aborts_on_nan_state(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                run(self.overflowing_config())
+        with pytest.raises(DivergenceError) as info:
+            run(self.overflowing_config())
         assert info.value.iteration == 1
 
     def test_ensemble_aborts_on_nan_state(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                run_ensemble(self.overflowing_config(replicas=3))
+        with pytest.raises(DivergenceError) as info:
+            run_ensemble(self.overflowing_config(replicas=3))
         assert (info.value.replica, info.value.iteration) == (0, 1)

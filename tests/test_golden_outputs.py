@@ -28,7 +28,7 @@ GOLDEN = {
     ),
     ("run", "power-alloc"): (
         (N_ITER,),
-        "7c571d02b2caf2245a5429449f0d6fc35adaaeced39ecc4ed2aea9ae9580ce7c",
+        "a6622fac1cd2ffc84aa8e72b8b1bd57f9c84aa80e711beb61629d7fc51f8bf68",
     ),
     ("clt", "scalar-clt"): (
         (N_ITER, CLT_REPLICAS),

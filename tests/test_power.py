@@ -284,6 +284,17 @@ class TestObjective:
         down = estimate_objective(scen, theta - step, 200000, np.random.default_rng(17))
         assert up.value > down.value
 
+    def test_ascent_equals_weighted_gradient_estimate(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            scen = random_scenario(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+            theta = rng.uniform(0.0, 1.0, size=scen.dim)
+            trials = int(rng.integers(1, 200))
+            seed = int(rng.integers(2**32))
+            est = estimate_objective(scen, theta, trials, np.random.default_rng(seed))
+            got = weighted_gradient_estimate(scen, theta, trials, np.random.default_rng(seed))
+            assert np.array_equal(est.ascent, got)
+
 
 class TestEstimatesEqualPerUserLoops:
     """The all-receiver Monte-Carlo records equal per-user loops, bit for bit."""
@@ -377,8 +388,9 @@ class TestScenario:
         obs = problem.oracle(blocks[None], [rng])
         assert obs.shape == (1, 4, 8)
         avg = blocks.mean(axis=0)
-        assert problem.objective(avg[None], [rng])[0] > 0.0
-        assert problem.residual(avg[None], [rng])[0] >= 0.0
+        residuals, objectives = problem.evaluate(avg[None], [rng])
+        assert len(residuals) == len(objectives) == 1
+        assert residuals[0] >= 0.0 and objectives[0] > 0.0
 
     def test_oracle_draws_each_replica_from_its_own_generator(self):
         # Row r of the hook's batch is the stacked oracle on replica r alone.
