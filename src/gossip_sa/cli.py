@@ -18,14 +18,15 @@ import yaml
 from .config import (
     ConfigError,
     apply_overrides,
+    build_run_config,
     load_config_dict,
     preset_dict,
     preset_names,
     spec_from_dict,
 )
-from .core import AssumptionError, SimulationAbort
+from .core import AssumptionError, SimulationAbort, validate_assumptions
 from .diagnostics import InsufficientReplicasError
-from .runner import run_clt_study, run_experiment, validation_report
+from .runner import run_clt_study, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,7 +88,7 @@ def _cmd_clt(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validation_report(_spec_from_args(args))
+    report = validate_assumptions(build_run_config(_spec_from_args(args)))
     print(report.format())
     return EXIT_OK if report.ok else EXIT_ABORT
 

@@ -127,6 +127,9 @@ def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     that clip is the projection.  On the other (tight) rows the classic
     sorted-threshold rule projects onto the budget face (Duchi et al., ICML
     2008); ``rho`` is the last sorted index whose threshold condition holds.
+    Index 0 always holds in exact arithmetic (``u_0 - (u_0 - b) = b > 0``),
+    so it is forced where rounding fails it, as when a budget is below the
+    rounding of the largest entry.
     """
     # Array methods rather than the ``np.`` wrappers: the same kernels,
     # without a Python call each on a path taken at every projection.
@@ -143,7 +146,9 @@ def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     size = x.shape[-1]
     # The threshold ``css[rho] / (rho + 1)`` is the entry of ``ratio`` at rho.
     ratio = css / np.arange(1, size + 1)
-    last = size - 1 - (u > ratio)[:, ::-1].argmax(axis=-1)
+    holds = u > ratio
+    holds[:, 0] = True
+    last = size - 1 - holds[:, ::-1].argmax(axis=-1)
     # ``xt`` is a copy (advanced indexing), so it is shifted and clipped in place.
     xt -= ratio[np.arange(last.size), last, None]
     y[tight] = np.maximum(xt, 0.0, out=xt)
@@ -198,10 +203,11 @@ class BudgetSimplex(ConstraintSet):
         # Otherwise groups of one size are gathered together: (group numbers,
         # a (groups, size) coordinate index array, their budgets) per size.
         self._by_size = []
-        for size in sorted({len(g) for g in groups}):
-            rows = np.array([r for r, g in enumerate(groups) if len(g) == size])
-            index = np.array([groups[r] for r in rows], dtype=np.intp)
-            self._by_size.append((rows, index, budgets[rows]))
+        if self._blocks is None:
+            for size in sorted({len(g) for g in groups}):
+                rows = np.array([r for r, g in enumerate(groups) if len(g) == size])
+                index = np.array([groups[r] for r in rows], dtype=np.intp)
+                self._by_size.append((rows, index, budgets[rows]))
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -328,16 +334,3 @@ def kt_residual(cs: ConstraintSet, theta, grad):
     grad = np.asarray(grad, dtype=float)
     return block_norms(cs.project(theta - grad) - theta)[()]
 
-
-def projection_drift(cs: ConstraintSet, theta, y, gamma: float) -> np.ndarray:
-    """Finite-step drift ``(P(theta + gamma*y) - theta) / gamma``.
-
-    As ``gamma`` shrinks this tends to ``y`` at interior points; on a smooth
-    boundary with unit outward normal ``e`` it tends to
-    ``y - max(y.e, 0) e``, i.e. the outward component of ``y`` is removed.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (cs.project(theta + gamma * y) - theta) / gamma

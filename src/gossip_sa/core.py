@@ -533,10 +533,6 @@ class AssumptionReport:
     def ok(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    @property
-    def failures(self) -> tuple[AssumptionCheck, ...]:
-        return tuple(check for check in self.checks if not check.passed)
-
     def format(self) -> str:
         lines = []
         for check in self.checks:

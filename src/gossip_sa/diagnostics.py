@@ -41,11 +41,6 @@ class TraceRecord:
             raise ValueError("disagreement and residual are norms and cannot be negative")
 
 
-def network_average(theta) -> np.ndarray:
-    """Arithmetic mean of the per-agent blocks (rows of ``theta``)."""
-    return np.asarray(theta, dtype=float).mean(axis=0)
-
-
 def disagreement_norm(theta) -> float:
     """Euclidean norm of the stacked deviations from the network average."""
     theta = np.asarray(theta, dtype=float)

@@ -2,8 +2,8 @@
 
 At each step a single edge wakes up with some probability and its two
 endpoints average their values; otherwise nothing happens.  Every matrix
-realized this way is doubly stochastic, so the network-wide average is
-invariant under mixing.
+realized this way has entries 0, 1/2 and 1 only and is doubly stochastic
+by construction, so the network-wide average is invariant under mixing.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-#: Tolerance applied to every double-stochasticity check.
-DOUBLY_STOCHASTIC_TOL = 1e-12
 
 
 def pairwise_matrix(i: int, j: int, n_agents: int) -> np.ndarray:
@@ -34,26 +31,6 @@ def pairwise_matrix(i: int, j: int, n_agents: int) -> np.ndarray:
     w[a, a] = w[b, b] = 0.5
     w[a, b] = w[b, a] = 0.5
     return w
-
-
-def check_doubly_stochastic(w: np.ndarray, tol: float = DOUBLY_STOCHASTIC_TOL) -> None:
-    """Raise ``ValueError`` unless ``w`` is doubly stochastic within ``tol``.
-
-    The matrix must be square; NaN entries fail.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-    low = float(np.min(w))
-    if not low >= -tol:
-        raise ValueError(f"mixing matrix has a negative or NaN entry: {low:.3e}")
-    row_err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
-    col_err = float(np.max(np.abs(w.sum(axis=0) - 1.0)))
-    if not (row_err <= tol and col_err <= tol):
-        raise ValueError(
-            "matrix is not doubly stochastic: "
-            f"max row-sum error {row_err:.3e}, max column-sum error {col_err:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -185,15 +162,14 @@ class GossipModel:
         """Every realizable mixing matrix, read-only: the identity, then one
         pairwise exchange per edge in edge order.
 
-        Each is checked doubly stochastic here, once per model; this is what
-        lets the engine mix with them unchecked.
+        Each is doubly stochastic by construction (entries 0, 1/2 and 1 on
+        validated edges), which lets the engine mix with them unchecked.
         """
         n_agents = self.graph.n_agents
         matrices = (np.eye(n_agents),) + tuple(
             pairwise_matrix(i, j, n_agents) for i, j in self.graph.edges
         )
         for w in matrices:
-            check_doubly_stochastic(w)
             w.setflags(write=False)
         return matrices
 

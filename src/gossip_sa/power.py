@@ -82,51 +82,6 @@ def sample_channels(
     raise ValueError(f"unknown channel distribution {distribution!r}")
 
 
-def _user_index(scenario: PowerScenario, user: int) -> int:
-    if not 1 <= user <= scenario.n_users:
-        raise ValueError(f"user index must lie in [1, {scenario.n_users}], got {user}")
-    return user - 1
-
-
-def _receiver_terms(scenario, theta, gains, i):
-    """Per-channel signal and interference-plus-noise terms for receiver ``i``."""
-    p = scenario.power_matrix(theta)
-    incoming = gains[..., :, i, :]  # all transmitters toward receiver i
-    own_gain = incoming[..., i, :]
-    load = np.einsum("...jk,jk->...k", incoming, p)
-    signal = own_gain * p[i]
-    interference = load - signal
-    return incoming, own_gain, signal, scenario.noise_vars[i] + interference
-
-
-def rate(scenario: PowerScenario, theta, gains, user: int):
-    """Achievable rate of ``user`` (natural log) for given gains.
-
-    ``gains`` may carry leading batch axes, in which case an array of rates
-    is returned.
-    """
-    i = _user_index(scenario, user)
-    _, _, signal, floor = _receiver_terms(scenario, theta, gains, i)
-    value = np.log1p(signal / floor).sum(axis=-1)
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def rate_gradient(scenario: PowerScenario, theta, gains, user: int) -> np.ndarray:
-    """Gradient of ``user``'s rate with respect to the full stacked allocation.
-
-    The own-power components are ``gain / (floor + signal)`` per channel;
-    the cross components are nonpositive, reflecting that other users'
-    power only adds interference.  Supports leading batch axes on ``gains``.
-    """
-    i = _user_index(scenario, user)
-    incoming, own_gain, signal, floor = _receiver_terms(scenario, theta, gains, i)
-    total = floor + signal
-    cross_factor = (signal / (floor * total))[..., None, :]
-    grad = -incoming * cross_factor
-    grad[..., i, :] = own_gain / total
-    return grad.reshape(*gains.shape[:-3], scenario.dim)
-
-
 def _all_receiver_terms(scenario, p, gains):
     """Per-channel terms of every receiver at once, indexed ``[..., i, k]``.
 
@@ -134,8 +89,8 @@ def _all_receiver_terms(scenario, p, gains):
     receiver ``i`` sees; leading axes of ``p`` and ``gains`` broadcast.
     Returns the incoming gains ``[..., i, j, k]`` (transmitter ``j`` toward
     receiver ``i``), the own gains, the signals and the
-    interference-plus-noise floors, each the same numbers
-    :func:`_receiver_terms` gives for one receiver.
+    interference-plus-noise floors, each bit for bit what the per-user
+    reference form in ``tests/reference.py`` gives for one receiver.
     """
     diag = scenario.diagonal
     incoming = gains.swapaxes(-3, -2)
@@ -150,8 +105,8 @@ def _all_rate_gradients(scenario, terms) -> np.ndarray:
     """Every receiver's rate gradient, ``[..., i, :]`` for user ``i + 1``.
 
     ``terms`` are :func:`_all_receiver_terms` of ``(p, gains)``; row ``i``
-    equals ``rate_gradient(scenario, p_i, gains, i + 1)``, where
-    ``p_i = p[..., i, :, :]`` is the matrix receiver ``i`` sees.
+    is user ``i + 1``'s gradient at ``p[..., i, :, :]``, the matrix receiver
+    ``i`` sees, bit for bit the per-user form in ``tests/reference.py``.
     """
     diag = scenario.diagonal
     incoming, own_gain, signal, floor = terms
@@ -171,13 +126,13 @@ def stochastic_oracle(
 
     Agent ``i`` is receiver ``i`` evaluated at its own allocation estimate
     ``theta_blocks[i]``; all agents are evaluated together, and row ``i``
-    equals ``weights[i] * rate_gradient(scenario, theta_blocks[i], gains,
-    i + 1)`` bit for bit.  Leading axes of ``theta_blocks`` are independent
-    stacks, each with its own realization: the gains are drawn with the same
-    leading shape, in one call.  The oracle of :func:`build_power_problem`
-    calls it once per replica, on that replica's generator.  The sign is an
-    ascent direction, equivalent to descending the negated weighted ergodic
-    sum rate.
+    is ``weights[i]`` times user ``i + 1``'s rate gradient there, bit for
+    bit the per-user form in ``tests/reference.py``.  Leading axes of
+    ``theta_blocks`` are independent stacks, each with its own realization:
+    the gains are drawn with the same leading shape, in one call.  The
+    oracle of :func:`build_power_problem` calls it once per replica, on that
+    replica's generator.  The sign is an ascent direction, equivalent to
+    descending the negated weighted ergodic sum rate.
     """
     theta_blocks = np.asarray(theta_blocks, dtype=float)
     if theta_blocks.shape[-2:] != (scenario.n_users, scenario.dim):
@@ -200,7 +155,6 @@ def stochastic_oracle(
 
 class ObjectiveEstimate(NamedTuple):
     value: float
-    std_error: float
     ascent: np.ndarray
 
 
@@ -239,12 +193,11 @@ def estimate_objective(
     totals = np.zeros(mc_trials)
     for i in range(scenario.n_users):
         totals += scenario.weights[i] * rates[:, i]
-    std_error = float(totals.std(ddof=1) / np.sqrt(mc_trials)) if mc_trials > 1 else 0.0
     means = _all_rate_gradients(scenario, terms).mean(axis=0)
     ascent = np.zeros(scenario.dim)
     for i in range(scenario.n_users):
         ascent += scenario.weights[i] * means[i]
-    return ObjectiveEstimate(value=float(totals.mean()), std_error=std_error, ascent=ascent)
+    return ObjectiveEstimate(value=float(totals.mean()), ascent=ascent)
 
 
 def weighted_gradient_estimate(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentSpec, build_run_config
-from .core import RunResult, run_ensemble, run_replicas, validate_assumptions
+from .core import RunResult, run_ensemble, run_replicas
 from .diagnostics import (
     MIN_CLT_REPLICAS,
     CltEstimate,
@@ -217,8 +217,3 @@ def run_clt_study(spec: ExperimentSpec) -> CltStudyResult:
     return CltStudyResult(
         spec=spec, estimate=estimate, summary_path=summary_path, summary=summary
     )
-
-
-def validation_report(spec: ExperimentSpec):
-    """Assumption report for a spec without running it."""
-    return validate_assumptions(build_run_config(spec))

@@ -1,0 +1,74 @@
+"""Reference forms the tests hold the library code to.
+
+The per-user power forms evaluate one receiver at a time, in the
+arithmetic the stacked all-receiver forms of ``gossip_sa.power`` must
+reproduce bit for bit.  The projection drift is the finite-step quantity
+whose small-step limit the constrained mean field is built on.  No run
+uses any of them, so they live with the tests.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gossip_sa.constraints import ConstraintSet
+from gossip_sa.power import PowerScenario
+
+
+def _user_index(scenario: PowerScenario, user: int) -> int:
+    if not 1 <= user <= scenario.n_users:
+        raise ValueError(f"user index must lie in [1, {scenario.n_users}], got {user}")
+    return user - 1
+
+
+def _receiver_terms(scenario, theta, gains, i):
+    """Per-channel signal and interference-plus-noise terms for receiver ``i``."""
+    p = scenario.power_matrix(theta)
+    incoming = gains[..., :, i, :]  # all transmitters toward receiver i
+    own_gain = incoming[..., i, :]
+    load = np.einsum("...jk,jk->...k", incoming, p)
+    signal = own_gain * p[i]
+    interference = load - signal
+    return incoming, own_gain, signal, scenario.noise_vars[i] + interference
+
+
+def rate(scenario: PowerScenario, theta, gains, user: int):
+    """Achievable rate of ``user`` (natural log) for given gains.
+
+    ``gains`` may carry leading batch axes, in which case an array of rates
+    is returned.
+    """
+    i = _user_index(scenario, user)
+    _, _, signal, floor = _receiver_terms(scenario, theta, gains, i)
+    value = np.log1p(signal / floor).sum(axis=-1)
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def rate_gradient(scenario: PowerScenario, theta, gains, user: int) -> np.ndarray:
+    """Gradient of ``user``'s rate with respect to the full stacked allocation.
+
+    The own-power components are ``gain / (floor + signal)`` per channel;
+    the cross components are nonpositive, reflecting that other users'
+    power only adds interference.  Supports leading batch axes on ``gains``.
+    """
+    i = _user_index(scenario, user)
+    incoming, own_gain, signal, floor = _receiver_terms(scenario, theta, gains, i)
+    total = floor + signal
+    cross_factor = (signal / (floor * total))[..., None, :]
+    grad = -incoming * cross_factor
+    grad[..., i, :] = own_gain / total
+    return grad.reshape(*gains.shape[:-3], scenario.dim)
+
+
+def projection_drift(cs: ConstraintSet, theta, y, gamma: float) -> np.ndarray:
+    """Finite-step drift ``(P(theta + gamma*y) - theta) / gamma``.
+
+    As ``gamma`` shrinks this tends to ``y`` at interior points; on a smooth
+    boundary with unit outward normal ``e`` it tends to
+    ``y - max(y.e, 0) e``, i.e. the outward component of ``y`` is removed.
+    """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    theta = np.asarray(theta, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return (cs.project(theta + gamma * y) - theta) / gamma

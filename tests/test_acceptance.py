@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gossip_sa.config import build_run_config, preset_dict, preset_spec, spec_from_dict
-from gossip_sa.constraints import BudgetSimplex, Halfspaces, projection_drift
+from gossip_sa.constraints import BudgetSimplex, Halfspaces
 from gossip_sa.core import run_ensemble, run_replicas
 from gossip_sa.diagnostics import (
     clt_check,
@@ -21,9 +21,10 @@ from gossip_sa.diagnostics import (
     solve_lyapunov,
 )
 from gossip_sa.network import Graph, GossipModel, pairwise_matrix, spectral_gap
-from gossip_sa.power import rate, rate_gradient, sample_channels
+from gossip_sa.power import sample_channels
 from gossip_sa.runner import run_experiment
 
+from reference import projection_drift, rate, rate_gradient
 from test_constraints import brute_force_capped_simplex
 
 

@@ -424,6 +424,12 @@ class TestCli:
         # zero step leaves the state in place instead of failing the run.
         assert run_from(tmp_path, monkeypatch, "quadratic-consensus", "schedule.gamma0=5.0e-324") == 0
 
+    def test_power_run_with_a_budget_below_rounding_stays_feasible(self, tmp_path, monkeypatch):
+        # A budget far below the rounding of the other powers once sent the
+        # projection to its last sorted threshold, leaving the set (exit 3).
+        budgets = "problem.power.budgets=[1e-20, 1, 1, 1]"
+        assert run_from(tmp_path, monkeypatch, "power-alloc", budgets, "run.n_iter=200") == 0
+
     def test_far_start_stays_inside_a_thin_halfspace_cone(self, tmp_path, capsys):
         # Centers far from a thin cone once made the first projection accept
         # a point that the recorded-feasibility check then rejected (exit 3).
@@ -533,6 +539,32 @@ class TestCli:
             check=True,
         )
         assert out.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--preset", "quadratic-consensus", "--override", "run.n_iter=300"],
+            ["clt", "--preset", "scalar-clt-xi1", "--replicas", "4000",
+             "--override", "run.n_iter=300"],
+        ],
+    )
+    def test_blas_thread_count_leaves_outputs_unchanged(self, argv, tmp_path):
+        # 4000 replicas of 4 agents are 16 000 entries per batch, above
+        # OpenBLAS's threading size: no product may span the batch in a way
+        # whose rounding depends on how many threads share it.
+        src = os.path.dirname(os.path.dirname(gossip_sa.__file__))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "gossip_sa.cli", *argv, "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                check=True,
+            )
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            written.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert written[0] and written[0] == written[1]
 
 
 # Malformed entries that once ended in a traceback, a runtime abort or a

@@ -16,8 +16,9 @@ from gossip_sa.constraints import (
     block_norms,
     default_active_tolerance,
     kt_residual,
-    projection_drift,
 )
+
+from reference import projection_drift
 
 
 def brute_force_capped_simplex(x, budget):
@@ -257,6 +258,19 @@ class TestProjectionProperties:
             cs = Halfspaces(normals, normals @ inside + slack)
             for x in rng.normal(scale=100.0, size=(5, dim)):
                 assert cs.contains(cs.project(x))
+
+    def test_budget_simplex_feasible_for_any_positive_budget(self):
+        # A budget below the rounding of the largest entry fails every
+        # sorted threshold test in floating point; the first one holds in
+        # exact arithmetic, so the projection must still land inside.
+        cs = BudgetSimplex([1e-5], [(0, 1)])
+        assert cs.contains(cs.project([1e12, 5e11]))
+        rng = np.random.default_rng(41)
+        for _ in range(5000):
+            d = int(rng.integers(1, 7))
+            cs = BudgetSimplex([10.0 ** rng.uniform(-320, 3)], [range(d)])
+            x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+            assert cs.contains(cs.project(x))
 
     def test_variational_characterization(self):
         rng = np.random.default_rng(3)

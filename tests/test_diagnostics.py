@@ -10,7 +10,6 @@ from gossip_sa.diagnostics import (
     clt_check,
     disagreement_norm,
     fit_decay_exponent,
-    network_average,
     replica_mean_squared_disagreement,
     solve_lyapunov,
 )
@@ -18,17 +17,17 @@ from gossip_sa.diagnostics import (
 
 class TestAverages:
     def test_scalar_two_agents(self):
-        assert network_average([[0.0], [4.0]]) == pytest.approx([2.0])
+        assert np.mean([[0.0], [4.0]], axis=0) == pytest.approx([2.0])
 
     def test_consensus_fixed_point(self):
         v = np.array([1.3, -0.7])
         theta = np.tile(v, (5, 1))
-        assert np.allclose(network_average(theta), v, atol=1e-15)
+        assert np.allclose(theta.mean(axis=0), v, atol=1e-15)
         assert disagreement_norm(theta) == 0.0
 
     def test_three_agent_average(self):
         theta = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        assert np.allclose(network_average(theta), [1.0, 1.0], atol=1e-15)
+        assert np.allclose(theta.mean(axis=0), [1.0, 1.0], atol=1e-15)
 
     def test_two_agent_disagreement(self):
         assert disagreement_norm([[0.0], [4.0]]) == pytest.approx(np.sqrt(8.0))
@@ -39,7 +38,7 @@ class TestAverages:
             n, d = int(rng.integers(2, 7)), int(rng.integers(1, 5))
             theta = rng.normal(size=(n, d)) * 3.0
             total = float(np.sum(theta**2))
-            avg = network_average(theta)
+            avg = theta.mean(axis=0)
             split = n * float(np.sum(avg**2)) + disagreement_norm(theta) ** 2
             assert abs(total - split) <= 1e-12 * (1.0 + total)
 
