@@ -326,8 +326,8 @@ def gossip_step(theta, w, out: np.ndarray | None = None) -> np.ndarray:
     A batch of ``(replicas, n_agents, dim)`` states is mixed by a
     ``(replicas, n_agents, n_agents)`` stack of matrices, one per replica.
     ``w`` is not checked here: the engine only passes matrices of its gossip
-    model, which are checked once, when the model builds them.  The result
-    is written to ``out`` when it is given.
+    model, which are doubly stochastic by construction.  The result is
+    written to ``out`` when it is given.
     """
     return np.matmul(w, theta, out=out)
 

@@ -546,12 +546,16 @@ class TestCli:
             ["run", "--preset", "quadratic-consensus", "--override", "run.n_iter=300"],
             ["clt", "--preset", "scalar-clt-xi1", "--replicas", "4000",
              "--override", "run.n_iter=300"],
+            ["run", "--preset", "power-alloc", "--replicas", "500",
+             "--override", "run.n_iter=20", "--override", "run.record_every=10",
+             "--override", "problem.power.mc_trials=1"],
         ],
     )
     def test_blas_thread_count_leaves_outputs_unchanged(self, argv, tmp_path):
-        # 4000 replicas of 4 agents are 16 000 entries per batch, above
-        # OpenBLAS's threading size: no product may span the batch in a way
-        # whose rounding depends on how many threads share it.
+        # 4000 scalar replicas of 4 agents, or 500 power replicas of 4 agents
+        # by 8 channels, are 16 000 entries per batch, above OpenBLAS's
+        # threading size: no product may span the batch in a way whose
+        # rounding depends on how many threads share it.
         src = os.path.dirname(os.path.dirname(gossip_sa.__file__))
         written = []
         for threads in ("1", "2"):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +273,20 @@ class TestProjectionProperties:
             x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
             assert cs.contains(cs.project(x))
 
+    def test_budget_simplex_within_rounding_of_the_exact_projection(self):
+        # Against the sorted-threshold rule in rational arithmetic: the
+        # forced first threshold, taken where rounding fails them all, still
+        # lands within a few roundings of the largest entry.
+        rng = np.random.default_rng(42)
+        for _ in range(2000):
+            d = int(rng.integers(1, 7))
+            budget = 10.0 ** rng.uniform(-320, 3)
+            x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+            got = BudgetSimplex([budget], [range(d)]).project(x)
+            want = exact_capped_simplex(x, budget)
+            scale = np.abs(x).max() + budget
+            assert np.abs(got - want).max() <= 4 * d * np.finfo(float).eps * scale
+
     def test_variational_characterization(self):
         rng = np.random.default_rng(3)
         for cs in random_sets(rng):
@@ -294,6 +309,20 @@ def reference_capped_simplex(x, budget):
     rho = idx[u > css / idx][-1]
     tau = css[rho - 1] / rho
     return np.maximum(x - tau, 0.0)
+
+
+def exact_capped_simplex(x, budget):
+    """The sort-threshold rule in rational arithmetic, rounded once at the end."""
+    x = [Fraction(float(v)) for v in x]
+    budget = Fraction(float(budget))
+    if sum(max(v, 0) for v in x) <= budget:
+        return np.array([float(max(v, 0)) for v in x])
+    css = 0
+    for k, v in enumerate(sorted(x, reverse=True), start=1):
+        css += v
+        if v > (css - budget) / k:
+            tau = (css - budget) / k
+    return np.array([float(max(v - tau, 0)) for v in x])
 
 
 def random_partition(rng, d):
@@ -327,6 +356,31 @@ class TestStackedProjection:
             assert np.array_equal(cs.project(x), expected.reshape(x.shape))
             for row, block in zip(expected, flat):
                 assert np.array_equal(cs.project(block), row)
+
+    def test_tight_budgets_project_stacks_like_single_blocks(self):
+        # Budgets far below the entries' rounding take the forced first
+        # threshold; on gathered groups and stacks of blocks, each block
+        # still lands inside, as it does when projected alone.
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            d = int(rng.integers(2, 11))
+            groups = random_partition(rng, d)
+            budgets = 10.0 ** rng.uniform(-320, 3, size=len(groups))
+            cs = BudgetSimplex(budgets=budgets, groups=groups)
+            x = rng.normal(size=(2, 3, d)) * 10.0 ** rng.uniform(-3, 3)
+            got = cs.project(x)
+            assert cs.contains(got.reshape(-1, d))
+            for row, block in zip(got.reshape(-1, d), x.reshape(-1, d)):
+                assert np.array_equal(cs.project(block), row)
+
+    def test_gather_tables_only_for_sets_that_gather(self):
+        assert BudgetSimplex.per_user(3, 2, [1.0, 2.0, 3.0])._by_size == []
+        cs = BudgetSimplex([1.0, 2.0, 3.0], [(0, 2), (1, 3, 4), (5, 6)])
+        assert cs._blocks is None
+        assert [(rows.tolist(), index.tolist()) for rows, index, _ in cs._by_size] == [
+            ([0, 2], [[0, 2], [5, 6]]),
+            ([1], [[1, 3, 4]]),
+        ]
 
     def test_budget_simplex_constraint_values_equal_per_block(self):
         rng = np.random.default_rng(31)

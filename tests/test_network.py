@@ -121,23 +121,22 @@ class TestSampleGossip:
 
     def test_every_matrix_is_exactly_doubly_stochastic(self):
         # The engine mixes with the alphabet unchecked: every matrix holds
-        # only 0, 1/2 and 1, so its row and column sums are exactly 1.  Each
-        # draw is one of those matrices, and the expectation is doubly
-        # stochastic up to the rounding of its Laplacian.
+        # only 0, 1/2 and 1, so its row and column sums are exactly 1.
         rng = np.random.default_rng(3)
         for _ in range(50):
-            model = random_model(rng)
-            alphabet = model._alphabet
-            for w in alphabet:
+            for w in random_model(rng)._alphabet:
                 assert np.isin(w, (0.0, 0.5, 1.0)).all()
                 assert (w.sum(axis=0) == 1.0).all() and (w.sum(axis=1) == 1.0).all()
-            for n in rng.integers(1, 50, size=4):
-                w = sample_gossip(model, int(n), rng)
-                assert any(w is a for a in alphabet)
-            expected = expected_mixing_matrix(model, 3)
-            assert expected.min() >= 0.0
-            assert np.abs(expected.sum(axis=0) - 1.0).max() <= 1e-12
-            assert np.abs(expected.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_all_samples_doubly_stochastic(self):
+        # Each draw is one of the model's alphabet matrices, so it is exactly
+        # doubly stochastic too.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            model = random_model(rng)
+            w = sample_gossip(model, int(rng.integers(1, 50)), rng)
+            assert any(w is a for a in model._alphabet)
+            assert (w.sum(axis=0) == 1.0).all() and (w.sum(axis=1) == 1.0).all()
 
     def test_returned_matrices_are_read_only(self):
         # Draws share the model's cached alphabet, so writes must fail loudly.
@@ -294,6 +293,15 @@ class TestSpectralGap:
                 exchanges += q * pairwise_matrix(i, j, graph.n_agents)
             enumerated = p * exchanges + (1.0 - p) * np.eye(graph.n_agents)
             assert np.abs(expected_mixing_matrix(model, n) - enumerated).max() <= 1e-15
+
+    def test_expected_matrix_is_doubly_stochastic(self):
+        # Doubly stochastic up to the rounding of its Laplacian.
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            expected = expected_mixing_matrix(random_model(rng), 3)
+            assert expected.min() >= 0.0
+            assert np.abs(expected.sum(axis=0) - 1.0).max() <= 1e-12
+            assert np.abs(expected.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestIsConnected:

@@ -264,6 +264,18 @@ class TestObjective:
             )
             assert est.value == 0.0
 
+    def test_doubling_trials_halves_squared_standard_error(self):
+        # The estimate is a mean of independent trials, so its variance over
+        # independent samples halves when the trials double.
+        scen = small_scenario()
+        rng = np.random.default_rng(15)
+        theta = random_feasible_point(scen, rng)
+        variances = [
+            np.var([estimate_objective(scen, theta, trials, rng).value for _ in range(2000)])
+            for trials in (50, 100)
+        ]
+        assert 0.4 <= variances[1] / variances[0] <= 0.6
+
     def test_weighted_gradient_estimate_is_ascent_direction(self):
         scen = small_scenario()
         rng = np.random.default_rng(16)
