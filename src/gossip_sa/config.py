@@ -227,6 +227,13 @@ def _unit_box(ctx: dict):
     return {"kind": "box"} if ctx["problem.kind"] == "constrained-toy" else None
 
 
+def _circle_centers(ctx: dict) -> list[list[float]]:
+    """Agents spread on the unit circle, in the first two coordinates."""
+    n_agents, dim = ctx["graph.n_agents"], ctx["problem.dim"]
+    angles = [2.0 * math.pi * i / n_agents for i in range(n_agents)]
+    return [([math.cos(a), math.sin(a)] + [0.0] * dim)[:dim] for a in angles]
+
+
 _FOUR_NODE_EDGES = [[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]]
 
 
@@ -244,7 +251,9 @@ class ProblemSpec:
     # power-alloc derives the dimension: every agent holds all users' powers.
     dim: int = _f(int, 2, "[1, inf)", kinds=_QUADRATIC, off=_power_dim)
     noise_sigma: float = _f(float, 0.1, "[0, inf)", kinds=_QUADRATIC, off=0.0)
-    centers: tuple | None = _f(float, shape=("graph.n_agents", "problem.dim"), kinds=_QUADRATIC)
+    centers: tuple | None = _f(
+        float, _circle_centers, shape=("graph.n_agents", "problem.dim"), kinds=_QUADRATIC
+    )
     constraint: dict | None = _f(_CONSTRAINT, _unit_box, kinds=_QUADRATIC)
 
 
@@ -364,59 +373,35 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 
 # --- Named presets -----------------------------------------------------
+# A preset names only what differs from the schema's defaults.
 
-def _circle_centers(n_agents: int, dim: int) -> list[list[float]]:
-    """Deterministic default centers: spread on the unit circle (first coords)."""
-    angles = [2.0 * math.pi * i / n_agents for i in range(n_agents)]
-    return [([math.cos(a), math.sin(a)] + [0.0] * dim)[:dim] for a in angles]
-
-
-def _preset(name, problem, seed, n_iter=10000, replicas=20, record_every=10, gamma0=0.5, xi=0.75):
-    """A named preset on the four-agent graph, with an exchange at every step."""
-    return name, {
-        "problem": problem,
-        "graph": {"n_agents": 4, "edges": copy.deepcopy(_FOUR_NODE_EDGES)},
-        "schedule": {"gamma0": gamma0, "xi": xi},
-        "laziness": {"c": 1.0, "eta": 0.0},
-        "run": {"n_iter": n_iter, "seed": seed, "replicas": replicas, "record_every": record_every},
-        "output": {"directory": f"out/{name}"},
-    }
-
-
-def _quadratic(dim, noise_sigma, centers, kind="quadratic-consensus", **constraint) -> dict:
-    return {"kind": kind, "dim": dim, "noise_sigma": noise_sigma, "centers": centers, **constraint}
-
-
-_POWER_PRESET = {
-    "n_channels": 2,
-    "weights": [0.3, 0.2, 0.3, 0.2],
-    "noise_vars": [0.1, 0.05, 0.02, 0.1],
-    "budgets": [1.0, 1.0, 1.0, 1.0],
-    "mc_trials": 1000,
-    "channel_distribution": "exponential",
-}
+_SCALAR = {"kind": "quadratic-consensus", "dim": 1, "noise_sigma": 1.0, "centers": [[0.0]] * 4}
 _CLT_RUN = {"n_iter": 100000, "replicas": 500, "record_every": 10000}
-_SCALAR = _quadratic(1, 1.0, [[0.0], [0.0], [0.0], [0.0]])
-_TOY_CENTERS = [[1.25, 0.25], [1.25, 0.75], [1.75, 0.25], [1.75, 0.75]]
-_UNIT_BOX = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+_XI1 = {"gamma0": 1.0, "xi": 1.0}
 
-_PRESETS: dict[str, dict] = dict(
-    [
-        _preset("quadratic-consensus", _quadratic(2, 0.1, _circle_centers(4, 2)), seed=7),
-        _preset(
-            "constrained-toy",
-            _quadratic(2, 0.1, _TOY_CENTERS, "constrained-toy", constraint=_UNIT_BOX),
-            seed=11,
-        ),
-        _preset("scalar-clt", _SCALAR, seed=21, **_CLT_RUN),
-        _preset("scalar-clt-xi1", _SCALAR, seed=22, gamma0=1.0, xi=1.0, **_CLT_RUN),
-        _preset(
-            "power-alloc",
-            {"kind": "power-alloc", "power": _POWER_PRESET},
-            seed=5, replicas=1, record_every=100, gamma0=1.0, xi=1.0,
-        ),
-    ]
-)
+_PRESETS: dict[str, dict] = {
+    "quadratic-consensus": {
+        "problem": {"kind": "quadratic-consensus"},
+        "run": {"seed": 7, "replicas": 20},
+    },
+    "constrained-toy": {
+        "problem": {
+            "kind": "constrained-toy",
+            "centers": [[1.25, 0.25], [1.25, 0.75], [1.75, 0.25], [1.75, 0.75]],
+        },
+        "run": {"seed": 11, "replicas": 20},
+    },
+    "scalar-clt": {"problem": _SCALAR, "run": {"seed": 21, **_CLT_RUN}},
+    "scalar-clt-xi1": {"problem": _SCALAR, "schedule": _XI1, "run": {"seed": 22, **_CLT_RUN}},
+    "power-alloc": {
+        "problem": {
+            "kind": "power-alloc",
+            "power": {"weights": [0.3, 0.2, 0.3, 0.2], "noise_vars": [0.1, 0.05, 0.02, 0.1]},
+        },
+        "schedule": _XI1,
+        "run": {"seed": 5, "record_every": 100},
+    },
+}
 
 
 def preset_names() -> tuple[str, ...]:
@@ -424,10 +409,11 @@ def preset_names() -> tuple[str, ...]:
 
 
 def preset_dict(name: str) -> dict:
-    """Deep copy of the named preset's config mapping."""
+    """The named preset, resolved through the schema to every key that applies."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    return copy.deepcopy(_PRESETS[name])
+    data = {**_PRESETS[name], "output": {"directory": f"out/{name}"}}
+    return spec_from_dict(data).to_config_dict()
 
 
 def preset_spec(name: str) -> ExperimentSpec:
@@ -458,7 +444,7 @@ def _build_constraint(raw: dict | None, dim: int) -> ConstraintSet:
 
 def _build_quadratic(spec: ExperimentSpec):
     dim, n_agents, sigma = spec.problem.dim, spec.graph.n_agents, spec.problem.noise_sigma
-    centers = np.asarray(spec.problem.centers or _circle_centers(n_agents, dim), dtype=float)
+    centers = np.asarray(spec.problem.centers, dtype=float)
     with _naming("problem.constraint"):
         constraint = _build_constraint(spec.problem.constraint, dim)
         low, high = -1.0, 1.0
@@ -513,8 +499,7 @@ def _build_power(spec: ExperimentSpec):
     power = dict(spec.problem.power)
     mc_trials = power.pop("mc_trials")
     scenario = PowerScenario(n_users=spec.graph.n_agents, **power)
-    problem = build_power_problem(scenario, mc_trials=mc_trials)
-    return problem, random_feasible_start(scenario, spec.graph.n_agents)
+    return build_power_problem(scenario, mc_trials), random_feasible_start(scenario)
 
 
 def build_run_config(spec: ExperimentSpec) -> RunConfig:

@@ -14,6 +14,8 @@ import numpy as np
 
 #: Relative rounding bound on the emptiness test of a halfspace system.
 EMPTINESS_TOL = 1e-12
+#: Ratio of a group's largest entry to its budget past which projection can cancel.
+CANCELLATION_RATIO = 2.0**10
 
 
 def block_norms(x) -> np.ndarray:
@@ -129,7 +131,9 @@ def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     2008); ``rho`` is the last sorted index whose threshold condition holds.
     Index 0 always holds in exact arithmetic (``u_0 - (u_0 - b) = b > 0``),
     so it is forced where rounding fails it, as when a budget is below the
-    rounding of the largest entry.
+    rounding of the largest entry.  Where an entry dwarfs the budget, ``x - tau``
+    cancels and can overshoot the budget by half an ulp of that entry; such
+    rows, and only they, are scaled back onto the budget.
     """
     # Array methods rather than the ``np.`` wrappers: the same kernels,
     # without a Python call each on a path taken at every projection.
@@ -142,7 +146,8 @@ def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     u.sort(axis=-1)
     u = u[:, ::-1]
     css = u.cumsum(axis=-1)
-    css -= budgets[tight[-1], None]
+    bt = budgets[tight[-1]]
+    css -= bt[:, None]
     size = x.shape[-1]
     # The threshold ``css[rho] / (rho + 1)`` is the entry of ``ratio`` at rho.
     ratio = css / np.arange(1, size + 1)
@@ -151,7 +156,13 @@ def _project_capped_simplex(x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     last = size - 1 - holds[:, ::-1].argmax(axis=-1)
     # ``xt`` is a copy (advanced indexing), so it is shifted and clipped in place.
     xt -= ratio[np.arange(last.size), last, None]
-    y[tight] = np.maximum(xt, 0.0, out=xt)
+    np.maximum(xt, 0.0, out=xt)
+    cancels = u[:, 0] / CANCELLATION_RATIO > bt
+    if np.count_nonzero(cancels):
+        sums = xt.sum(axis=-1)
+        over = cancels & (sums - bt > (size * np.finfo(float).eps) * bt)
+        xt[over] *= (bt[over] / sums[over])[:, None]
+    y[tight] = xt
     return y
 
 

@@ -381,10 +381,11 @@ def _check_recorded_feasibility(theta, constraint, n) -> None:
         )
 
 
-def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
+def run(config: RunConfig, replicas=None) -> list[RunResult]:
     """Execute the given replicas of ``config`` as one batch.
 
-    Returns one result per entry of ``replicas``, in order.  The batch state
+    Returns one result per entry of ``replicas``, in order; by default the
+    replicas are ``range(config.replicas)``.  The batch state
     is a ``(replicas, n_agents, dim)`` array, and each replica draws from its
     own ``(seed, replica)`` streams exactly the numbers a solo run draws, so
     replica ``r`` of any batch equals ``run(config, [r])[0]`` bit for bit,
@@ -406,7 +407,7 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
     there: its ``replica`` attribute and message give that replica's
     number, and it carries the iteration and that replica's records.
     """
-    replicas = [int(r) for r in replicas]
+    replicas = [int(r) for r in (range(config.replicas) if replicas is None else replicas)]
     if not replicas or min(replicas) < 0:
         raise ValueError("replicas must be a nonempty sequence of nonnegative integers")
     theta0 = _initial_batch(config, replicas)
@@ -445,11 +446,6 @@ def run(config: RunConfig, replicas=(0,)) -> list[RunResult]:
         )
         for r, replica in enumerate(replicas)
     ]
-
-
-def run_replicas(config: RunConfig) -> list[RunResult]:
-    """Execute all ``config.replicas`` replicas as one batch."""
-    return run(config, range(config.replicas))
 
 
 def run_ensemble(config: RunConfig) -> np.ndarray:
@@ -564,7 +560,7 @@ def validate_assumptions(config: RunConfig) -> AssumptionReport:
         ),
     ]
     connected = is_connected(config.gossip.graph)
-    rho = spectral_gap(config.gossip, 1)
+    rho = spectral_gap(config.gossip)
     checks.append(
         AssumptionCheck(
             "connectivity",

@@ -19,6 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Fewest replicas a fluctuation study may use.
 MIN_CLT_REPLICAS = 100
+#: Farthest a replica's final network average may end from the limit point.
+CLT_RADIUS = 0.5
 
 
 class InsufficientReplicasError(RuntimeError):
@@ -64,11 +66,11 @@ def replica_mean_squared_disagreement(traces) -> tuple[np.ndarray, np.ndarray]:
     return ns, np.asarray(rows, dtype=float).mean(axis=0)
 
 
-def fit_decay_exponent(ns, values, tail_fraction: float = 0.5) -> float:
+def fit_decay_exponent(ns, values) -> float:
     """Estimated exponent ``b`` of a power-law tail ``values ~ n**-b``.
 
     Fits a least-squares line to ``log(values)`` against ``log(ns)`` over the
-    trailing ``tail_fraction`` of the sequence and returns the negated slope.
+    trailing half of the sequence and returns the negated slope.
     Returns ``nan`` when the tail contains no positive values (degenerate
     trace); requires at least 50 positive tail points otherwise.
     """
@@ -76,9 +78,7 @@ def fit_decay_exponent(ns, values, tail_fraction: float = 0.5) -> float:
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape or ns.ndim != 1:
         raise ValueError("ns and values must be 1-d arrays of equal length")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    start = int(round(ns.size * (1.0 - tail_fraction)))
+    start = int(round(ns.size * 0.5))
     tail_n = ns[start:]
     tail_v = values[start:]
     positive = tail_v > 0.0
@@ -185,19 +185,15 @@ class CltEstimate:
 
 
 def clt_check(
-    final_states,
-    clt_spec: CltSpec,
-    schedule: "StepSchedule",
-    n_tail: int,
-    radius: float = 0.5,
+    final_states, clt_spec: CltSpec, schedule: "StepSchedule", n_tail: int
 ) -> CltEstimate:
     """Compare replica fluctuations at iteration ``n_tail`` with the predicted law.
 
     ``final_states`` holds one ``(n_agents, dim)`` state per replica, taken
     at iteration ``n_tail``.  Replicas whose network average ended farther
-    than ``radius`` from the limit point are dropped: they stand in for the
-    trajectories that converged elsewhere, which the asymptotic statement
-    conditions away.  The surviving averages are scaled by
+    than :data:`CLT_RADIUS` from the limit point are dropped: they stand in
+    for the trajectories that converged elsewhere, which the asymptotic
+    statement conditions away.  The surviving averages are scaled by
     ``gamma(n_tail)**-1/2`` and their second moment about zero is compared,
     in relative Frobenius distance, with the Lyapunov-equation covariance
     (shift ``zeta = 0`` for step exponents below one, ``1/(2 gamma0)`` at
@@ -216,16 +212,14 @@ def clt_check(
     d = clt_spec.dim
     if finals.shape[2] != d:
         raise ValueError("state dimension does not match the limit-point dimension")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
 
     averages = finals.mean(axis=1)
     deviations = averages - clt_spec.theta_star
-    keep = np.linalg.norm(deviations, axis=1) <= radius
+    keep = np.linalg.norm(deviations, axis=1) <= CLT_RADIUS
     n_used = int(keep.sum())
     if n_used < 30:
         raise InsufficientReplicasError(
-            f"only {n_used} of {n_replicas} replicas ended within {radius} "
+            f"only {n_used} of {n_replicas} replicas ended within {CLT_RADIUS} "
             "of the limit point"
         )
 

@@ -203,8 +203,8 @@ def expected_mixing_matrix(model: GossipModel, n: int) -> np.ndarray:
     return np.eye(n_agents) - 0.5 * model.activation_probability(n) * laplacian
 
 
-def spectral_gap(model: GossipModel, n: int = 1) -> float:
-    """Spectral radius of ``E[W W^T] - 11^T/N`` at step ``n``.
+def spectral_gap(model: GossipModel) -> float:
+    """Spectral radius of ``E[W W^T] - 11^T/N`` at the first step.
 
     Pairwise exchange matrices are symmetric idempotent, so
     ``E[W W^T] = E[W]``, which :func:`expected_mixing_matrix` gives in
@@ -212,17 +212,16 @@ def spectral_gap(model: GossipModel, n: int = 1) -> float:
     contracts the disagreement between agents.
     """
     n_agents = model.graph.n_agents
-    m = expected_mixing_matrix(model, n) - np.full((n_agents, n_agents), 1.0 / n_agents)
+    m = expected_mixing_matrix(model, 1) - np.full((n_agents, n_agents), 1.0 / n_agents)
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
 def is_connected(graph: Graph) -> bool:
-    """True when the positively weighted edges connect all agents."""
+    """True when the edges connect all agents (every edge has a positive probability)."""
     adjacency: dict[int, set[int]] = {v: set() for v in range(1, graph.n_agents + 1)}
-    for (i, j), q in zip(graph.edges, graph.pair_probs):
-        if q > 0.0:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+    for i, j in graph.edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
     seen = {1}
     stack = [1]
     while stack:

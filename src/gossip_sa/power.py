@@ -208,7 +208,7 @@ def weighted_gradient_estimate(
     return estimate_objective(scenario, theta, mc_trials, rng).ascent
 
 
-def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Problem:
+def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
     """Wrap a scenario as an engine problem.
 
     The stationarity residual and the objective of a trace record are
@@ -245,10 +245,8 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int = 1000) -> Probl
     )
 
 
-def random_feasible_start(
-    scenario: PowerScenario, n_agents: int
-) -> Callable[[np.random.Generator], np.ndarray]:
-    """Sampler of stacked initial blocks, uniform on per-channel capped boxes.
+def random_feasible_start(scenario: PowerScenario) -> Callable[[np.random.Generator], np.ndarray]:
+    """Sampler of stacked initial blocks, one per user, uniform on per-channel capped boxes.
 
     Each coordinate of user ``j`` is drawn from ``[0, budget_j / K]``, which
     keeps every user block inside its budget; projection is applied anyway
@@ -258,7 +256,7 @@ def random_feasible_start(
     feasible = scenario.feasible_set()
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        blocks = rng.uniform(0.0, caps, size=(n_agents, scenario.dim))
+        blocks = rng.uniform(0.0, caps, size=(scenario.n_users, scenario.dim))
         return feasible.project(blocks)
 
     return sampler

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .config import ConfigError, ExperimentSpec, build_run_config
-from .core import RunResult, run_ensemble, run_replicas
+from .core import RunResult, run_ensemble
 from .diagnostics import (
     MIN_CLT_REPLICAS,
     CltEstimate,
@@ -126,7 +127,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """
     config = build_run_config(spec)
     out = _output_directory(spec)
-    results = run_replicas(config)
+    # Through the module, so that a wrapper set on ``core.run`` sees the call.
+    results = core.run(config)
     paths = []
     for res in results:
         path = trace_path(out, res.replica)

@@ -13,7 +13,7 @@ import pytest
 
 from gossip_sa.config import build_run_config, preset_dict, preset_spec, spec_from_dict
 from gossip_sa.constraints import BudgetSimplex, Halfspaces
-from gossip_sa.core import run_ensemble, run_replicas
+from gossip_sa.core import run, run_ensemble
 from gossip_sa.diagnostics import (
     clt_check,
     fit_decay_exponent,
@@ -65,7 +65,7 @@ def test_02_agreement_and_convergence():
         spec = preset_spec("quadratic-consensus")
         assert spec.run.n_iter == 10**4 and spec.run.replicas == 20
         assert spec.schedule.gamma0 == 0.5 and spec.schedule.xi == 0.75
-        results = run_replicas(build_run_config(spec))
+        results = run(build_run_config(spec))
 
         center_mean = np.asarray(spec.problem.centers, dtype=float).mean(axis=0)
         initial = np.median([res.initial_disagreement for res in results])
@@ -152,7 +152,7 @@ def test_06_constrained_convergence():
     with criterion(6, "constrained-convergence", budget_seconds=60.0):
         spec = preset_spec("constrained-toy")
         assert spec.run.n_iter == 10**4 and spec.run.replicas == 20
-        results = run_replicas(build_run_config(spec))
+        results = run(build_run_config(spec))
         # the aggregate quadratic is centered outside the box; its constrained
         # optimum is the box projection of the center mean
         center_mean = np.asarray(spec.problem.centers, dtype=float).mean(axis=0)
@@ -218,7 +218,7 @@ def test_08_power_scenario_trends():
         config = build_run_config(spec)
         # the engine re-checks feasibility of every block at every recorded
         # iteration and aborts on violation, so completing is the feasibility check
-        result = run_replicas(config)[0]
+        result = run(config)[0]
         feasible = config.problem.constraint
         for block in result.final_state:
             assert feasible.contains(block)

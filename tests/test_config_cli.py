@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gossip_sa
+from gossip_sa import config
 from gossip_sa.cli import main
 from gossip_sa.config import (
     PROBLEM_KINDS,
@@ -115,6 +117,44 @@ class TestPresets:
         spec = parse_config("preset: quadratic-consensus\nrun:\n  seed: 123\n")
         assert spec.run.seed == 123
         assert spec.schedule.gamma0 == 0.5  # preset value survives
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_every_preset_leaf_differs_from_the_schema(self, name):
+        # A preset restates no default: dropping any one of its values
+        # changes the resolved spec, or leaves a required key unset.
+        preset = config._PRESETS[name]
+        full = spec_from_dict(preset)
+
+        def leaves(node, path=()):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, (*path, key))
+                else:
+                    yield (*path, key)
+
+        paths = list(leaves(preset))
+        assert paths
+        for path in paths:
+            trimmed = copy.deepcopy(preset)
+            node = trimmed
+            for key in path[:-1]:
+                node = node[key]
+            del node[path[-1]]
+            try:
+                resolved = spec_from_dict(trimmed)
+            except ConfigError:
+                continue  # such as a missing problem.kind
+            assert resolved != full, path
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_dict_is_resolved(self, name):
+        # The mapping holds every key that applies, so resolving and
+        # rendering it again gives it back, and it resolves to the preset.
+        data = preset_dict(name)
+        assert spec_from_dict(data).to_config_dict() == data
+        assert spec_from_dict(data) == preset_spec(name)
+        assert data["output"]["directory"] == f"out/{name}"
+        assert data["run"]["override_checks"] is False
 
     def test_all_presets_buildable(self):
         for name in preset_names():
@@ -268,9 +308,9 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, argv, name
     ):
         # The output directory is made before any engine work, so no engine runs.
-        for engine in ("run_replicas", "run_ensemble"):
+        for engine in ("core.run", "runner.run_ensemble"):
             fail = lambda config, engine=engine: pytest.fail(f"{engine} ran")  # noqa: E731
-            monkeypatch.setattr(f"gossip_sa.runner.{engine}", fail)
+            monkeypatch.setattr(f"gossip_sa.{engine}", fail)
         (tmp_path / "file").write_text("")
         paths = {"file": tmp_path / "file", "missing": tmp_path / "missing"}
         assert main([arg.format(**paths) for arg in argv]) == 2

@@ -273,6 +273,20 @@ class TestProjectionProperties:
             x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
             assert cs.contains(cs.project(x))
 
+    def test_budget_simplex_feasible_far_above_the_budget(self):
+        # Where an entry dwarfs its budget, shifting it onto the budget face
+        # cancels, and the sum could exceed the budget by half an ulp of that
+        # entry; on single groups, partitions and stacks the result is inside.
+        cs = BudgetSimplex([0.1], [(0,)])
+        assert cs.contains(cs.project([1e11]))
+        rng = np.random.default_rng(43)
+        for trial in range(5000):
+            d = int(rng.integers(1, 9))
+            groups = [tuple(range(d))] if trial % 2 else random_partition(rng, d)
+            cs = BudgetSimplex(10.0 ** rng.uniform(-3, 3, size=len(groups)), groups)
+            x = rng.normal(size=(2, d)) * 10.0 ** rng.uniform(-3, 12, size=(2, d))
+            assert cs.first_infeasible(cs.project(x)) is None
+
     def test_budget_simplex_within_rounding_of_the_exact_projection(self):
         # Against the sorted-threshold rule in rational arithmetic: the
         # forced first threshold, taken where rounding fails them all, still

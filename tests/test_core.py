@@ -24,7 +24,6 @@ from gossip_sa.core import (
     local_step,
     run,
     run_ensemble,
-    run_replicas,
     validate_assumptions,
 )
 from gossip_sa.diagnostics import CltSpec, TraceRecord, disagreement_norm
@@ -287,7 +286,7 @@ class TestRun:
             replicas=3,
             initial_state=lambda rng: rng.uniform(-1, 1, size=(2, 1)),
         )
-        results = run_replicas(config)
+        results = run(config)
         assert len(results) == 3
         assert not np.array_equal(results[0].final_state, results[1].final_state)
         (again,) = run(config, [1])
@@ -381,12 +380,20 @@ class TestBatch:
         for r in range(3):
             assert_same_result(batch[r], run(config, [r])[0])
 
+    def test_runs_every_replica_of_the_config_by_default(self):
+        config = preset_config("quadratic-consensus", "run.n_iter=100", "run.replicas=3")
+        default = run(config)
+        explicit = run(config, range(config.replicas))
+        assert [res.replica for res in default] == [0, 1, 2]
+        for got, want in zip(default, explicit):
+            assert_same_result(got, want)
+
     def test_any_replica_selection_in_any_order(self):
         config = preset_config("quadratic-consensus", "run.n_iter=100")
         picked = run(config, [5, 2])
         assert [res.replica for res in picked] == [5, 2]
         assert_same_result(picked[0], run(config, [5])[0])
-        assert_same_result(picked[1], run_replicas(config)[2])
+        assert_same_result(picked[1], run(config)[2])
 
     def test_one_oracle_call_per_iteration_on_the_whole_batch(self):
         # Each call gets the (replicas, n_agents, dim) batch and the
@@ -453,9 +460,9 @@ class TestBatch:
             if (iteration, position) == (4, 2):
                 y[2, 0] = np.nan
 
-        clean = run_replicas(self.counting_config(lambda *args: None))
+        clean = run(self.counting_config(lambda *args: None))
         with pytest.raises(NonFiniteObservationError) as info:
-            run_replicas(self.counting_config(spoil))
+            run(self.counting_config(spoil))
         err = info.value
         assert (err.agent, err.replica, err.iteration) == (3, 2, 4)
         assert "non-finite observation for agent 3 in replica 2" in str(err)
@@ -471,7 +478,7 @@ class TestBatch:
                 y[:] = 1e13
 
         with pytest.raises(DivergenceError) as info:
-            run_replicas(self.counting_config(spoil))
+            run(self.counting_config(spoil))
         err = info.value
         assert (err.replica, err.iteration) == (1, 3)
         assert str(err) == "stacked state norm exceeded 1e+12 at iteration 3 in replica 1"
@@ -706,9 +713,10 @@ class TestRunEnsemble:
             replicas=3,
         )
         finals = run_ensemble(config)
-        (sequential,) = run(config)
-        for r in range(3):
-            assert np.array_equal(finals[r], sequential.final_state)
+        sequential = run(config)
+        assert [res.replica for res in sequential] == [0, 1, 2]
+        for r, result in enumerate(sequential):
+            assert np.array_equal(finals[r], result.final_state)
 
     def test_statistics_match_sequential(self):
         centers = np.zeros((2, 1))

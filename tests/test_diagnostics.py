@@ -73,7 +73,7 @@ class TestFitDecayExponent:
         ns = np.arange(1, 1001, dtype=float)
         values = ns**-2.0
         values[:200] = 1.0
-        assert abs(fit_decay_exponent(ns, values, tail_fraction=0.5) - 2.0) <= 0.01
+        assert abs(fit_decay_exponent(ns, values) - 2.0) <= 0.01
 
 
 class TestReplicaAveraging:
@@ -195,7 +195,7 @@ class TestCltCheck:
         spec = CltSpec(np.zeros(1), -np.eye(1), np.eye(1))
         finals = np.full((200, 4, 1), 5.0)  # everyone far from the limit point
         with pytest.raises(InsufficientReplicasError):
-            clt_check(finals, spec, schedule, 100, radius=0.5)
+            clt_check(finals, spec, schedule, 100)
 
     def test_filter_keeps_near_replicas_only(self):
         schedule = StepSchedule(gamma0=0.5, xi=0.75)

@@ -179,6 +179,24 @@ class TestSampleGossip:
                 assert sample_gossip(model, 1, scripted) is model._alphabet[k + 1]
                 assert not scripted.draws
 
+    def test_each_interval_picks_its_edge(self):
+        # Edge k owns [cum[k-1], cum[k]), from 0 for the first edge and up to
+        # 1 for the last.  Both rules send the interval's lower end, the float
+        # above it and the float below its upper end to edge k; the upper end
+        # itself is the next interval's lower end.
+        rng = np.random.default_rng(10)
+        models = [random_model(rng) for _ in range(50)]
+        models.append(GossipModel(Graph.from_edges(2, [(1, 2)])))
+        for model in models:
+            inner = model._edge_table[2][:-1]
+            for k, (lo, hi) in enumerate(zip(np.r_[0.0, inner], np.r_[inner, 1.0])):
+                draws = np.array([lo, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)])
+                assert lo < draws[1] <= draws[2] < hi
+                assert (model.pick_edges(draws) == k).all()
+                for u in draws:
+                    scripted = ScriptedRng([0.0, float(u)])
+                    assert sample_gossip(model, 1, scripted) is model._alphabet[k + 1]
+
     def test_pick_edges_matches_searchsorted(self):
         # Threshold counting picks the capped searchsorted index for random
         # draws, every cum entry and its float neighbours, on graphs of 1 to

@@ -372,7 +372,7 @@ class TestScenario:
 
     def test_random_start_is_feasible(self):
         scen = preset_scenario()
-        sampler = random_feasible_start(scen, 4)
+        sampler = random_feasible_start(scen)
         feas = scen.feasible_set()
         blocks = sampler(np.random.default_rng(19))
         assert blocks.shape == (4, 8)
@@ -384,7 +384,7 @@ class TestScenario:
         problem = build_power_problem(scen, mc_trials=50)
         assert problem.dim == 8 and problem.n_agents == 4
         rng = np.random.default_rng(20)
-        blocks = random_feasible_start(scen, 4)(rng)
+        blocks = random_feasible_start(scen)(rng)
         obs = problem.oracle(blocks[None], [rng])
         assert obs.shape == (1, 4, 8)
         avg = blocks.mean(axis=0)
@@ -397,7 +397,7 @@ class TestScenario:
         scen = preset_scenario()
         problem = build_power_problem(scen, mc_trials=50)
         rng = np.random.default_rng(21)
-        theta = np.stack([random_feasible_start(scen, 4)(rng) for _ in range(3)])
+        theta = np.stack([random_feasible_start(scen)(rng) for _ in range(3)])
         seeds = (5, 6, 7)
         obs = problem.oracle(theta, [np.random.default_rng(s) for s in seeds])
         assert obs.shape == theta.shape
