@@ -351,7 +351,9 @@ def _make_record(n, gamma, theta, problem, diag_rngs) -> list[TraceRecord]:
 
     Each reduction over the batch keeps the bits of the one on a single
     replica.  One ``problem.evaluate`` call gets the stacked averages and
-    ``diag_rngs``, one generator per replica, and gives both columns.
+    ``diag_rngs``, one generator per replica, and gives both columns.  Each
+    column becomes Python floats by one ``tolist``, the bits of ``float``
+    on each entry.
     """
     averages = theta.mean(axis=1)
     disagreements = block_norms((theta - averages[:, None]).reshape(len(theta), -1))
@@ -359,8 +361,13 @@ def _make_record(n, gamma, theta, problem, diag_rngs) -> list[TraceRecord]:
         residuals = objectives = [float("nan")] * len(theta)
     else:
         residuals, objectives = problem.evaluate(averages, diag_rngs)
-    rows = zip(disagreements, averages, residuals, objectives)
-    return [TraceRecord(n, gamma, float(d), a, float(res), float(obj)) for d, a, res, obj in rows]
+    rows = zip(
+        disagreements.tolist(),
+        averages,
+        np.asarray(residuals, dtype=float).tolist(),
+        np.asarray(objectives, dtype=float).tolist(),
+    )
+    return [TraceRecord(n, gamma, *row) for row in rows]
 
 
 def _check_recorded_feasibility(theta, constraint, n) -> None:
@@ -393,7 +400,8 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     from that replica's generator alone, as the default one does with an
     elementwise ``problem.gradient``.
     Each iteration makes one ``problem.oracle(theta, rngs)`` call, draws
-    each replica's mixing matrix (independently of its observation), takes
+    each replica's mixing matrix (independently of its observation) at the
+    iteration's one exchange probability, takes
     the projected local step with the step size of iteration ``n`` and
     mixes, ignoring floating-point overflow, which the divergence guard
     reports.  Every ``record_every`` iterations and at the last, once every
@@ -424,8 +432,9 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
             gamma = schedule.gamma(n)
             # Each replica's stream draws its observation, then its mixing matrix.
             y = problem.oracle(theta, rngs)
+            p = gossip.activation_probability(n)
             for mix, g in slots:
-                mix[...] = sample_gossip(gossip, n, g)
+                mix[...] = sample_gossip(gossip, p, g)
             with np.errstate(over="ignore", invalid="ignore"):
                 gossip_step(local_step(theta, y, gamma, problem.constraint), w, out=theta)
             _check_divergence(theta, n)

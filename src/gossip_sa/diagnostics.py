@@ -57,13 +57,13 @@ def replica_mean_squared_disagreement(traces) -> tuple[np.ndarray, np.ndarray]:
     """
     if not traces:
         raise ValueError("need at least one trace")
-    ns = np.array([rec.n for rec in traces[0]], dtype=float)
+    schedule = [rec.n for rec in traces[0]]
     rows = []
     for trace in traces:
-        if len(trace) != ns.size or any(rec.n != int(m) for rec, m in zip(trace, ns)):
+        if [rec.n for rec in trace] != schedule:
             raise ValueError("traces were recorded on different schedules")
         rows.append([rec.disagreement ** 2 for rec in trace])
-    return ns, np.asarray(rows, dtype=float).mean(axis=0)
+    return np.array(schedule, dtype=float), np.asarray(rows, dtype=float).mean(axis=0)
 
 
 def fit_decay_exponent(ns, values) -> float:

@@ -174,13 +174,14 @@ class GossipModel:
         return matrices
 
 
-def sample_gossip(model: GossipModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the mixing matrix for step ``n`` from ``model``.
+def sample_gossip(model: GossipModel, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw one mixing matrix from ``model`` at exchange probability ``p``.
 
-    Given the same seeded stream and call order, the sequence of draws is
-    fully reproducible.  The returned matrix is shared and read-only.
+    ``p`` is ``model.activation_probability(n)`` for the step ``n`` drawn
+    for; the engine computes it once per step for all its replicas.  Given
+    the same seeded stream and call order, the sequence of draws is fully
+    reproducible.  The returned matrix is shared and read-only.
     """
-    p = model.activation_probability(n)
     if rng.random() >= p:
         return model._alphabet[0]
     return model._alphabet[bisect.bisect_right(model._edge_cdf, rng.random()) + 1]

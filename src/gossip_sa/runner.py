@@ -2,9 +2,11 @@
 
 Traces are CSV with one row per recorded iteration and the column layout
 ``n,gamma,disagreement,residual,objective,avg_1..avg_d``.  Floats are
-written with 17 significant digits so the files round-trip bit-exactly,
-and nothing time- or host-dependent is emitted: rerunning a config with
-the same seed reproduces the files byte for byte.
+written with 17 significant digits so the files round-trip bit-exactly;
+each row is one ``"%d" + ",%.17g" * (4 + d)`` format, the same bytes as
+``format(v, ".17g")`` field by field.  Nothing time- or host-dependent is
+emitted: rerunning a config with the same seed reproduces the files byte
+for byte.
 """
 
 from __future__ import annotations
@@ -39,19 +41,13 @@ def write_trace(path: Path, records, dim: int) -> None:
     header = "n,gamma,disagreement,residual,objective," + ",".join(
         f"avg_{k + 1}" for k in range(dim)
     )
+    row = "%d" + ",%.17g" * (4 + dim)
     lines = [header]
     for rec in records:
         if rec.average.size != dim:
             raise ValueError("record dimension does not match the trace layout")
-        fields = [
-            str(rec.n),
-            _fmt(rec.gamma),
-            _fmt(rec.disagreement),
-            _fmt(rec.residual),
-            _fmt(rec.objective),
-            *(_fmt(v) for v in rec.average),
-        ]
-        lines.append(",".join(fields))
+        values = (rec.n, rec.gamma, rec.disagreement, rec.residual, rec.objective)
+        lines.append(row % (*values, *rec.average.tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -23,7 +23,8 @@ from gossip_sa.config import (
     preset_spec,
     spec_from_dict,
 )
-from gossip_sa.runner import read_trace, run_experiment
+from gossip_sa.diagnostics import TraceRecord
+from gossip_sa.runner import read_trace, run_experiment, write_trace
 
 MINIMAL = """
 problem:
@@ -217,6 +218,43 @@ class TestRunExperiment:
         recs = result.results[0].records
         assert values[0, 2] == recs[0].disagreement
         assert values[-1, 5] == recs[-1].average[0]
+
+    def test_trace_row_is_the_per_field_format(self, tmp_path):
+        # One "%d" + ",%.17g" * k format per row writes the bytes of str(n)
+        # and format(float(v), ".17g") joined field by field, on the edge
+        # cases of float formatting and with numpy float64 averages.
+        special = [
+            float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+            1.7976931348623157e308, 1e16, 2.0**53 + 2,
+        ]
+        norms = [v for v in special if not v < 0.0]
+        records = [
+            TraceRecord(
+                n=10 * (k + 1),
+                gamma=special[k],
+                disagreement=norms[k % len(norms)],
+                average=np.roll(np.array(special, dtype=np.float64), k)[:3],
+                residual=norms[(k + 1) % len(norms)],
+                objective=special[k - 1],
+            )
+            for k in range(len(special))
+        ]
+        path = tmp_path / "trace.csv"
+        write_trace(path, records, 3)
+        expected = [
+            ",".join(
+                [str(rec.n)]
+                + [
+                    format(float(v), ".17g")
+                    for v in (rec.gamma, rec.disagreement, rec.residual, rec.objective)
+                ]
+                + [format(float(v), ".17g") for v in rec.average]
+            )
+            for rec in records
+        ]
+        assert path.read_text().splitlines()[1:] == expected
+        with pytest.raises(ValueError, match="dimension"):
+            write_trace(tmp_path / "bad.csv", records, 2)
 
     @pytest.mark.parametrize(
         "preset", ["quadratic-consensus", "constrained-toy", "power-alloc", "scalar-clt"]

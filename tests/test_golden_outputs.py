@@ -47,6 +47,13 @@ LAZY_CLT = (
     "dbdf389a08d4d2f01b0f83cac71fae4479e91f5c7108acfdd8d4f45eacf12afe",
 )
 
+#: The same exchange probability on the sequential ``run`` path, where each
+#: replica's mixing draw is lazy with probability ``1 - p``.
+LAZY_RUN = (
+    (N_ITER, "laziness.c=0.7", "laziness.eta=0.1"),
+    "55797fbff10f4634b7c80fa3ae7da03ac6ca8ea3cb9c1bba7516dd537bcaf582",
+)
+
 
 def digest(out) -> str:
     h = hashlib.sha256()
@@ -73,3 +80,8 @@ def test_preset_outputs_match_golden_digest(tmp_path, capsys, command, preset):
 def test_lazy_clt_outputs_match_golden_digest(tmp_path, capsys):
     overrides, expected = LAZY_CLT
     assert run_digest(tmp_path, "clt", "scalar-clt", overrides) == expected
+
+
+def test_lazy_run_outputs_match_golden_digest(tmp_path, capsys):
+    overrides, expected = LAZY_RUN
+    assert run_digest(tmp_path, "run", "quadratic-consensus", overrides) == expected

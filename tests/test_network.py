@@ -83,25 +83,28 @@ class TestSampleGossip:
         rng = np.random.default_rng(0)
         expected = pairwise_matrix(1, 2, 2)
         for n in range(1, 11):
-            assert np.array_equal(sample_gossip(model, n, rng), expected)
+            p = model.activation_probability(n)
+            assert np.array_equal(sample_gossip(model, p, rng), expected)
 
     def test_lazy_identity_frequency(self):
         model = triangle_model(c=0.5)
         rng = np.random.default_rng(1)
+        p = model.activation_probability(1)
         eye = np.eye(3)
         draws = 10**5
         idle = sum(
-            np.array_equal(sample_gossip(model, 1, rng), eye) for _ in range(draws)
+            np.array_equal(sample_gossip(model, p, rng), eye) for _ in range(draws)
         )
         assert abs(idle / draws - 0.5) <= 0.01
 
     def test_uniform_pair_frequency_conditioned_on_exchange(self):
         model = triangle_model(c=0.5)
+        p = model.activation_probability(1)
         rng = np.random.default_rng(2)
         counts = {edge: 0 for edge in model.graph.edges}
         for _ in range(10**5):
             # An exchange halves exactly its two diagonal entries; the identity none.
-            active = tuple(np.flatnonzero(np.diag(sample_gossip(model, 1, rng)) == 0.5) + 1)
+            active = tuple(np.flatnonzero(np.diag(sample_gossip(model, p, rng)) == 0.5) + 1)
             if active:
                 counts[active] += 1
         total = sum(counts.values())
@@ -110,11 +113,12 @@ class TestSampleGossip:
 
     def test_reproducible_given_seed(self):
         model = triangle_model(c=0.7)
-        first = [sample_gossip(model, n, np.random.default_rng(42)) for n in [1]]
+        p = model.activation_probability
+        first = [sample_gossip(model, p(n), np.random.default_rng(42)) for n in [1]]
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
-        seq_a = [sample_gossip(model, n, rng_a) for n in range(1, 200)]
-        seq_b = [sample_gossip(model, n, rng_b) for n in range(1, 200)]
+        seq_a = [sample_gossip(model, p(n), rng_a) for n in range(1, 200)]
+        seq_b = [sample_gossip(model, p(n), rng_b) for n in range(1, 200)]
         for wa, wb in zip(seq_a, seq_b):
             assert np.array_equal(wa, wb)
         assert np.array_equal(first[0], seq_a[0])
@@ -134,16 +138,18 @@ class TestSampleGossip:
         rng = np.random.default_rng(3)
         for _ in range(200):
             model = random_model(rng)
-            w = sample_gossip(model, int(rng.integers(1, 50)), rng)
+            p = model.activation_probability(int(rng.integers(1, 50)))
+            w = sample_gossip(model, p, rng)
             assert any(w is a for a in model._alphabet)
             assert (w.sum(axis=0) == 1.0).all() and (w.sum(axis=1) == 1.0).all()
 
     def test_returned_matrices_are_read_only(self):
         # Draws share the model's cached alphabet, so writes must fail loudly.
         model = triangle_model(c=0.5)
+        p = model.activation_probability(1)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            w = sample_gossip(model, 1, rng)
+            w = sample_gossip(model, p, rng)
             with pytest.raises(ValueError, match="read-only"):
                 w[0, 0] = 2.0
         identity, *exchanges = model._alphabet
@@ -173,10 +179,11 @@ class TestSampleGossip:
                     [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-16, 1.0 - 1e-12],
                 ]
             )
+            p = model.activation_probability(1)
             for u in draws:
                 k = min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
                 scripted = ScriptedRng([0.0, float(u)])
-                assert sample_gossip(model, 1, scripted) is model._alphabet[k + 1]
+                assert sample_gossip(model, p, scripted) is model._alphabet[k + 1]
                 assert not scripted.draws
 
     def test_each_interval_picks_its_edge(self):
@@ -188,6 +195,7 @@ class TestSampleGossip:
         models = [random_model(rng) for _ in range(50)]
         models.append(GossipModel(Graph.from_edges(2, [(1, 2)])))
         for model in models:
+            p = model.activation_probability(1)
             inner = model._edge_table[2][:-1]
             for k, (lo, hi) in enumerate(zip(np.r_[0.0, inner], np.r_[inner, 1.0])):
                 draws = np.array([lo, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)])
@@ -195,7 +203,7 @@ class TestSampleGossip:
                 assert (model.pick_edges(draws) == k).all()
                 for u in draws:
                     scripted = ScriptedRng([0.0, float(u)])
-                    assert sample_gossip(model, 1, scripted) is model._alphabet[k + 1]
+                    assert sample_gossip(model, p, scripted) is model._alphabet[k + 1]
 
     def test_pick_edges_matches_searchsorted(self):
         # Threshold counting picks the capped searchsorted index for random
@@ -234,12 +242,13 @@ class TestSampleGossip:
         for u, exchanges in cases:
             scripted = ScriptedRng([float(u), 0.0])
             expected = model._alphabet[1] if exchanges else model._alphabet[0]
-            assert sample_gossip(model, 1, scripted) is expected
+            assert sample_gossip(model, p, scripted) is expected
 
     def test_lazy_step_makes_one_draw(self):
         model = triangle_model(c=0.5)
         scripted = ScriptedRng([0.5, 0.1])
-        assert sample_gossip(model, 1, scripted) is model._alphabet[0]
+        p = model.activation_probability(1)
+        assert sample_gossip(model, p, scripted) is model._alphabet[0]
         assert scripted.draws == [0.1]
 
 
