@@ -344,11 +344,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     return _parse(_Field(ExperimentSpec), data, "", {})
 
 
-def parse_config(source: str | Path) -> ExperimentSpec:
-    """Parse and validate a config from a file path or inline YAML text."""
-    return spec_from_dict(load_config_dict(source))
-
-
 def apply_overrides(data: dict, overrides) -> dict:
     """Apply ``key.path=value`` override strings to a config mapping."""
     result = copy.deepcopy(data)
@@ -414,10 +409,6 @@ def preset_dict(name: str) -> dict:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
     data = {**_PRESETS[name], "output": {"directory": f"out/{name}"}}
     return spec_from_dict(data).to_config_dict()
-
-
-def preset_spec(name: str) -> ExperimentSpec:
-    return spec_from_dict(preset_dict(name))
 
 
 # --- Assembly into engine objects --------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .constraints import ConstraintSet, Unconstrained, block_norms, kt_residual
-from .diagnostics import CltSpec, TraceRecord, disagreement_norm
+from .diagnostics import CltSpec, trace_dtype
 from .network import GossipModel, is_connected, sample_gossip, spectral_gap
 
 #: Stacked-state norm beyond which a run is declared divergent.
@@ -42,7 +42,11 @@ class SimulationAbort(RuntimeError):
     """A run stopped before completing; carries the records emitted so far.
 
     ``replica`` names the replica that failed, when one did; :func:`run`
-    reports it by replica number, and ``records`` are that replica's.
+    reports it by replica number, and ``records`` are the rows that replica
+    recorded before the abort, a structured array of
+    :func:`~gossip_sa.diagnostics.trace_dtype` rows, as in
+    :attr:`RunResult.records`.  An abort with no record table (that of
+    :func:`run_ensemble`) carries ``()``.
     """
 
     def __init__(
@@ -50,7 +54,7 @@ class SimulationAbort(RuntimeError):
     ):
         super().__init__(message)
         self.iteration = iteration
-        self.records = tuple(records)
+        self.records = records
         self.replica = replica
 
 
@@ -298,7 +302,7 @@ def _report_abort(err: SimulationAbort, n: int, replicas, records) -> None:
     err.args = (f"{err.args[0]} in replica {err.replica}",)
     if err.iteration is None:
         err.iteration = n
-    err.records = tuple(records[position])
+    err.records = records[position]
 
 
 def local_step(theta, y, gamma: float, constraint: ConstraintSet) -> np.ndarray:
@@ -334,40 +338,45 @@ def gossip_step(theta, w, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Trace and terminal state of one replica."""
+    """Trace and terminal state of one replica.
 
-    records: tuple[TraceRecord, ...]
+    ``records`` is the replica's trace: a ``np.recarray`` of
+    :func:`~gossip_sa.diagnostics.trace_dtype` rows, one per record step, so
+    a column is ``records["disagreement"]`` and a row is ``records[-1]``.
+    """
+
+    records: np.recarray
     final_state: np.ndarray
     initial_state: np.ndarray
     replica: int
 
     @property
     def initial_disagreement(self) -> float:
-        return disagreement_norm(self.initial_state)
+        """Disagreement of the initial state, by the rule of the records."""
+        deviation = self.initial_state - self.initial_state.mean(axis=0)
+        return float(block_norms(deviation.reshape(-1)))
 
 
-def _make_record(n, gamma, theta, problem, diag_rngs) -> list[TraceRecord]:
-    """One record per replica of the ``(replicas, n_agents, dim)`` batch ``theta``.
+def _make_record(n, gamma, theta, problem, diag_rngs, out) -> None:
+    """Fill ``out``, one trace row per replica of the ``(replicas, n_agents,
+    dim)`` batch ``theta``, for record step ``n``.
 
     Each reduction over the batch keeps the bits of the one on a single
     replica.  One ``problem.evaluate`` call gets the stacked averages and
-    ``diag_rngs``, one generator per replica, and gives both columns.  Each
-    column becomes Python floats by one ``tolist``, the bits of ``float``
-    on each entry.
+    ``diag_rngs``, one generator per replica, and gives the residual and
+    objective columns; a negative residual is rejected, since it is a norm.
     """
     averages = theta.mean(axis=1)
-    disagreements = block_norms((theta - averages[:, None]).reshape(len(theta), -1))
+    out["n"] = n
+    out["gamma"] = gamma
+    out["disagreement"] = block_norms((theta - averages[:, None]).reshape(len(theta), -1))
+    out["average"] = averages
     if problem.evaluate is None:
-        residuals = objectives = [float("nan")] * len(theta)
-    else:
-        residuals, objectives = problem.evaluate(averages, diag_rngs)
-    rows = zip(
-        disagreements.tolist(),
-        averages,
-        np.asarray(residuals, dtype=float).tolist(),
-        np.asarray(objectives, dtype=float).tolist(),
-    )
-    return [TraceRecord(n, gamma, *row) for row in rows]
+        out["residual"] = out["objective"] = float("nan")
+        return
+    out["residual"], out["objective"] = problem.evaluate(averages, diag_rngs)
+    if (out["residual"] < 0.0).any():
+        raise ValueError("the evaluate hook returned a negative residual, which is a norm")
 
 
 def _check_recorded_feasibility(theta, constraint, n) -> None:
@@ -413,7 +422,7 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     The batch stops at the first iteration where any replica fails.  The
     :class:`SimulationAbort` names the lowest-numbered position that failed
     there: its ``replica`` attribute and message give that replica's
-    number, and it carries the iteration and that replica's records.
+    number, and it carries the iteration and the rows that replica recorded.
     """
     replicas = [int(r) for r in (range(config.replicas) if replicas is None else replicas)]
     if not replicas or min(replicas) < 0:
@@ -426,7 +435,10 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     w = np.empty((len(replicas), problem.n_agents, problem.n_agents))
     # Per-replica views of the mixing buffer, and the replica's generator.
     slots = list(zip(w, rngs))
-    records: list[list[TraceRecord]] = [[] for _ in replicas]
+    # One trace row per replica and record step; ``filled`` steps recorded so far.
+    n_records = -(-config.n_iter // config.record_every)  # ceil(n_iter / record_every)
+    table = np.empty((len(replicas), n_records), trace_dtype(problem.dim))
+    filled = 0
     try:
         for n in range(1, config.n_iter + 1):
             gamma = schedule.gamma(n)
@@ -440,15 +452,15 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
             _check_divergence(theta, n)
             if n % config.record_every == 0 or n == config.n_iter:
                 _check_recorded_feasibility(theta, problem.constraint, n)
-                batch = _make_record(n, gamma, theta, problem, diag_rngs)
-                for kept, record in zip(records, batch):
-                    kept.append(record)
+                _make_record(n, gamma, theta, problem, diag_rngs, table[:, filled])
+                filled += 1
     except SimulationAbort as err:
-        _report_abort(err, n, replicas, records)
+        _report_abort(err, n, replicas, table[:, :filled].view(np.recarray))
         raise
+    records = table.view(np.recarray)
     return [
         RunResult(
-            records=tuple(records[r]),
+            records=records[r],
             final_state=theta[r],
             initial_state=theta0[r],
             replica=replica,

@@ -1,9 +1,9 @@
 """Observables of a distributed run.
 
-Covers the network average and the disagreement norm, power-law fits of the
-disagreement decay, and the asymptotic covariance of the normalized average
-error: a continuous Lyapunov solve on the theory side and a filtered
-replica ensemble on the empirical side.
+Covers the layout of a trace row, power-law fits of the disagreement decay,
+and the asymptotic covariance of the normalized average error: a continuous
+Lyapunov solve on the theory side and a filtered replica ensemble on the
+empirical side.
 """
 
 from __future__ import annotations
@@ -27,43 +27,36 @@ class InsufficientReplicasError(RuntimeError):
     """Too few replicas survive the convergence filter to estimate a covariance."""
 
 
-@dataclass(frozen=True, eq=False)
-class TraceRecord:
-    """One recorded row of a run."""
-
-    n: int
-    gamma: float
-    disagreement: float
-    average: np.ndarray
-    residual: float
-    objective: float = float("nan")
-
-    def __post_init__(self) -> None:
-        if self.disagreement < 0.0 or self.residual < 0.0:
-            raise ValueError("disagreement and residual are norms and cannot be negative")
-
-
-def disagreement_norm(theta) -> float:
-    """Euclidean norm of the stacked deviations from the network average."""
-    theta = np.asarray(theta, dtype=float)
-    return float(np.linalg.norm(theta - theta.mean(axis=0)))
+def trace_dtype(dim: int) -> np.dtype:
+    """One trace row, its fields in file-column order: the iteration ``n``,
+    its step ``gamma``, the ``disagreement``, ``residual`` and ``objective``
+    at the network average, and that ``(dim,)`` ``average``."""
+    return np.dtype(
+        [
+            ("n", np.int64),
+            ("gamma", float),
+            ("disagreement", float),
+            ("residual", float),
+            ("objective", float),
+            ("average", float, (dim,)),
+        ]
+    )
 
 
 def replica_mean_squared_disagreement(traces) -> tuple[np.ndarray, np.ndarray]:
     """Average the squared disagreement across replica traces, per iteration.
 
-    All traces must share the same recording schedule.  Returns the common
-    iteration indices and the mean of ``disagreement**2`` at each of them.
+    Each trace is a structured array of :func:`trace_dtype` rows, and all
+    must share the same recording schedule.  Returns the common iteration
+    indices and the mean of ``disagreement**2`` at each of them.
     """
     if not traces:
         raise ValueError("need at least one trace")
-    schedule = [rec.n for rec in traces[0]]
-    rows = []
-    for trace in traces:
-        if [rec.n for rec in trace] != schedule:
-            raise ValueError("traces were recorded on different schedules")
-        rows.append([rec.disagreement ** 2 for rec in trace])
-    return np.array(schedule, dtype=float), np.asarray(rows, dtype=float).mean(axis=0)
+    schedule = traces[0]["n"]
+    if any(not np.array_equal(trace["n"], schedule) for trace in traces):
+        raise ValueError("traces were recorded on different schedules")
+    squares = np.array([trace["disagreement"] for trace in traces]) ** 2
+    return schedule.astype(float), squares.mean(axis=0)
 
 
 def fit_decay_exponent(ns, values) -> float:

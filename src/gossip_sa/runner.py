@@ -1,12 +1,12 @@
 """Experiment orchestration: replica execution, trace files, summaries.
 
-Traces are CSV with one row per recorded iteration and the column layout
-``n,gamma,disagreement,residual,objective,avg_1..avg_d``.  Floats are
-written with 17 significant digits so the files round-trip bit-exactly;
-each row is one ``"%d" + ",%.17g" * (4 + d)`` format, the same bytes as
-``format(v, ".17g")`` field by field.  Nothing time- or host-dependent is
-emitted: rerunning a config with the same seed reproduces the files byte
-for byte.
+Traces are CSV with one row per record: the fields of a run's records
+(:func:`~gossip_sa.diagnostics.trace_dtype`) in order, the average spread
+over ``avg_1..avg_d``.  Floats are written with 17 significant digits so the
+files round-trip bit-exactly; each row is one ``"%d" + ",%.17g" * (4 + d)``
+format, the same bytes as ``format(v, ".17g")`` field by field.  Nothing
+time- or host-dependent is emitted: rerunning a config with the same seed
+reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -36,29 +36,20 @@ def trace_path(directory: Path, replica: int) -> Path:
     return directory / f"trace_r{replica:03d}.csv"
 
 
-def write_trace(path: Path, records, dim: int) -> None:
-    """Write one replica's records as CSV (17 significant digits)."""
-    header = "n,gamma,disagreement,residual,objective," + ",".join(
-        f"avg_{k + 1}" for k in range(dim)
-    )
-    row = "%d" + ",%.17g" * (4 + dim)
+def write_trace(path: Path, records) -> None:
+    """Write one replica's records as CSV (17 significant digits).
+
+    The header and the row format follow the records' dtype: the integer
+    ``n``, then the float fields, the last of them the ``(d,)`` average.
+    """
+    *scalars, average = records.dtype.names
+    dim = records.dtype[average].shape[0]
+    header = ",".join([*scalars, *(f"avg_{k + 1}" for k in range(dim))])
+    row = "%d" + ",%.17g" * (len(scalars) - 1 + dim)
+    columns = [records[name].tolist() for name in scalars]
     lines = [header]
-    for rec in records:
-        if rec.average.size != dim:
-            raise ValueError("record dimension does not match the trace layout")
-        values = (rec.n, rec.gamma, rec.disagreement, rec.residual, rec.objective)
-        lines.append(row % (*values, *rec.average.tolist()))
+    lines += [row % (*values, *avg) for *values, avg in zip(*columns, records[average].tolist())]
     path.write_text("\n".join(lines) + "\n")
-
-
-def read_trace(path: Path) -> tuple[list[str], np.ndarray]:
-    """Read a trace CSV back as (header fields, value matrix)."""
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    values = np.array(
-        [[float(f) for f in line.split(",")] for line in lines[1:]], dtype=float
-    )
-    return header, values
 
 
 def write_summary(path: Path, entries: dict) -> None:
@@ -128,10 +119,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     paths = []
     for res in results:
         path = trace_path(out, res.replica)
-        _write(write_trace, path, res.records, spec.problem.dim)
+        _write(write_trace, path, res.records)
         paths.append(path)
 
-    finals = [res.records[-1] for res in results]
+    finals = np.concatenate([res.records[-1:] for res in results])
     ns, mean_sq = replica_mean_squared_disagreement([res.records for res in results])
     try:
         beta_hat = fit_decay_exponent(ns, mean_sq)
@@ -144,9 +135,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             "initial_disagreement_median": float(
                 np.median([res.initial_disagreement for res in results])
             ),
-            "final_disagreement_median": float(np.median([r.disagreement for r in finals])),
-            "final_residual_median": float(np.median([r.residual for r in finals])),
-            "final_objective_median": float(np.median([r.objective for r in finals])),
+            "final_disagreement_median": float(np.median(finals["disagreement"])),
+            "final_residual_median": float(np.median(finals["residual"])),
+            "final_objective_median": float(np.median(finals["objective"])),
             "beta_hat": float(beta_hat),
         }
     )

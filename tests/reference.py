@@ -3,14 +3,19 @@
 The per-user power forms evaluate one receiver at a time, in the
 arithmetic the stacked all-receiver forms of ``gossip_sa.power`` must
 reproduce bit for bit.  The projection drift is the finite-step quantity
-whose small-step limit the constrained mean field is built on.  No run
-uses any of them, so they live with the tests.
+whose small-step limit the constrained mean field is built on.  The
+disagreement norm is the per-state rule the batched records must match;
+the config and trace readers load a spec or a written trace in one call.
+No run uses any of them, so they live with the tests.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from gossip_sa.config import ExperimentSpec, load_config_dict, preset_dict, spec_from_dict
 from gossip_sa.constraints import ConstraintSet
 from gossip_sa.power import PowerScenario
 
@@ -72,3 +77,28 @@ def projection_drift(cs: ConstraintSet, theta, y, gamma: float) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     return (cs.project(theta + gamma * y) - theta) / gamma
+
+
+def disagreement_norm(theta) -> float:
+    """Euclidean norm of the stacked deviations from the network average."""
+    theta = np.asarray(theta, dtype=float)
+    return float(np.linalg.norm(theta - theta.mean(axis=0)))
+
+
+def parse_config(source: str | Path) -> ExperimentSpec:
+    """Parse and validate a config from a file path or inline YAML text."""
+    return spec_from_dict(load_config_dict(source))
+
+
+def preset_spec(name: str) -> ExperimentSpec:
+    return spec_from_dict(preset_dict(name))
+
+
+def read_trace(path: Path) -> tuple[list[str], np.ndarray]:
+    """Read a trace CSV back as (header fields, value matrix)."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    values = np.array(
+        [[float(f) for f in line.split(",")] for line in lines[1:]], dtype=float
+    )
+    return header, values

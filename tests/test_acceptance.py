@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gossip_sa.config import build_run_config, preset_dict, preset_spec, spec_from_dict
+from gossip_sa.config import build_run_config, preset_dict, spec_from_dict
 from gossip_sa.constraints import BudgetSimplex, Halfspaces
 from gossip_sa.core import run, run_ensemble
 from gossip_sa.diagnostics import (
@@ -24,7 +24,7 @@ from gossip_sa.network import Graph, GossipModel, pairwise_matrix, spectral_gap
 from gossip_sa.power import sample_channels
 from gossip_sa.runner import run_experiment
 
-from reference import projection_drift, rate, rate_gradient
+from reference import preset_spec, projection_drift, rate, rate_gradient
 from test_constraints import brute_force_capped_simplex
 
 

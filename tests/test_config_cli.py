@@ -17,14 +17,13 @@ from gossip_sa.config import (
     ConfigError,
     apply_overrides,
     build_run_config,
-    parse_config,
     preset_dict,
     preset_names,
-    preset_spec,
     spec_from_dict,
 )
-from gossip_sa.diagnostics import TraceRecord
-from gossip_sa.runner import read_trace, run_experiment, write_trace
+from gossip_sa.diagnostics import trace_dtype
+from gossip_sa.runner import run_experiment, write_trace
+from reference import parse_config, preset_spec, read_trace
 
 MINIMAL = """
 problem:
@@ -228,19 +227,22 @@ class TestRunExperiment:
             1.7976931348623157e308, 1e16, 2.0**53 + 2,
         ]
         norms = [v for v in special if not v < 0.0]
-        records = [
-            TraceRecord(
-                n=10 * (k + 1),
-                gamma=special[k],
-                disagreement=norms[k % len(norms)],
-                average=np.roll(np.array(special, dtype=np.float64), k)[:3],
-                residual=norms[(k + 1) % len(norms)],
-                objective=special[k - 1],
-            )
-            for k in range(len(special))
-        ]
+        records = np.rec.array(
+            [
+                (
+                    10 * (k + 1),
+                    special[k],
+                    norms[k % len(norms)],
+                    norms[(k + 1) % len(norms)],
+                    special[k - 1],
+                    np.roll(np.array(special, dtype=np.float64), k)[:3],
+                )
+                for k in range(len(special))
+            ],
+            dtype=trace_dtype(3),
+        )
         path = tmp_path / "trace.csv"
-        write_trace(path, records, 3)
+        write_trace(path, records)
         expected = [
             ",".join(
                 [str(rec.n)]
@@ -252,9 +254,9 @@ class TestRunExperiment:
             )
             for rec in records
         ]
-        assert path.read_text().splitlines()[1:] == expected
-        with pytest.raises(ValueError, match="dimension"):
-            write_trace(tmp_path / "bad.csv", records, 2)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "n,gamma,disagreement,residual,objective,avg_1,avg_2,avg_3"
+        assert lines[1:] == expected
 
     @pytest.mark.parametrize(
         "preset", ["quadratic-consensus", "constrained-toy", "power-alloc", "scalar-clt"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,10 @@ from gossip_sa.core import (
     run_ensemble,
     validate_assumptions,
 )
-from gossip_sa.diagnostics import CltSpec, TraceRecord, disagreement_norm
+from gossip_sa.diagnostics import CltSpec
 from gossip_sa.network import Graph, GossipModel, pairwise_matrix
 from gossip_sa.power import PowerScenario, _draw_gains, estimate_objective
+from reference import disagreement_norm
 
 
 def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
@@ -292,10 +295,41 @@ class TestRun:
         (again,) = run(config, [1])
         assert np.array_equal(again.final_state, results[1].final_state)
 
-    def test_records_every_k_and_final(self):
-        config = two_agent_config(n_iter=25, record_every=10)
-        (result,) = run(config)
-        assert [rec.n for rec in result.records] == [10, 20, 25]
+    @staticmethod
+    def spoiling_config(iteration, **kwargs):
+        """Two-agent noisy config whose oracle gives agent 2 a NaN
+        observation at ``iteration`` (never when it is None)."""
+        centers = np.array([[0.0], [4.0]])
+        calls = []
+
+        def oracle(theta, rngs):
+            calls.append(None)
+            noise = np.stack([g.standard_normal(block.shape) for block, g in zip(theta, rngs)])
+            y = centers - theta + 0.3 * noise
+            if len(calls) == iteration:
+                y[:, 1] = np.nan
+            return y
+
+        problem = Problem(dim=1, n_agents=2, gradient=lambda th: th - centers, oracle=oracle)
+        return two_agent_config(problem=problem, **kwargs)
+
+    @pytest.mark.parametrize(
+        "n_iter,record_every", [(25, 10), (30, 10), (5, 10), (1, 1), (7, 1)]
+    )
+    def test_records_every_k_and_final(self, n_iter, record_every):
+        schedule = dict(n_iter=n_iter, record_every=record_every)
+        (result,) = run(self.spoiling_config(None, **schedule))
+        records = result.records
+        multiples = list(range(record_every, n_iter + 1, record_every))
+        assert records["n"].tolist() == sorted({*multiples, n_iter})
+        assert len(records) == math.ceil(n_iter / record_every)
+        # Aborting at the last iteration keeps every earlier row, bit for bit.
+        with pytest.raises(NonFiniteObservationError) as info:
+            run(self.spoiling_config(n_iter, **schedule))
+        prefix = info.value.records
+        assert len(prefix) == len(records) - 1
+        assert prefix.dtype == records.dtype
+        assert prefix.tobytes() == records[: len(prefix)].tobytes()
 
     def test_divergence_guard_carries_partial_trace(self):
         # Concave utility turns the update into an expanding map.
@@ -313,7 +347,7 @@ class TestRun:
         with pytest.raises(DivergenceError) as info:
             run(config)
         assert info.value.iteration is not None
-        assert info.value.records  # partial trace survives
+        assert len(info.value.records) > 0  # partial trace survives
 
     def test_constrained_blocks_stay_feasible(self):
         cs = Box([0.0, 0.0], [1.0, 1.0])
@@ -488,17 +522,11 @@ class TestBatch:
 def literal_make_record(n, gamma, theta, evaluate, diag_rng):
     """One replica's record from its ``(n_agents, dim)`` state, as ``run``
     made it before records were batched: ``evaluate`` is a per-point hook
-    ``(average, rng) -> (residual, objective)``."""
+    ``(average, rng) -> (residual, objective)``.  The fields come in file
+    order."""
     average = theta.mean(axis=0)
     residual, objective = evaluate(average, diag_rng)
-    return TraceRecord(
-        n=n,
-        gamma=gamma,
-        disagreement=disagreement_norm(theta),
-        average=average,
-        residual=float(residual),
-        objective=float(objective),
-    )
+    return n, gamma, disagreement_norm(theta), float(residual), float(objective), average
 
 
 def literal_hook(name, problem):
@@ -546,9 +574,9 @@ class TestBatchedRecords:
         states = []
         make_record = core._make_record
 
-        def capture(n, gamma, theta, problem, diag_rngs):
+        def capture(n, gamma, theta, problem, diag_rngs, out):
             states.append((n, gamma, theta.copy()))
-            return make_record(n, gamma, theta, problem, diag_rngs)
+            return make_record(n, gamma, theta, problem, diag_rngs, out)
 
         monkeypatch.setattr(core, "_make_record", capture)
         results = run(config, range(3))
@@ -557,8 +585,8 @@ class TestBatchedRecords:
         hook = literal_hook(name, config.problem)
         for r, result in enumerate(results):
             diag_rng = _stream(config.seed, r, _DIAGNOSTICS)
-            want = [literal_make_record(n, g, theta[r], hook, diag_rng) for n, g, theta in states]
-            assert_same_records(result.records, want)
+            rows = [literal_make_record(n, g, theta[r], hook, diag_rng) for n, g, theta in states]
+            assert_same_records(result.records, np.rec.array(rows, dtype=result.records.dtype))
 
     def test_power_record_draws_one_sample_per_replica(self, monkeypatch):
         # After the one record of a one-iteration run, every diagnostics
@@ -567,9 +595,9 @@ class TestBatchedRecords:
         streams = []
         make_record = core._make_record
 
-        def capture(n, gamma, theta, problem, diag_rngs):
+        def capture(n, gamma, theta, problem, diag_rngs, out):
             streams.append(diag_rngs)
-            return make_record(n, gamma, theta, problem, diag_rngs)
+            return make_record(n, gamma, theta, problem, diag_rngs, out)
 
         monkeypatch.setattr(core, "_make_record", capture)
         run(config, range(2))
@@ -588,6 +616,26 @@ class TestBatchedRecords:
         (result,) = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
         for record in result.records:
             assert np.isnan(record.residual) and np.isnan(record.objective)
+
+    def test_negative_residual_from_the_hook_is_rejected(self):
+        def evaluate(averages, rngs):
+            return np.full(len(averages), -1.0), np.zeros(len(averages))
+
+        problem = Problem(
+            dim=1, n_agents=2, gradient=None, oracle=lambda theta, rng: -theta, evaluate=evaluate
+        )
+        with pytest.raises(ValueError, match="negative residual"):
+            run(two_agent_config(problem=problem, n_iter=3, record_every=1))
+
+    def test_nan_residual_from_the_hook_is_recorded(self):
+        def evaluate(averages, rngs):
+            return np.full(len(averages), np.nan), np.zeros(len(averages))
+
+        problem = Problem(
+            dim=1, n_agents=2, gradient=None, oracle=lambda theta, rng: -theta, evaluate=evaluate
+        )
+        (result,) = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
+        assert np.isnan(result.records["residual"]).all()
 
 
 class TestOracle:

@@ -6,13 +6,13 @@ from gossip_sa.core import StepSchedule
 from gossip_sa.diagnostics import (
     CltSpec,
     InsufficientReplicasError,
-    TraceRecord,
     clt_check,
-    disagreement_norm,
     fit_decay_exponent,
     replica_mean_squared_disagreement,
     solve_lyapunov,
+    trace_dtype,
 )
+from reference import disagreement_norm
 
 
 class TestAverages:
@@ -78,15 +78,21 @@ class TestFitDecayExponent:
 
 class TestReplicaAveraging:
     def test_matching_schedules_required(self):
-        rec = lambda n, dis: TraceRecord(n=n, gamma=0.1, disagreement=dis, average=np.zeros(1), residual=0.0)
-        t1 = [rec(10, 1.0), rec(20, 0.5)]
-        t2 = [rec(10, 2.0), rec(20, 1.5)]
+        def trace(*rows):
+            return np.array(
+                [(n, 0.1, dis, 0.0, np.nan, np.zeros(1)) for n, dis in rows], dtype=trace_dtype(1)
+            )
+
+        t1 = trace((10, 1.0), (20, 0.5))
+        t2 = trace((10, 2.0), (20, 1.5))
         ns, mean_sq = replica_mean_squared_disagreement([t1, t2])
         assert np.array_equal(ns, [10.0, 20.0])
         assert np.allclose(mean_sq, [(1.0 + 4.0) / 2.0, (0.25 + 2.25) / 2.0])
-        t3 = [rec(10, 1.0), rec(30, 0.5)]
+        t3 = trace((10, 1.0), (30, 0.5))
         with pytest.raises(ValueError, match="schedules"):
             replica_mean_squared_disagreement([t1, t3])
+        with pytest.raises(ValueError, match="schedules"):
+            replica_mean_squared_disagreement([t1, t1[:1]])
 
 
 class TestSolveLyapunov:
@@ -232,11 +238,3 @@ class TestCltCheck:
         spread_250 = np.std(errors[250])
         spread_500 = np.std(errors[500])
         assert spread_500 < spread_250  # loose: shrinking, not the exact rate
-
-
-class TestTraceRecord:
-    def test_rejects_negative_norms(self):
-        with pytest.raises(ValueError):
-            TraceRecord(n=1, gamma=0.1, disagreement=-1.0, average=np.zeros(1), residual=0.0)
-        with pytest.raises(ValueError):
-            TraceRecord(n=1, gamma=0.1, disagreement=0.0, average=np.zeros(1), residual=-2.0)

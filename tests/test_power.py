@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gossip_sa.config import preset_spec
 from gossip_sa.constraints import BudgetSimplex
 from gossip_sa.network import Graph, is_connected
 from gossip_sa.power import (
@@ -16,7 +15,7 @@ from gossip_sa.power import (
     weighted_gradient_estimate,
 )
 
-from reference import rate, rate_gradient
+from reference import preset_spec, rate, rate_gradient
 
 
 def small_scenario(n_users=3, n_channels=2, **kwargs):
