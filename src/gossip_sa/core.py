@@ -25,13 +25,22 @@ from .network import GossipModel, is_connected, sample_gossip, spectral_gap
 DIVERGENCE_LIMIT = 1e12
 
 # Spawn keys deriving the independent random streams of a replica from the
-# run seed: dynamics (observations and gossip), diagnostics (Monte-Carlo
-# summaries attached to trace records), and the initial state.  The ensemble
-# runner has a stream of its own, disjoint from every per-replica key.
-_DYNAMICS = 0
+# run seed: gossip (mixing draws), diagnostics (Monte-Carlo summaries attached
+# to trace records), the initial state and observations (the oracle's noise).
+# The ensemble runner has a stream of its own, disjoint from every per-replica
+# key.
+_GOSSIP = 0
 _DIAGNOSTICS = 1
 _INITIAL = 2
+_OBSERVATION = 3
 _ENSEMBLE = 1000
+
+#: :func:`run` draws each replica's observation noise this many steps at a
+#: time, or fewer when the ``(replicas, steps, *noise_shape)`` block would
+#: pass :data:`NOISE_BLOCK_BYTES`.  A generator fills its output in order,
+#: so the blocking leaves every number in place.
+NOISE_BLOCK_STEPS = 64
+NOISE_BLOCK_BYTES = 8 << 20
 
 
 def _stream(seed: int, replica: int, role: int) -> np.random.Generator:
@@ -120,12 +129,19 @@ class Problem:
     quadratic utilities.  It must broadcast over leading axes; this is what
     lets many replicas advance at once.
 
-    ``oracle(theta, rngs)`` returns every agent's observation in the shape
-    of the ``(replicas, n_agents, dim)`` batch ``theta``.  ``rngs`` is the
-    draw source: the replicas' generators in order (:func:`run`) or one
-    shared generator (:func:`run_ensemble`).  Both call it once per
-    iteration, on a state they later update in place.  When omitted it is
-    ``-gradient(theta)`` plus Gaussian noise of scale ``noise_scale``.
+    ``oracle(theta, noise)`` is a pure function: it returns every agent's
+    observation in the shape of the ``(replicas, n_agents, dim)`` batch
+    ``theta``, from ``theta`` and one ``(replicas, *noise_shape)`` noise
+    draw.  Both engines call it once per iteration, on a state they later
+    update in place, and neither mutates what it returns.  When omitted it
+    is ``-gradient(theta) + noise_scale * noise``.
+
+    ``draw(rng, lead)`` says how that noise is drawn: it returns an array
+    of shape ``(*lead, *noise_shape)`` from the generator ``rng``.  The
+    default draws standard normals, with ``noise_shape`` ``(n_agents,
+    dim)``.  :func:`run` draws each replica's noise from its own
+    observation stream, :func:`run_ensemble` the whole batch's from its one
+    shared stream.
 
     ``evaluate(averages, rngs) -> (residuals, objectives)`` is the optional
     diagnostic hook of trace records: one residual and one objective per
@@ -142,6 +158,8 @@ class Problem:
     oracle: Callable | None = None
     evaluate: Callable | None = None
     clt_spec: CltSpec | None = None
+    draw: Callable | None = None
+    noise_shape: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.n_agents < 1:
@@ -154,6 +172,11 @@ class Problem:
             if self.gradient is None:
                 raise ValueError("provide either an oracle or a gradient")
             self.oracle = self._gaussian_oracle
+        if self.draw is None:
+            self.draw = self._standard_normal_draw
+        if self.noise_shape is None:
+            self.noise_shape = (self.n_agents, self.dim)
+        self.noise_shape = tuple(self.noise_shape)
         if self.evaluate is None and self.gradient is not None:
             self.evaluate = self._gradient_evaluate
         if self.clt_spec is not None and self.clt_spec.dim != self.dim:
@@ -167,25 +190,15 @@ class Problem:
         shape = (*theta.shape[:-1], self.n_agents, self.dim)
         return self.gradient(np.broadcast_to(theta[..., None, :], shape)).sum(axis=-2)
 
-    def _gaussian_oracle(self, theta, rngs) -> np.ndarray:
-        """``-gradient(theta) + noise_scale * z`` for standard normal ``z``.
-
-        ``rngs`` is one generator for the whole stack, or a sequence of
-        generators, one per leading slice of ``theta``: each fills its own
-        slice of ``z``, in order, with the numbers it would give that slice
-        alone.
-        """
-        theta = np.asarray(theta, dtype=float)
-        y = np.empty(theta.shape)
-        if isinstance(rngs, np.random.Generator):
-            rngs.standard_normal(out=y)
-        else:
-            for g, z in zip(rngs, y):
-                g.standard_normal(out=z)
-        # ``s*z - g`` in place: bit-identical to ``-g + s*z`` without temporaries.
-        y *= self.noise_scale
-        y -= self.gradient(theta)
+    def _gaussian_oracle(self, theta, noise) -> np.ndarray:
+        """``-gradient(theta) + noise_scale * noise``, one batch of observations."""
+        # ``s*z - g`` without touching ``noise``: bit-identical to ``-g + s*z``.
+        y = np.multiply(noise, self.noise_scale)
+        y -= self.gradient(np.asarray(theta, dtype=float))
         return y
+
+    def _standard_normal_draw(self, rng: np.random.Generator, lead) -> np.ndarray:
+        return rng.standard_normal((*lead, *self.noise_shape))
 
     def gradient_residual(self, averages) -> np.ndarray:
         """Norm of the summed gradient (unconstrained) or the stationarity
@@ -260,6 +273,23 @@ def _initial_batch(config: RunConfig, replicas) -> np.ndarray:
         return np.stack([config.initial_state] * len(replicas))
     draws = [config.initial_state(_stream(config.seed, r, _INITIAL)) for r in replicas]
     return np.stack([_validated_state(np.asarray(x, float), config.problem) for x in draws])
+
+
+def _draw_noise(problem: Problem, rng: np.random.Generator, lead: tuple[int, ...]) -> np.ndarray:
+    """``problem.draw(rng, lead)``, refused unless it has shape ``(*lead, *noise_shape)``."""
+    noise = problem.draw(rng, lead)
+    expected = (*lead, *problem.noise_shape)
+    if np.shape(noise) != expected:
+        raise ValueError(f"the draw returned noise of shape {np.shape(noise)}, expected {expected}")
+    return noise
+
+
+def _observe(problem: Problem, theta: np.ndarray, noise) -> np.ndarray:
+    """``problem.oracle(theta, noise)``, refused unless it has the batch's shape."""
+    y = np.asarray(problem.oracle(theta, noise), dtype=float)
+    if y.shape != theta.shape:
+        raise ValueError(f"the oracle returned shape {y.shape}, expected the batch's {theta.shape}")
+    return y
 
 
 def _check_finite(y: np.ndarray) -> None:
@@ -406,18 +436,21 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     own ``(seed, replica)`` streams exactly the numbers a solo run draws, so
     replica ``r`` of any batch equals ``run(config, [r])[0]`` bit for bit,
     given an oracle that computes each replica alike in a batch of any size
-    from that replica's generator alone, as the default one does with an
-    elementwise ``problem.gradient``.
-    Each iteration makes one ``problem.oracle(theta, rngs)`` call, draws
-    each replica's mixing matrix (independently of its observation) at the
-    iteration's one exchange probability, takes
-    the projected local step with the step size of iteration ``n`` and
-    mixes, ignoring floating-point overflow, which the divergence guard
-    reports.  Every ``record_every`` iterations and at the last, once every
-    block is checked feasible, one :func:`_make_record` call records all
-    replicas.  Whatever the constraint, a replica aborts the run with
-    :class:`DivergenceError` when its stacked norm passes
-    :data:`DIVERGENCE_LIMIT` or is NaN.
+    from that replica's state and noise alone, as the default one does with
+    an elementwise ``problem.gradient``.
+    Each replica's observation stream draws its noise by ``problem.draw``,
+    :data:`NOISE_BLOCK_STEPS` iterations at a time (fewer for a large
+    batch), and its gossip stream draws its mixing matrices.  Each iteration
+    makes one ``problem.oracle(theta, noise)`` call on that iteration's
+    noise, draws each replica's mixing matrix at the iteration's one
+    exchange probability, takes the projected local step with the step size
+    of iteration ``n`` and mixes, ignoring floating-point overflow, which
+    the divergence guard reports.  A draw or an observation of the wrong
+    shape raises :class:`ValueError`.  Every ``record_every`` iterations and
+    at the last, once every block is checked feasible, one
+    :func:`_make_record` call records all replicas.  Whatever the
+    constraint, a replica aborts the run with :class:`DivergenceError` when
+    its stacked norm passes :data:`DIVERGENCE_LIMIT` or is NaN.
 
     The batch stops at the first iteration where any replica fails.  The
     :class:`SimulationAbort` names the lowest-numbered position that failed
@@ -429,12 +462,17 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
         raise ValueError("replicas must be a nonempty sequence of nonnegative integers")
     theta0 = _initial_batch(config, replicas)
     theta = theta0.copy()
-    rngs = [_stream(config.seed, r, _DYNAMICS) for r in replicas]
+    gossip_rngs = [_stream(config.seed, r, _GOSSIP) for r in replicas]
+    observation_rngs = [_stream(config.seed, r, _OBSERVATION) for r in replicas]
     diag_rngs = [_stream(config.seed, r, _DIAGNOSTICS) for r in replicas]
     problem, schedule, gossip = config.problem, config.schedule, config.gossip
     w = np.empty((len(replicas), problem.n_agents, problem.n_agents))
-    # Per-replica views of the mixing buffer, and the replica's generator.
-    slots = list(zip(w, rngs))
+    # Per-replica views of the mixing buffer, and the replica's gossip generator.
+    slots = list(zip(w, gossip_rngs))
+    # Each replica's observation noise for the next ``steps`` iterations.
+    step_bytes = len(replicas) * math.prod(problem.noise_shape) * 8
+    steps = max(1, min(NOISE_BLOCK_STEPS, NOISE_BLOCK_BYTES // step_bytes, config.n_iter))
+    block = np.empty((len(replicas), steps, *problem.noise_shape))
     # One trace row per replica and record step; ``filled`` steps recorded so far.
     n_records = -(-config.n_iter // config.record_every)  # ceil(n_iter / record_every)
     table = np.empty((len(replicas), n_records), trace_dtype(problem.dim))
@@ -442,8 +480,12 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     try:
         for n in range(1, config.n_iter + 1):
             gamma = schedule.gamma(n)
-            # Each replica's stream draws its observation, then its mixing matrix.
-            y = problem.oracle(theta, rngs)
+            k = (n - 1) % steps
+            if k == 0:
+                size = min(steps, config.n_iter - n + 1)
+                for noise, g in zip(block, observation_rngs):
+                    noise[:size] = _draw_noise(problem, g, (size,))
+            y = _observe(problem, theta, block[:, k])
             p = gossip.activation_probability(n)
             for mix, g in slots:
                 mix[...] = sample_gossip(gossip, p, g)
@@ -474,20 +516,21 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
 
     Vectorizes the replica loop into array operations, which is what makes
     large fluctuation studies affordable.  Requires an unconstrained
-    problem; its oracle gets the batch and the one shared generator.
-    Per-replica initial states, step sizes and exchange probabilities match
-    those of :func:`run`; the dynamics draws come from one shared stream, so
-    the ensemble is statistically equivalent to, but not draw-for-draw
-    identical with, :func:`run`.
+    problem.  Per-replica initial states, step sizes and exchange
+    probabilities match those of :func:`run`; the noise and gossip draws
+    come from one shared stream, so the ensemble is statistically
+    equivalent to, but not draw-for-draw identical with, :func:`run`.
 
-    Each iteration draws the observations, then one block of ``2 * replicas``
-    uniforms: the first half decides which replicas exchange, the second
-    picks their edge by :meth:`GossipModel.pick_edges`.  Every replica is
-    then mixed by one flat pairwise average over the ``(replicas * n_agents,
-    dim)`` view of the state; a lazy replica averages an agent with itself,
-    which leaves it unchanged exactly.  The state is updated in place; the
-    oracle's array is not.  The step and the mix ignore floating-point
-    overflow, and the ensemble aborts as :func:`run` does.
+    Each iteration draws the batch's noise, ``problem.draw(rng,
+    (replicas,))``, and makes one oracle call on it, then draws one block
+    of ``2 * replicas`` uniforms: the first half decides which replicas
+    exchange, the second picks their edge by :meth:`GossipModel.pick_edges`.
+    Every replica is then mixed by one flat pairwise average over the
+    ``(replicas * n_agents, dim)`` view of the state; a lazy replica
+    averages an agent with itself, which leaves it unchanged exactly.  The
+    state is updated in place; the oracle's array is not.  The step and the
+    mix ignore floating-point overflow, and the ensemble aborts as
+    :func:`run` does.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")
@@ -509,7 +552,7 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     pair = np.empty((2, n_replicas, dim))
     try:
         for n in range(1, config.n_iter + 1):
-            y = np.asarray(problem.oracle(theta, rng), dtype=float)
+            y = _observe(problem, theta, _draw_noise(problem, rng, (n_replicas,)))
             _check_finite(y)
             rng.random(out=uniforms)
             gossip.pick_edges(edge_draws, out=picked)

@@ -119,20 +119,17 @@ def _all_rate_gradients(scenario, terms) -> np.ndarray:
     return grad.reshape(*grad.shape[:-2], scenario.dim)
 
 
-def stochastic_oracle(
-    scenario: PowerScenario, theta_blocks, rng: np.random.Generator
-) -> np.ndarray:
-    """Stacked ascent observations from one fresh channel realization.
+def stochastic_oracle(scenario: PowerScenario, theta_blocks, gains) -> np.ndarray:
+    """Stacked ascent observations on one channel realization per stack.
 
     Agent ``i`` is receiver ``i`` evaluated at its own allocation estimate
     ``theta_blocks[i]``; all agents are evaluated together, and row ``i``
     is ``weights[i]`` times user ``i + 1``'s rate gradient there, bit for
     bit the per-user form in ``tests/reference.py``.  Leading axes of
-    ``theta_blocks`` are independent stacks, each with its own realization:
-    the gains are drawn with the same leading shape, in one call.  The
-    oracle of :func:`build_power_problem` calls it once per replica, on that
-    replica's generator.  The sign is an ascent direction, equivalent to
-    descending the negated weighted ergodic sum rate.
+    ``theta_blocks`` are independent stacks, and ``gains`` holds one
+    :func:`sample_channels` realization for each, with the same leading
+    shape.  The sign is an ascent direction, equivalent to descending the
+    negated weighted ergodic sum rate.
     """
     theta_blocks = np.asarray(theta_blocks, dtype=float)
     if theta_blocks.shape[-2:] != (scenario.n_users, scenario.dim):
@@ -141,14 +138,10 @@ def stochastic_oracle(
             f"got {theta_blocks.shape}"
         )
     lead = theta_blocks.shape[:-2]
-    gains = sample_channels(
-        rng,
-        scenario.n_users,
-        scenario.n_channels,
-        n_draws=lead or None,
-        distribution=scenario.channel_distribution,
-    )
-    p = theta_blocks.reshape(*lead, scenario.n_users, scenario.n_users, scenario.n_channels)
+    shape = (*lead, scenario.n_users, scenario.n_users, scenario.n_channels)
+    if np.shape(gains) != shape:
+        raise ValueError(f"expected gains of shape {shape}, got {np.shape(gains)}")
+    p = theta_blocks.reshape(shape)
     terms = _all_receiver_terms(scenario, p, gains)
     return scenario.weights[:, None] * _all_rate_gradients(scenario, terms)
 
@@ -211,21 +204,29 @@ def weighted_gradient_estimate(
 def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
     """Wrap a scenario as an engine problem.
 
-    The stationarity residual and the objective of a trace record are
-    Monte-Carlo estimates (the ergodic gradient has no closed form) over one
-    common sample of ``mc_trials`` channel draws per replica: one
-    :func:`estimate_objective` call gives both.  Each replica's observations
-    and estimates are drawn from its own generators, one replica after
-    another; the residuals are then taken in one stacked :func:`kt_residual`
-    call.
+    The noise of an observation is one channel realization per replica,
+    drawn by :func:`sample_channels`, and the oracle evaluates the whole
+    batch on it in one :func:`stochastic_oracle` call.  The stationarity
+    residual and the objective of a trace record are Monte-Carlo estimates
+    (the ergodic gradient has no closed form) over one common sample of
+    ``mc_trials`` channel draws per replica: one :func:`estimate_objective`
+    call gives both.  Each replica's estimates are drawn from its own
+    diagnostics generator, one replica after another; the residuals are
+    then taken in one stacked :func:`kt_residual` call.
     """
     feasible = scenario.feasible_set()
 
-    def oracle(theta, rngs):
-        observations = np.empty(theta.shape)
-        for out, blocks, g in zip(observations, theta, rngs):
-            out[...] = stochastic_oracle(scenario, blocks, g)
-        return observations
+    def draw(rng, lead):
+        return sample_channels(
+            rng,
+            scenario.n_users,
+            scenario.n_channels,
+            n_draws=lead,
+            distribution=scenario.channel_distribution,
+        )
+
+    def oracle(theta, gains):
+        return stochastic_oracle(scenario, theta, gains)
 
     def evaluate(averages, rngs):
         estimates = [
@@ -242,6 +243,8 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
         constraint=feasible,
         oracle=oracle,
         evaluate=evaluate,
+        draw=draw,
+        noise_shape=(scenario.n_users, scenario.n_users, scenario.n_channels),
     )
 
 

@@ -10,8 +10,8 @@ from gossip_sa.config import apply_overrides, build_run_config, preset_dict, spe
 from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
     _DIAGNOSTICS,
-    _DYNAMICS,
     _ENSEMBLE,
+    _OBSERVATION,
     AssumptionError,
     DivergenceError,
     NonFiniteObservationError,
@@ -257,7 +257,7 @@ class TestRmIterate:
         full = np.ones((3, 3)) / 3.0
         for n in range(1, 51):
             gamma = schedule.gamma(n)
-            y = problem.oracle(theta, np.random.default_rng(0))
+            y = problem.oracle(theta, problem.draw(np.random.default_rng(0), ()))
             theta = gossip_step(local_step(theta, y, gamma, problem.constraint), full)
             x = problem.constraint.project(x - gamma * (x - center[0]))
             for block in theta:
@@ -302,9 +302,8 @@ class TestRun:
         centers = np.array([[0.0], [4.0]])
         calls = []
 
-        def oracle(theta, rngs):
+        def oracle(theta, noise):
             calls.append(None)
-            noise = np.stack([g.standard_normal(block.shape) for block, g in zip(theta, rngs)])
             y = centers - theta + 0.3 * noise
             if len(calls) == iteration:
                 y[:, 1] = np.nan
@@ -430,31 +429,32 @@ class TestBatch:
         assert_same_result(picked[1], run(config)[2])
 
     def test_one_oracle_call_per_iteration_on_the_whole_batch(self):
-        # Each call gets the (replicas, n_agents, dim) batch and the
-        # replicas' dynamics generators, in replica order, the same each time.
+        # Each call gets the (replicas, n_agents, dim) batch and that
+        # iteration's noise; replica r's noise over the run is the rows of
+        # one sequential draw from its observation stream, across blocks.
         calls = []
 
-        def oracle(theta, rngs):
-            calls.append((theta.shape, list(rngs), [g.bit_generator.state for g in rngs]))
+        def oracle(theta, noise):
+            calls.append((theta.shape, noise.copy()))
             return -theta
 
         problem = Problem(dim=2, n_agents=4, gradient=None, oracle=oracle)
+        n_iter = 2 * core.NOISE_BLOCK_STEPS + 5
         config = RunConfig(
             problem=problem,
             gossip=GossipModel(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])),
             schedule=StepSchedule(gamma0=0.5, xi=0.75),
             initial_state=np.ones((4, 2)),
-            n_iter=6,
+            n_iter=n_iter,
             seed=3,
         )
         run(config, [4, 0, 7])
-        assert len(calls) == 6
-        _, first, states = calls[0]
-        fresh = [_stream(3, r, _DYNAMICS).bit_generator.state for r in (4, 0, 7)]
-        assert states == fresh
-        for shape, rngs, _ in calls:
-            assert shape == (3, 4, 2)
-            assert len(rngs) == 3 and all(g is h for g, h in zip(rngs, first))
+        assert len(calls) == n_iter
+        assert all(shape == (3, 4, 2) for shape, _ in calls)
+        received = np.stack([noise for _, noise in calls], axis=1)
+        for position, r in enumerate((4, 0, 7)):
+            sequential = problem.draw(_stream(3, r, _OBSERVATION), (n_iter,))
+            assert np.array_equal(received[position], sequential)
 
     def test_rejects_an_empty_or_negative_selection(self):
         config = two_agent_config()
@@ -468,12 +468,12 @@ class TestBatch:
         an observation; the oracle visits the replicas in order."""
         calls = []
 
-        def oracle(theta, rngs):
+        def oracle(theta, noise):
             observations = np.empty_like(theta)
-            for y, state, rng in zip(observations, theta, rngs):
+            for y, state, z in zip(observations, theta, noise):
                 iteration, position = divmod(len(calls), n_replicas)
                 calls.append(None)
-                y[...] = -state + 0.5 * rng.standard_normal(state.shape)
+                y[...] = -state + 0.5 * z
                 bad(iteration + 1, position, y)
             return observations
 
@@ -517,6 +517,78 @@ class TestBatch:
         assert (err.replica, err.iteration) == (1, 3)
         assert str(err) == "stacked state norm exceeded 1e+12 at iteration 3 in replica 1"
         assert [rec.n for rec in err.records] == [1, 2]
+
+
+class TestNoiseBlocks:
+    """``run`` draws observation noise a block of iterations at a time; the
+    blocking changes no bit of any output."""
+
+    @pytest.mark.parametrize(
+        "name,overrides",
+        [
+            ("quadratic-consensus", ("run.replicas=2",)),
+            ("power-alloc", ("problem.power.mc_trials=20",)),
+        ],
+    )
+    def test_short_run_records_the_first_rows_of_a_long_one(self, name, overrides):
+        # K + 3 iterations end in a 3-step block, 3K + 1 in full blocks and a
+        # 1-step one; recording every iteration compares every state.
+        k = core.NOISE_BLOCK_STEPS
+        short, long = (
+            run(preset_config(name, f"run.n_iter={n}", "run.record_every=1", *overrides))
+            for n in (k + 3, 3 * k + 1)
+        )
+        assert len(short) == len(long)
+        for a, b in zip(short, long):
+            assert len(a.records) == k + 3
+            assert a.records.tobytes() == b.records[: k + 3].tobytes()
+
+    def test_byte_cap_shortens_the_block_without_changing_a_bit(self, monkeypatch):
+        config = preset_config("quadratic-consensus", "run.n_iter=152", "run.replicas=3")
+        want = run(config)
+        leads = []
+        draw = config.problem.draw
+
+        def spy(rng, lead):
+            leads.append(lead)
+            return draw(rng, lead)
+
+        # Room for 5 iterations of the batch's noise, and not quite 6.
+        step_bytes = 3 * math.prod(config.problem.noise_shape) * 8
+        monkeypatch.setattr(core, "NOISE_BLOCK_BYTES", 6 * step_bytes - 1)
+        monkeypatch.setattr(config.problem, "draw", spy)
+        got = run(config)
+        assert leads == [(5,)] * 3 * 30 + [(2,)] * 3
+        for a, b in zip(got, want):
+            assert_same_result(a, b)
+
+
+class TestShapeChecks:
+    """A custom oracle or draw of the wrong shape is refused, not broadcast."""
+
+    @pytest.mark.parametrize("engine", [run, run_ensemble])
+    def test_observation_of_the_wrong_shape_is_refused(self, engine):
+        # One (n_agents, dim) observation would reach all three replicas.
+        problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta[0])
+        config = two_agent_config(problem=problem, replicas=3)
+        expected = r"oracle returned shape \(2, 1\), expected the batch's \(3, 2, 1\)"
+        with pytest.raises(ValueError, match=expected):
+            engine(config)
+
+    @pytest.mark.parametrize("engine,lead", [(run, (10,)), (run_ensemble, (3,))])
+    def test_noise_of_the_wrong_shape_is_refused(self, engine, lead):
+        centers = np.array([[0.0], [4.0]])
+        problem = Problem(
+            dim=1,
+            n_agents=2,
+            gradient=lambda th: th - centers,
+            noise_scale=0.3,
+            draw=lambda rng, lead: rng.standard_normal((2, 1)),
+        )
+        config = two_agent_config(problem=problem, replicas=3)
+        expected = rf"draw returned noise of shape \(2, 1\), expected \({lead[0]}, 2, 1\)"
+        with pytest.raises(ValueError, match=expected):
+            engine(config)
 
 
 def literal_make_record(n, gamma, theta, evaluate, diag_rng):
@@ -612,7 +684,7 @@ class TestBatchedRecords:
             assert got.bit_generator.state == fresh.bit_generator.state
 
     def test_missing_hooks_record_nan(self):
-        problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, rng: -theta)
+        problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta)
         (result,) = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
         for record in result.records:
             assert np.isnan(record.residual) and np.isnan(record.objective)
@@ -622,7 +694,7 @@ class TestBatchedRecords:
             return np.full(len(averages), -1.0), np.zeros(len(averages))
 
         problem = Problem(
-            dim=1, n_agents=2, gradient=None, oracle=lambda theta, rng: -theta, evaluate=evaluate
+            dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta, evaluate=evaluate
         )
         with pytest.raises(ValueError, match="negative residual"):
             run(two_agent_config(problem=problem, n_iter=3, record_every=1))
@@ -632,7 +704,7 @@ class TestBatchedRecords:
             return np.full(len(averages), np.nan), np.zeros(len(averages))
 
         problem = Problem(
-            dim=1, n_agents=2, gradient=None, oracle=lambda theta, rng: -theta, evaluate=evaluate
+            dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta, evaluate=evaluate
         )
         (result,) = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
         assert np.isnan(result.records["residual"]).all()
@@ -646,7 +718,7 @@ class TestOracle:
         theta = np.array([[0.2, 0.1], [-0.4, 0.6]])
         rng = np.random.default_rng(5)
         draws = 10**5
-        batch = problem.oracle(np.broadcast_to(theta, (draws, 2, 2)), rng)
+        batch = problem.oracle(np.broadcast_to(theta, (draws, 2, 2)), problem.draw(rng, (draws,)))
         bound = 4.0 * sigma / np.sqrt(draws)
         for i in range(2):
             expected = -(theta[i] - centers[i])
@@ -660,7 +732,7 @@ class TestOracle:
         problem = quadratic_problem(centers, sigma=sigma)
         for shape in [(4, 3), (7, 4, 3)]:
             theta = rng.normal(size=shape) * 5.0
-            got = problem.oracle(theta, np.random.default_rng(99))
+            got = problem.oracle(theta, problem.draw(np.random.default_rng(99), shape[:-2]))
             noise = np.random.default_rng(99).standard_normal(shape)
             drift = np.stack([-(theta[..., i, :] - centers[i]) for i in range(4)], axis=-2)
             assert np.array_equal(got, drift + sigma * noise)
@@ -674,8 +746,8 @@ class TestOracle:
             return theta - centers
 
         problem = Problem(dim=1, n_agents=3, gradient=gradient, noise_scale=0.1)
-        problem.oracle(np.zeros((3, 1)), np.random.default_rng(0))
-        problem.oracle(np.zeros((5, 3, 1)), np.random.default_rng(0))
+        problem.oracle(np.zeros((3, 1)), np.zeros((3, 1)))
+        problem.oracle(np.zeros((5, 3, 1)), np.zeros((5, 3, 1)))
         assert shapes == [(3, 1), (5, 3, 1)]
 
     def test_mean_gradient_equals_per_agent_sum(self):
@@ -825,24 +897,27 @@ class TestRunEnsemble:
         assert np.array_equal(run_ensemble(config), literal_run_ensemble(config))
 
     def test_oracle_output_not_mutated(self):
+        # Neither the engine nor the default oracle writes to its input
+        # noise, and the engine leaves the oracle's output alone.
         problem = quadratic_problem([[0.0], [1.0]], sigma=1.0)
         returned = []
 
-        def oracle(theta, rng):
-            y = problem._gaussian_oracle(theta, rng)
-            returned.append((y, y.copy()))
+        def oracle(theta, noise):
+            y = problem._gaussian_oracle(theta, noise)
+            returned.append((noise, noise.copy(), y, y.copy()))
             return y
 
         problem.oracle = oracle
         run_ensemble(two_agent_config(problem=problem, n_iter=20, replicas=5))
         assert len(returned) == 20
-        for y, copy in returned:
+        for noise, noise_copy, y, copy in returned:
+            assert np.array_equal(noise, noise_copy)
             assert np.array_equal(y, copy)
 
     def test_nonfinite_observation_names_replica_and_agent(self):
         calls = []
 
-        def oracle(theta, rng):
+        def oracle(theta, noise):
             calls.append(None)
             y = np.zeros_like(theta)
             if len(calls) == 2:
@@ -869,7 +944,7 @@ class TestRunEnsemble:
     def test_steps_by_the_schedule(self):
         # gamma0 * 14**-0.75 differs in the last bit between scalar and array
         # powers; both engines must take the step of StepSchedule.gamma.
-        def oracle(theta, rng):
+        def oracle(theta, noise):
             calls.append(None)
             return np.full(theta.shape, float(len(calls) == 14))
 
@@ -886,7 +961,7 @@ class TestRunEnsemble:
         # Replicas 1 and 2 blow up at iteration 3, replica 0 never does.
         calls = []
 
-        def oracle(theta, rng):
+        def oracle(theta, noise):
             calls.append(None)
             y = -theta
             if len(calls) == 3:
@@ -921,7 +996,7 @@ class TestEnsembleMixer:
         edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
         weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(edges), max_size=len(edges)))
         dim = draw(st.integers(1, 3))
-        zero = lambda theta, rng: np.zeros_like(theta)  # noqa: E731
+        zero = lambda theta, noise: np.zeros_like(theta)  # noqa: E731
         problem = Problem(dim=dim, n_agents=n_agents, gradient=None, oracle=zero)
         return RunConfig(
             problem=problem,
@@ -974,12 +1049,15 @@ class TestEnsembleMixer:
         activation = [0.0, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]
 
         class ScriptedUniforms:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
             def random(self, out):
                 out[...] = np.r_[activation, np.zeros(len(activation))]
                 return out
 
         monkeypatch.setattr("gossip_sa.core._stream", lambda *args: ScriptedUniforms())
-        zero = lambda theta, rng: np.zeros_like(theta)  # noqa: E731
+        zero = lambda theta, noise: np.zeros_like(theta)  # noqa: E731
         start = np.array([[0.0], [1.0]])
         config = RunConfig(
             problem=Problem(dim=1, n_agents=2, gradient=None, oracle=zero),
@@ -1005,7 +1083,8 @@ def literal_run_ensemble(config):
     n_edges = cum.size
 
     for n in range(1, config.n_iter + 1):
-        y = np.asarray(config.problem.oracle(theta, rng), dtype=float)
+        noise = config.problem.draw(rng, (n_replicas,))
+        y = np.asarray(config.problem.oracle(theta, noise), dtype=float)
         theta = theta + config.schedule.gamma(n) * y
         active = rng.random(n_replicas) < config.gossip.activation_probability(n)
         draws = rng.random(n_replicas)
@@ -1027,7 +1106,7 @@ class TestDivergenceGuards:
     both guards must still stop the run."""
 
     def overflowing_config(self, **kwargs):
-        def oracle(theta, rng):
+        def oracle(theta, noise):
             y = np.empty_like(theta)
             y[..., 0, :] = 1e308
             y[..., 1, :] = -1e308

@@ -5,14 +5,24 @@ Each digest is the sha256 over the names and bytes of the files one
 same seed are byte-identical, so a changed digest means the program's
 outputs changed: a floating-point operation, an RNG call or the file layout.
 A change that alters the random streams or the layout on purpose updates
-the digests here and says so in ``CHANGES.md``.
+the digests here and says so in ``CHANGES.md``.  Run as a script,
+``python tests/test_golden_outputs.py``, this file prints the current digest
+of every pinned invocation of the checkout's ``src``.
 """
 
 import hashlib
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
 
-from gossip_sa.cli import EXIT_OK, main
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gossip_sa.cli import EXIT_OK, main  # noqa: E402
 
 N_ITER = "run.n_iter=300"
 CLT_REPLICAS = "run.replicas=100"
@@ -20,15 +30,15 @@ CLT_REPLICAS = "run.replicas=100"
 GOLDEN = {
     ("run", "quadratic-consensus"): (
         (N_ITER,),
-        "bcc9f3d2830401a6ff08b828c87136db29aacc5cc2a85db24e67b6e743d96f0c",
+        "67aa731740730d4c2179da4e99297a67fcc6d3ec42730c3f80264de4e03d8577",
     ),
     ("run", "constrained-toy"): (
         (N_ITER,),
-        "016aecf1a8f1e32ac7d5ea71fcaf6ec7863c728a8bb9c0ce6b305d7344c5bb2c",
+        "552eb7759babb4c9ab9803eb2d3d765ffc4066dcd40f988ff9cf5fc129b457d1",
     ),
     ("run", "power-alloc"): (
         (N_ITER,),
-        "a6622fac1cd2ffc84aa8e72b8b1bd57f9c84aa80e711beb61629d7fc51f8bf68",
+        "d2ee049b7f98ef34df0324047f0a3f59b11524e837bc469c2b494bdca8e50f31",
     ),
     ("clt", "scalar-clt"): (
         (N_ITER, CLT_REPLICAS),
@@ -51,7 +61,7 @@ LAZY_CLT = (
 #: replica's mixing draw is lazy with probability ``1 - p``.
 LAZY_RUN = (
     (N_ITER, "laziness.c=0.7", "laziness.eta=0.1"),
-    "55797fbff10f4634b7c80fa3ae7da03ac6ca8ea3cb9c1bba7516dd537bcaf582",
+    "c5856eba44a4d3e8f106868f3a9eead2c7e765441c2e9d5231c7e1df6a5cba8b",
 )
 
 
@@ -85,3 +95,19 @@ def test_lazy_clt_outputs_match_golden_digest(tmp_path, capsys):
 def test_lazy_run_outputs_match_golden_digest(tmp_path, capsys):
     overrides, expected = LAZY_RUN
     assert run_digest(tmp_path, "run", "quadratic-consensus", overrides) == expected
+
+
+def pinned_invocations():
+    """Every pinned invocation: (label, command, preset, overrides, digest)."""
+    for (command, preset), (overrides, expected) in sorted(GOLDEN.items()):
+        yield f"{command} {preset}", command, preset, overrides, expected
+    yield "LAZY_CLT", "clt", "scalar-clt", *LAZY_CLT
+    yield "LAZY_RUN", "run", "quadratic-consensus", *LAZY_RUN
+
+
+if __name__ == "__main__":
+    for label, command, preset, overrides, expected in pinned_invocations():
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()):
+            current = run_digest(Path(tmp), command, preset, overrides)
+        status = "unchanged" if current == expected else "CHANGED"
+        print(f"{label}: {current} ({status})")

@@ -169,7 +169,7 @@ class TestStochasticOracle:
         scen = small_scenario(channel_distribution="constant")
         rng = np.random.default_rng(10)
         blocks = np.stack([random_feasible_point(scen, rng) for _ in range(3)])
-        obs = stochastic_oracle(scen, blocks, rng)
+        obs = stochastic_oracle(scen, blocks, sample_channels(rng, 3, 2, distribution="constant"))
         ones = np.ones((3, 3, 2))
         for i in range(3):
             expected = scen.weights[i] * rate_gradient(scen, blocks[i], ones, i + 1)
@@ -185,8 +185,8 @@ class TestStochasticOracle:
             scen = random_scenario(rng, n_users, n_channels)
             blocks = rng.uniform(0.0, 1.0, size=(n_users, scen.dim))
             seed = int(rng.integers(2**32))
-            obs = stochastic_oracle(scen, blocks, np.random.default_rng(seed))
             gains = sample_channels(np.random.default_rng(seed), n_users, n_channels)
+            obs = stochastic_oracle(scen, blocks, gains)
             expected = np.stack(
                 [
                     scen.weights[i] * rate_gradient(scen, blocks[i], gains, i + 1)
@@ -195,15 +195,15 @@ class TestStochasticOracle:
             )
             assert np.array_equal(obs, expected)
 
-    def test_leading_axes_draw_one_realization_per_stack(self):
-        # A (2, 3) batch of block stacks draws its gains with that leading
-        # shape in one call; each stack equals the per-agent loop on its own
+    def test_leading_axes_take_one_realization_per_stack(self):
+        # A (2, 3) batch of block stacks takes gains with that leading shape
+        # in one call; each stack equals the per-agent loop on its own
         # realization, bit for bit.
         rng = np.random.default_rng(22)
         scen = random_scenario(rng, 3, 2)
         blocks = rng.uniform(0.0, 1.0, size=(2, 3, 3, scen.dim))
-        obs = stochastic_oracle(scen, blocks, np.random.default_rng(23))
         gains = sample_channels(np.random.default_rng(23), 3, 2, n_draws=(2, 3))
+        obs = stochastic_oracle(scen, blocks, gains)
         assert obs.shape == blocks.shape
         for a in range(2):
             for b in range(3):
@@ -225,7 +225,8 @@ class TestStochasticOracle:
         theta = random_feasible_point(scen, rng)
         blocks = np.tile(theta, (3, 1))
         draws = 10**5
-        obs = stochastic_oracle(scen, np.broadcast_to(blocks, (draws, 3, scen.dim)), rng)
+        gains = sample_channels(rng, 3, 2, n_draws=draws)
+        obs = stochastic_oracle(scen, np.broadcast_to(blocks, (draws, 3, scen.dim)), gains)
         mean = obs.sum(axis=0) / draws
         var = (obs**2).sum(axis=0) / draws - mean**2
         ref_rng = np.random.default_rng(12)
@@ -247,7 +248,7 @@ class TestStochasticOracle:
         blocks = np.zeros((3, scen.dim))
         mean = np.zeros((3, scen.dim))
         for _ in range(2000):
-            mean += stochastic_oracle(scen, blocks, rng)
+            mean += stochastic_oracle(scen, blocks, sample_channels(rng, 3, 2))
         mean /= 2000
         for i in range(3):
             own = mean[i].reshape(3, 2)[i]
@@ -384,22 +385,31 @@ class TestScenario:
         assert problem.dim == 8 and problem.n_agents == 4
         rng = np.random.default_rng(20)
         blocks = random_feasible_start(scen)(rng)
-        obs = problem.oracle(blocks[None], [rng])
+        obs = problem.oracle(blocks[None], problem.draw(rng, (1,)))
         assert obs.shape == (1, 4, 8)
         avg = blocks.mean(axis=0)
         residuals, objectives = problem.evaluate(avg[None], [rng])
         assert len(residuals) == len(objectives) == 1
         assert residuals[0] >= 0.0 and objectives[0] > 0.0
 
-    def test_oracle_draws_each_replica_from_its_own_generator(self):
-        # Row r of the hook's batch is the stacked oracle on replica r alone.
+    def test_oracle_evaluates_each_replica_on_its_own_gains(self):
+        # The draw is sample_channels with the batch's leading shape, and row
+        # r of the hook's batch is the stacked oracle on replica r alone.
         scen = preset_scenario()
         problem = build_power_problem(scen, mc_trials=50)
         rng = np.random.default_rng(21)
         theta = np.stack([random_feasible_start(scen)(rng) for _ in range(3)])
-        seeds = (5, 6, 7)
-        obs = problem.oracle(theta, [np.random.default_rng(s) for s in seeds])
+        gains = problem.draw(np.random.default_rng(5), (3,))
+        assert np.array_equal(gains, sample_channels(np.random.default_rng(5), 4, 2, n_draws=3))
+        assert problem.noise_shape == gains.shape[1:]
+        obs = problem.oracle(theta, gains)
         assert obs.shape == theta.shape
-        for r, seed in enumerate(seeds):
-            want = stochastic_oracle(scen, theta[r], np.random.default_rng(seed))
-            assert np.array_equal(obs[r], want)
+        for r in range(3):
+            assert np.array_equal(obs[r], stochastic_oracle(scen, theta[r], gains[r]))
+
+    def test_oracle_refuses_gains_of_the_wrong_shape(self):
+        scen = preset_scenario()
+        blocks = random_feasible_start(scen)(np.random.default_rng(22))
+        gains = sample_channels(np.random.default_rng(23), 4, 2, n_draws=2)
+        with pytest.raises(ValueError, match=r"gains of shape \(4, 4, 2\), got \(2, 4, 4, 2\)"):
+            stochastic_oracle(scen, blocks, gains)
