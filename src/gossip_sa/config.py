@@ -26,7 +26,7 @@ from .constraints import Box, ConstraintSet, Halfspaces, Unconstrained
 from .core import Problem, RunConfig, StepSchedule
 from .diagnostics import CltSpec
 from .network import Graph, GossipModel
-from .power import PowerScenario, build_power_problem, random_feasible_start
+from .power import CHANNEL_LAWS, PowerScenario, build_power_problem, random_feasible_start
 
 PROBLEM_KINDS = ("quadratic-consensus", "constrained-toy", "power-alloc")
 _QUADRATIC = ("quadratic-consensus", "constrained-toy")
@@ -215,7 +215,7 @@ _POWER = {
     "noise_vars": _Field(float, _repeat(0.1, "graph.n_agents"), "(0, inf)", _PER_USER),
     "budgets": _Field(float, _repeat(1.0, "graph.n_agents"), "(0, inf)", _PER_USER),
     "mc_trials": _Field(int, 1000, "[1, inf)"),
-    "channel_distribution": _Field(("exponential", "constant"), "exponential"),
+    "channel_distribution": _Field(tuple(CHANNEL_LAWS), "exponential"),
 }
 
 

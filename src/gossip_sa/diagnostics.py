@@ -8,7 +8,6 @@ empirical side.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -19,6 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Fewest replicas a fluctuation study may use.
 MIN_CLT_REPLICAS = 100
+#: Fewest replicas that must survive the convergence filter of a study.
+MIN_CLT_REPLICAS_USED = 30
 #: Farthest a replica's final network average may end from the limit point.
 CLT_RADIUS = 0.5
 
@@ -141,13 +142,6 @@ class CltSpec:
         object.__setattr__(self, "theta_star", star)
         object.__setattr__(self, "drift_jacobian", jac)
         object.__setattr__(self, "noise_cov", cov)
-        if self.degenerate:
-            warnings.warn(
-                "noise covariance is not positive definite; the normalized "
-                "fluctuations are degenerate",
-                UserWarning,
-                stacklevel=2,
-            )
 
     @property
     def dim(self) -> int:
@@ -160,8 +154,21 @@ class CltSpec:
 
     @property
     def degenerate(self) -> bool:
+        """Whether the noise covariance is not positive definite, so that the
+        normalized fluctuations are degenerate."""
         scale = max(float(np.max(np.abs(self.noise_cov))), 1.0)
         return bool(np.min(np.linalg.eigvalsh(self.noise_cov)) <= 1e-15 * scale)
+
+    def covariance(self, schedule: "StepSchedule") -> tuple[float, np.ndarray]:
+        """The fluctuation law under ``schedule``: the shift ``zeta`` and the
+        covariance solving the shifted Lyapunov equation.
+
+        The shift is ``0`` for step exponents below one and ``1/(2 gamma0)``
+        at exponent one.  Raises ``ValueError`` when the shifted drift is not
+        stable, which at exponent one is ``2 * decay_rate * gamma0 <= 1``.
+        """
+        zeta = 0.0 if schedule.xi < 1.0 else 1.0 / (2.0 * schedule.gamma0)
+        return zeta, solve_lyapunov(self.drift_jacobian, zeta, self.noise_cov)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +195,10 @@ def clt_check(
     for the trajectories that converged elsewhere, which the asymptotic
     statement conditions away.  The surviving averages are scaled by
     ``gamma(n_tail)**-1/2`` and their second moment about zero is compared,
-    in relative Frobenius distance, with the Lyapunov-equation covariance
-    (shift ``zeta = 0`` for step exponents below one, ``1/(2 gamma0)`` at
-    exponent one).  Per-agent samples are scaled the same way and their
-    residual disagreement is reported; it should be negligible, confirming
-    that the limiting fluctuation is common to all agents.
+    in relative Frobenius distance, with :meth:`CltSpec.covariance`.
+    Per-agent samples are scaled the same way and their residual
+    disagreement is reported; it should be negligible, confirming that the
+    limiting fluctuation is common to all agents.
     """
     finals = np.asarray(final_states, dtype=float)
     if finals.ndim != 3:
@@ -210,7 +216,7 @@ def clt_check(
     deviations = averages - clt_spec.theta_star
     keep = np.linalg.norm(deviations, axis=1) <= CLT_RADIUS
     n_used = int(keep.sum())
-    if n_used < 30:
+    if n_used < MIN_CLT_REPLICAS_USED:
         raise InsufficientReplicasError(
             f"only {n_used} of {n_replicas} replicas ended within {CLT_RADIUS} "
             "of the limit point"
@@ -221,8 +227,7 @@ def clt_check(
     samples = scale * deviations[keep]
     empirical = samples.T @ samples / n_used
 
-    zeta = 0.0 if schedule.xi < 1.0 else 1.0 / (2.0 * schedule.gamma0)
-    theoretical = solve_lyapunov(clt_spec.drift_jacobian, zeta, clt_spec.noise_cov)
+    zeta, theoretical = clt_spec.covariance(schedule)
 
     theo_norm = float(np.linalg.norm(theoretical))
     degenerate = clt_spec.degenerate or theo_norm <= 1e-300

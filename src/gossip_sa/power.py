@@ -20,6 +20,13 @@ import numpy as np
 from .constraints import BudgetSimplex, kt_residual
 from .core import Problem
 
+#: Channel laws by name: each draw rule maps ``(rng, shape)`` to i.i.d.
+#: power gains of that shape.
+CHANNEL_LAWS: dict[str, Callable[[np.random.Generator, tuple], np.ndarray]] = {
+    "exponential": np.random.Generator.standard_exponential,
+    "constant": lambda rng, shape: np.ones(shape),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class PowerScenario:
@@ -42,6 +49,22 @@ class PowerScenario:
             if np.any(arr <= 0.0):
                 raise ValueError(f"{name} must be positive")
             object.__setattr__(self, name, arr)
+        if self.channel_distribution not in CHANNEL_LAWS:
+            raise ValueError(
+                f"unknown channel distribution {self.channel_distribution!r}, "
+                f"expected one of {', '.join(CHANNEL_LAWS)}"
+            )
+
+    @cached_property
+    def gain_shape(self) -> tuple[int, int, int]:
+        """Shape of one channel realization ``gains[j, i, k]``: transmitter
+        ``j``, receiver ``i``, subchannel ``k``."""
+        return (self.n_users, self.n_users, self.n_channels)
+
+    def draw(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """I.i.d. channel power gains of shape ``(*lead, *gain_shape)``,
+        drawn from ``rng`` under the scenario's channel law."""
+        return CHANNEL_LAWS[self.channel_distribution](rng, (*lead, *self.gain_shape))
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -60,26 +83,6 @@ class PowerScenario:
     def feasible_set(self) -> BudgetSimplex:
         """Nonnegative powers with one budget per user block."""
         return BudgetSimplex.per_user(self.n_users, self.n_channels, self.budgets)
-
-
-def sample_channels(
-    rng: np.random.Generator,
-    n_users: int,
-    n_channels: int,
-    n_draws: int | tuple[int, ...] | None = None,
-    distribution: str = "exponential",
-) -> np.ndarray:
-    """Draw i.i.d. channel power gains ``gains[j, i, k]`` (transmitter j,
-    receiver i, subchannel k), optionally with leading draw axes: one of
-    length ``n_draws``, or the shape ``n_draws`` when it is a tuple."""
-    shape: tuple[int, ...] = (n_users, n_users, n_channels)
-    if n_draws is not None:
-        shape = (*np.atleast_1d(n_draws), *shape)
-    if distribution == "exponential":
-        return rng.standard_exponential(shape)
-    if distribution == "constant":
-        return np.ones(shape)
-    raise ValueError(f"unknown channel distribution {distribution!r}")
 
 
 def _all_receiver_terms(scenario, p, gains):
@@ -127,7 +130,7 @@ def stochastic_oracle(scenario: PowerScenario, theta_blocks, gains) -> np.ndarra
     is ``weights[i]`` times user ``i + 1``'s rate gradient there, bit for
     bit the per-user form in ``tests/reference.py``.  Leading axes of
     ``theta_blocks`` are independent stacks, and ``gains`` holds one
-    :func:`sample_channels` realization for each, with the same leading
+    :meth:`PowerScenario.draw` realization for each, with the same leading
     shape.  The sign is an ascent direction, equivalent to descending the
     negated weighted ergodic sum rate.
     """
@@ -137,8 +140,7 @@ def stochastic_oracle(scenario: PowerScenario, theta_blocks, gains) -> np.ndarra
             f"expected blocks of shape {(scenario.n_users, scenario.dim)}, "
             f"got {theta_blocks.shape}"
         )
-    lead = theta_blocks.shape[:-2]
-    shape = (*lead, scenario.n_users, scenario.n_users, scenario.n_channels)
+    shape = (*theta_blocks.shape[:-2], *scenario.gain_shape)
     if np.shape(gains) != shape:
         raise ValueError(f"expected gains of shape {shape}, got {np.shape(gains)}")
     p = theta_blocks.reshape(shape)
@@ -157,18 +159,6 @@ def _shared(scenario: PowerScenario, theta) -> np.ndarray:
     return np.broadcast_to(p, (scenario.n_users, *p.shape))
 
 
-def _draw_gains(scenario: PowerScenario, mc_trials: int, rng: np.random.Generator):
-    if mc_trials < 1:
-        raise ValueError("mc_trials must be at least 1")
-    return sample_channels(
-        rng,
-        scenario.n_users,
-        scenario.n_channels,
-        n_draws=mc_trials,
-        distribution=scenario.channel_distribution,
-    )
-
-
 def estimate_objective(
     scenario: PowerScenario, theta, mc_trials: int, rng: np.random.Generator
 ) -> ObjectiveEstimate:
@@ -179,7 +169,9 @@ def estimate_objective(
     The users' weighted rates, and their weighted mean gradients, are summed
     in user order, starting from zero.
     """
-    gains = _draw_gains(scenario, mc_trials, rng)
+    if mc_trials < 1:
+        raise ValueError("mc_trials must be at least 1")
+    gains = scenario.draw(rng, (mc_trials,))
     terms = _all_receiver_terms(scenario, _shared(scenario, theta), gains)
     _, _, signal, floor = terms
     rates = np.log1p(signal / floor).sum(axis=-1)
@@ -205,7 +197,7 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
     """Wrap a scenario as an engine problem.
 
     The noise of an observation is one channel realization per replica,
-    drawn by :func:`sample_channels`, and the oracle evaluates the whole
+    drawn by :meth:`PowerScenario.draw`, and the oracle evaluates the whole
     batch on it in one :func:`stochastic_oracle` call.  The stationarity
     residual and the objective of a trace record are Monte-Carlo estimates
     (the ergodic gradient has no closed form) over one common sample of
@@ -215,15 +207,6 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
     then taken in one stacked :func:`kt_residual` call.
     """
     feasible = scenario.feasible_set()
-
-    def draw(rng, lead):
-        return sample_channels(
-            rng,
-            scenario.n_users,
-            scenario.n_channels,
-            n_draws=lead,
-            distribution=scenario.channel_distribution,
-        )
 
     def oracle(theta, gains):
         return stochastic_oracle(scenario, theta, gains)
@@ -243,8 +226,8 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
         constraint=feasible,
         oracle=oracle,
         evaluate=evaluate,
-        draw=draw,
-        noise_shape=(scenario.n_users, scenario.n_users, scenario.n_channels),
+        draw=scenario.draw,
+        noise_shape=scenario.gain_shape,
     )
 
 

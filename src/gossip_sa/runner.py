@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .config import ConfigError, ExperimentSpec, build_run_config
-from .core import RunResult, run_ensemble
+from .core import AssumptionError, RunResult, run_ensemble, validate_assumptions
 from .diagnostics import (
     MIN_CLT_REPLICAS,
     CltEstimate,
@@ -165,7 +165,9 @@ def run_clt_study(spec: ExperimentSpec) -> CltStudyResult:
 
     Replicas are advanced together by the vectorized ensemble runner; the
     final network averages, filtered to those near the limit point, are
-    compared with the Lyapunov-equation covariance.
+    compared with the Lyapunov-equation covariance.  A schedule under which
+    that covariance does not exist aborts with the assumption report before
+    any output or engine work, whether or not the checks are overridden.
     """
     if spec.run.replicas < MIN_CLT_REPLICAS:
         raise ConfigError(
@@ -178,6 +180,10 @@ def run_clt_study(spec: ExperimentSpec) -> CltStudyResult:
             f"problem kind {spec.problem.kind!r} provides no fluctuation "
             "specification (limit point, drift, noise covariance)"
         )
+    try:
+        config.problem.clt_spec.covariance(config.schedule)
+    except ValueError:
+        raise AssumptionError(validate_assumptions(config)) from None
     out = _output_directory(spec)
     finals = run_ensemble(config)
     estimate = clt_check(finals, config.problem.clt_spec, config.schedule, spec.run.n_iter)
@@ -192,15 +198,12 @@ def run_clt_study(spec: ExperimentSpec) -> CltStudyResult:
             "degenerate": estimate.degenerate,
         }
     )
-    dim = estimate.theoretical_cov.shape[0]
-    for a in range(dim):
-        for b in range(dim):
-            summary[f"empirical_cov_{a + 1}_{b + 1}"] = float(estimate.empirical_cov[a, b])
-    for a in range(dim):
-        for b in range(dim):
-            summary[f"theoretical_cov_{a + 1}_{b + 1}"] = float(
-                estimate.theoretical_cov[a, b]
-            )
+    for name, matrix in (
+        ("empirical_cov", estimate.empirical_cov),
+        ("theoretical_cov", estimate.theoretical_cov),
+    ):
+        for (a, b), value in np.ndenumerate(matrix):
+            summary[f"{name}_{a + 1}_{b + 1}"] = float(value)
     summary_path = out / "clt_summary.txt"
     _write(write_summary, summary_path, summary)
     return CltStudyResult(

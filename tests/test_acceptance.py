@@ -21,7 +21,6 @@ from gossip_sa.diagnostics import (
     solve_lyapunov,
 )
 from gossip_sa.network import Graph, GossipModel, pairwise_matrix, spectral_gap
-from gossip_sa.power import sample_channels
 from gossip_sa.runner import run_experiment
 
 from reference import preset_spec, projection_drift, rate, rate_gradient
@@ -180,7 +179,7 @@ def test_07_rate_gradient_and_drift():
         step = 1e-6
         worst = 0.0
         for _ in range(100):
-            gains = sample_channels(rng, 3, 2)
+            gains = scen.draw(rng)
             theta = rng.uniform(0.05, 1.0, size=scen.dim) * caps
             user = int(rng.integers(1, 4))
             exact = rate_gradient(scen, theta, gains, user)

@@ -545,6 +545,38 @@ class TestCli:
         assert code == 3
         assert "aborted" in capsys.readouterr().err
 
+    def test_clt_without_a_fluctuation_law_aborts_even_when_overridden(self, tmp_path, capsys):
+        # With 2 L gamma0 <= 1 at xi = 1 the shifted Lyapunov equation has no
+        # solution, so the study stops before it writes or runs anything.
+        out = tmp_path / "y"
+        code = main(
+            [
+                "clt",
+                "--preset",
+                "scalar-clt-xi1",
+                "--override",
+                "schedule.gamma0=0.4",
+                "--override",
+                "run.override_checks=true",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 3
+        assert "FAIL clt_step_scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_noiseless_quadratic_writes_nothing_to_stderr(self, tmp_path, capsys, command):
+        # A degenerate fluctuation law concerns only a study that runs it.
+        argv = [command, "--preset", "quadratic-consensus", "--out", str(tmp_path / "out")]
+        argv += ["--override", "problem.noise_sigma=0", "--override", "run.n_iter=20"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+
     def test_insufficient_converged_replicas_exit_code(self, tmp_path, capsys):
         # Limit point far away and a single iteration: every replica fails the
         # convergence filter, which is the insufficient-data outcome (exit 4).
@@ -865,8 +897,6 @@ def valid_configs(draw):
 
 
 class TestSchemaProperties:
-    # A zero noise_sigma warns that the fluctuation law is degenerate.
-    @pytest.mark.filterwarnings("ignore:noise covariance is not positive definite")
     @settings(max_examples=120, deadline=None, database=None, derandomize=True)
     @given(mappings(SCHEMA_KEYS) | altered_presets() | valid_configs())
     def test_any_mapping_gives_a_spec_or_a_config_error(self, data):

@@ -30,7 +30,7 @@ from gossip_sa.core import (
 )
 from gossip_sa.diagnostics import CltSpec
 from gossip_sa.network import Graph, GossipModel, pairwise_matrix
-from gossip_sa.power import PowerScenario, _draw_gains, estimate_objective
+from gossip_sa.power import PowerScenario, estimate_objective
 from reference import disagreement_norm
 
 
@@ -563,6 +563,37 @@ class TestNoiseBlocks:
             assert_same_result(a, b)
 
 
+class TestAverageInvariant:
+    """With unit Hessians the network average's recursion has no graph term,
+    and a replica's observation noise does not depend on the graph or the
+    laziness: gossip may reorder rounding but never moves the average."""
+
+    def test_graph_and_laziness_leave_the_recorded_average_unmoved(self):
+        # The bound is fixed in advance, about 700 times the largest
+        # difference measured at this size.
+        variants = [
+            (),
+            ("laziness.c=0.7", "laziness.eta=0.1"),
+            ("graph.edges=[[1,2],[2,3],[3,4]]", "laziness.c=0.5", "laziness.eta=0.2"),
+        ]
+        averages = [
+            np.stack(
+                [
+                    res.records["average"]
+                    for res in run(
+                        preset_config(
+                            "quadratic-consensus", "run.n_iter=3000", "run.replicas=3", *extra
+                        )
+                    )
+                ]
+            )
+            for extra in variants
+        ]
+        for other in averages[1:]:
+            assert other.shape == averages[0].shape
+            assert np.max(np.abs(other - averages[0])) <= 1e-13
+
+
 class TestShapeChecks:
     """A custom oracle or draw of the wrong shape is refused, not broadcast."""
 
@@ -680,7 +711,7 @@ class TestBatchedRecords:
         scenario = PowerScenario(n_users=config.problem.n_agents, **power)
         for r, got in enumerate(diag_rngs):
             fresh = _stream(config.seed, r, _DIAGNOSTICS)
-            _draw_gains(scenario, trials, fresh)
+            scenario.draw(fresh, (trials,))
             assert got.bit_generator.state == fresh.bit_generator.state
 
     def test_missing_hooks_record_nan(self):

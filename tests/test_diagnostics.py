@@ -4,6 +4,8 @@ import scipy.linalg
 
 from gossip_sa.core import StepSchedule
 from gossip_sa.diagnostics import (
+    CLT_RADIUS,
+    MIN_CLT_REPLICAS_USED,
     CltSpec,
     InsufficientReplicasError,
     clt_check,
@@ -151,9 +153,19 @@ class TestCltSpec:
             CltSpec(np.zeros(1), np.eye(1), np.eye(1))
 
     def test_degenerate_noise_flagged(self):
-        with pytest.warns(UserWarning, match="positive definite"):
-            spec = CltSpec(np.zeros(1), -np.eye(1), np.zeros((1, 1)))
+        spec = CltSpec(np.zeros(1), -np.eye(1), np.zeros((1, 1)))
         assert spec.degenerate
+
+    def test_covariance_shift_rule(self):
+        # Below xi = 1 the equation is unshifted; at xi = 1 the drift -I is
+        # shifted by 1/(2 gamma0), and it must stay stable: 2 gamma0 > 1.
+        spec = CltSpec(np.zeros(1), -np.eye(1), 0.25 * np.eye(1))
+        zeta, sigma = spec.covariance(StepSchedule(gamma0=0.5, xi=0.75))
+        assert zeta == 0.0 and sigma[0, 0] == pytest.approx(0.125)
+        zeta, sigma = spec.covariance(StepSchedule(gamma0=1.0, xi=1.0))
+        assert zeta == 0.5 and sigma[0, 0] == pytest.approx(0.25)
+        with pytest.raises(ValueError, match="not stable"):
+            spec.covariance(StepSchedule(gamma0=0.4, xi=1.0))
 
 
 def synthetic_finals(rng, n_replicas, n_agents, cov, schedule, n_tail, theta_star):
@@ -203,6 +215,17 @@ class TestCltCheck:
         with pytest.raises(InsufficientReplicasError):
             clt_check(finals, spec, schedule, 100)
 
+    def test_survivor_floor(self):
+        # Exactly MIN_CLT_REPLICAS_USED survivors suffice; one fewer does not.
+        schedule = StepSchedule(gamma0=0.5, xi=0.75)
+        spec = CltSpec(np.zeros(1), -np.eye(1), np.eye(1))
+        finals = np.full((200, 4, 1), 2.0 * CLT_RADIUS)
+        finals[:MIN_CLT_REPLICAS_USED] = 0.0
+        assert clt_check(finals, spec, schedule, 100).n_replicas_used == MIN_CLT_REPLICAS_USED
+        finals[0] = 2.0 * CLT_RADIUS
+        with pytest.raises(InsufficientReplicasError, match=f"only {MIN_CLT_REPLICAS_USED - 1} "):
+            clt_check(finals, spec, schedule, 100)
+
     def test_filter_keeps_near_replicas_only(self):
         schedule = StepSchedule(gamma0=0.5, xi=0.75)
         spec = CltSpec(np.zeros(1), -np.eye(1), 0.25 * np.eye(1))
@@ -214,8 +237,7 @@ class TestCltCheck:
 
     def test_degenerate_noise_propagates(self):
         schedule = StepSchedule(gamma0=0.5, xi=0.75)
-        with pytest.warns(UserWarning):
-            spec = CltSpec(np.zeros(1), -np.eye(1), np.zeros((1, 1)))
+        spec = CltSpec(np.zeros(1), -np.eye(1), np.zeros((1, 1)))
         finals = np.zeros((120, 4, 1))
         est = clt_check(finals, spec, schedule, 10**4)
         assert est.degenerate

@@ -7,7 +7,8 @@ outputs changed: a floating-point operation, an RNG call or the file layout.
 A change that alters the random streams or the layout on purpose updates
 the digests here and says so in ``CHANGES.md``.  Run as a script,
 ``python tests/test_golden_outputs.py``, this file prints the current digest
-of every pinned invocation of the checkout's ``src``.
+of every pinned invocation of the checkout's ``src`` and exits 1 when any of
+them changed.
 """
 
 import hashlib
@@ -106,8 +107,11 @@ def pinned_invocations():
 
 
 if __name__ == "__main__":
+    changed = False
     for label, command, preset, overrides, expected in pinned_invocations():
         with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()):
             current = run_digest(Path(tmp), command, preset, overrides)
-        status = "unchanged" if current == expected else "CHANGED"
+        changed |= current != expected
+        status = "CHANGED" if current != expected else "unchanged"
         print(f"{label}: {current} ({status})")
+    sys.exit(1 if changed else 0)

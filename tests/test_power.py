@@ -10,7 +10,6 @@ from gossip_sa.power import (
     build_power_problem,
     estimate_objective,
     random_feasible_start,
-    sample_channels,
     stochastic_oracle,
     weighted_gradient_estimate,
 )
@@ -46,7 +45,7 @@ def random_feasible_point(scenario, rng):
 class TestRate:
     def test_zero_power_zero_rate(self):
         scen = small_scenario()
-        gains = sample_channels(np.random.default_rng(0), 3, 2)
+        gains = scen.draw(np.random.default_rng(0))
         assert rate(scen, np.zeros(scen.dim), gains, 1) == 0.0
 
     def test_single_user_no_interference(self):
@@ -67,7 +66,7 @@ class TestRate:
     def test_nonnegative_and_zero_iff_unpowered(self):
         scen = small_scenario()
         rng = np.random.default_rng(1)
-        gains = sample_channels(rng, 3, 2)
+        gains = scen.draw(rng)
         for _ in range(50):
             theta = random_feasible_point(scen, rng)
             assert rate(scen, theta, gains, 2) > 0.0
@@ -79,7 +78,7 @@ class TestRate:
         scen = small_scenario()
         rng = np.random.default_rng(2)
         for _ in range(100):
-            gains = sample_channels(rng, 3, 2)
+            gains = scen.draw(rng)
             theta = random_feasible_point(scen, rng)
             user = int(rng.integers(1, 4))
             k = int(rng.integers(scen.dim))
@@ -95,7 +94,7 @@ class TestRate:
 class TestRateGradient:
     def test_zero_power_components(self):
         scen = small_scenario(noise_vars=[0.5, 0.25, 1.0])
-        gains = sample_channels(np.random.default_rng(3), 3, 2)
+        gains = scen.draw(np.random.default_rng(3))
         g = rate_gradient(scen, np.zeros(scen.dim), gains, 2)
         own = g.reshape(3, 2)[1]
         assert np.allclose(own, gains[1, 1, :] / 0.25, atol=1e-12)
@@ -108,7 +107,7 @@ class TestRateGradient:
         step = 1e-6
         worst = 0.0
         for _ in range(100):
-            gains = sample_channels(rng, 3, 2)
+            gains = scen.draw(rng)
             theta = random_feasible_point(scen, rng)
             user = int(rng.integers(1, 4))
             exact = rate_gradient(scen, theta, gains, user)
@@ -127,7 +126,7 @@ class TestRateGradient:
         scen = small_scenario()
         rng = np.random.default_rng(5)
         for _ in range(100):
-            gains = sample_channels(rng, 3, 2)
+            gains = scen.draw(rng)
             theta = random_feasible_point(scen, rng)
             user = int(rng.integers(1, 4))
             g = rate_gradient(scen, theta, gains, user).reshape(3, 2)
@@ -137,7 +136,7 @@ class TestRateGradient:
     def test_batched_gains(self):
         scen = small_scenario()
         rng = np.random.default_rng(6)
-        gains = sample_channels(rng, 3, 2, n_draws=7)
+        gains = scen.draw(rng, (7,))
         theta = random_feasible_point(scen, rng)
         batch = rate_gradient(scen, theta, gains, 1)
         assert batch.shape == (7, scen.dim)
@@ -145,10 +144,10 @@ class TestRateGradient:
             assert np.allclose(batch[t], rate_gradient(scen, theta, gains[t], 1))
 
 
-class TestSampleChannels:
+class TestScenarioDraw:
     def test_exponential_moments(self):
         rng = np.random.default_rng(7)
-        draws = sample_channels(rng, 2, 1, n_draws=25000)  # 10^5 gains total
+        draws = small_scenario(2, 1).draw(rng, (25000,))  # 10^5 gains total
         flat = draws.ravel()
         assert flat.size == 10**5
         assert abs(flat.mean() - 1.0) <= 0.02
@@ -156,12 +155,14 @@ class TestSampleChannels:
         assert np.all(flat > 0.0)
 
     def test_constant_distribution(self):
-        gains = sample_channels(np.random.default_rng(8), 2, 3, distribution="constant")
+        scen = small_scenario(2, 3, channel_distribution="constant")
+        gains = scen.draw(np.random.default_rng(8))
         assert np.array_equal(gains, np.ones((2, 2, 3)))
 
     def test_unknown_distribution_rejected(self):
-        with pytest.raises(ValueError, match="distribution"):
-            sample_channels(np.random.default_rng(0), 2, 2, distribution="rayleigh")
+        # An unknown law fails when the scenario is built, naming the law.
+        with pytest.raises(ValueError, match="distribution 'rayleigh'"):
+            small_scenario(2, 2, channel_distribution="rayleigh")
 
 
 class TestStochasticOracle:
@@ -169,7 +170,7 @@ class TestStochasticOracle:
         scen = small_scenario(channel_distribution="constant")
         rng = np.random.default_rng(10)
         blocks = np.stack([random_feasible_point(scen, rng) for _ in range(3)])
-        obs = stochastic_oracle(scen, blocks, sample_channels(rng, 3, 2, distribution="constant"))
+        obs = stochastic_oracle(scen, blocks, scen.draw(rng))
         ones = np.ones((3, 3, 2))
         for i in range(3):
             expected = scen.weights[i] * rate_gradient(scen, blocks[i], ones, i + 1)
@@ -185,7 +186,7 @@ class TestStochasticOracle:
             scen = random_scenario(rng, n_users, n_channels)
             blocks = rng.uniform(0.0, 1.0, size=(n_users, scen.dim))
             seed = int(rng.integers(2**32))
-            gains = sample_channels(np.random.default_rng(seed), n_users, n_channels)
+            gains = scen.draw(np.random.default_rng(seed))
             obs = stochastic_oracle(scen, blocks, gains)
             expected = np.stack(
                 [
@@ -202,7 +203,7 @@ class TestStochasticOracle:
         rng = np.random.default_rng(22)
         scen = random_scenario(rng, 3, 2)
         blocks = rng.uniform(0.0, 1.0, size=(2, 3, 3, scen.dim))
-        gains = sample_channels(np.random.default_rng(23), 3, 2, n_draws=(2, 3))
+        gains = scen.draw(np.random.default_rng(23), (2, 3))
         obs = stochastic_oracle(scen, blocks, gains)
         assert obs.shape == blocks.shape
         for a in range(2):
@@ -225,7 +226,7 @@ class TestStochasticOracle:
         theta = random_feasible_point(scen, rng)
         blocks = np.tile(theta, (3, 1))
         draws = 10**5
-        gains = sample_channels(rng, 3, 2, n_draws=draws)
+        gains = scen.draw(rng, (draws,))
         obs = stochastic_oracle(scen, np.broadcast_to(blocks, (draws, 3, scen.dim)), gains)
         mean = obs.sum(axis=0) / draws
         var = (obs**2).sum(axis=0) / draws - mean**2
@@ -233,9 +234,7 @@ class TestStochasticOracle:
         for i in range(3):
             chunks = [
                 scen.weights[i]
-                * rate_gradient(
-                    scen, theta, sample_channels(ref_rng, 3, 2, n_draws=10**5), i + 1
-                ).mean(axis=0)
+                * rate_gradient(scen, theta, scen.draw(ref_rng, (10**5,)), i + 1).mean(axis=0)
                 for _ in range(10)
             ]
             reference = np.mean(chunks, axis=0)
@@ -248,7 +247,7 @@ class TestStochasticOracle:
         blocks = np.zeros((3, scen.dim))
         mean = np.zeros((3, scen.dim))
         for _ in range(2000):
-            mean += stochastic_oracle(scen, blocks, sample_channels(rng, 3, 2))
+            mean += stochastic_oracle(scen, blocks, scen.draw(rng))
         mean /= 2000
         for i in range(3):
             own = mean[i].reshape(3, 2)[i]
@@ -311,7 +310,7 @@ class TestEstimatesEqualPerUserLoops:
             theta = rng.uniform(0.0, 1.0, size=scen.dim)
             trials = int(rng.integers(1, 200))
             seed = int(rng.integers(2**32))
-            gains = sample_channels(np.random.default_rng(seed), n_users, n_channels, trials)
+            gains = scen.draw(np.random.default_rng(seed), (trials,))
             yield scen, theta, trials, seed, gains
 
     def test_estimate_objective(self):
@@ -393,15 +392,15 @@ class TestScenario:
         assert residuals[0] >= 0.0 and objectives[0] > 0.0
 
     def test_oracle_evaluates_each_replica_on_its_own_gains(self):
-        # The draw is sample_channels with the batch's leading shape, and row
+        # The draw is the scenario's with the batch's leading shape, and row
         # r of the hook's batch is the stacked oracle on replica r alone.
         scen = preset_scenario()
         problem = build_power_problem(scen, mc_trials=50)
         rng = np.random.default_rng(21)
         theta = np.stack([random_feasible_start(scen)(rng) for _ in range(3)])
         gains = problem.draw(np.random.default_rng(5), (3,))
-        assert np.array_equal(gains, sample_channels(np.random.default_rng(5), 4, 2, n_draws=3))
-        assert problem.noise_shape == gains.shape[1:]
+        assert np.array_equal(gains, scen.draw(np.random.default_rng(5), (3,)))
+        assert problem.noise_shape == scen.gain_shape == gains.shape[1:]
         obs = problem.oracle(theta, gains)
         assert obs.shape == theta.shape
         for r in range(3):
@@ -410,6 +409,6 @@ class TestScenario:
     def test_oracle_refuses_gains_of_the_wrong_shape(self):
         scen = preset_scenario()
         blocks = random_feasible_start(scen)(np.random.default_rng(22))
-        gains = sample_channels(np.random.default_rng(23), 4, 2, n_draws=2)
+        gains = scen.draw(np.random.default_rng(23), (2,))
         with pytest.raises(ValueError, match=r"gains of shape \(4, 4, 2\), got \(2, 4, 4, 2\)"):
             stochastic_oracle(scen, blocks, gains)
