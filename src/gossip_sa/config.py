@@ -450,8 +450,10 @@ def _build_quadratic(spec: ExperimentSpec):
 
     def evaluate(averages, rngs):
         # ``problem`` is bound below, before any record asks for this hook.
-        gaps = (averages[:, None] - centers).reshape(len(averages), -1)
-        return problem.gradient_residual(averages), 0.5 * (gaps**2).sum(axis=1)
+        # Each point's gaps to the centers are summed as one flat row.
+        gaps = averages[..., None, :] - centers
+        gaps = gaps.reshape(*averages.shape[:-1], -1)
+        return problem.gradient_residual(averages), 0.5 * (gaps**2).sum(axis=-1)
 
     clt_spec = None
     if isinstance(constraint, Unconstrained):

@@ -42,6 +42,12 @@ _ENSEMBLE = 1000
 NOISE_BLOCK_STEPS = 64
 NOISE_BLOCK_BYTES = 8 << 20
 
+#: :func:`run` evaluates its trace records this many record steps at a
+#: time, in one :func:`_make_record` call, and at the last iteration or an
+#: abort whatever is pending.  Each record is evaluated from the state
+#: copied at its own step, so the blocking leaves every number in place.
+RECORD_BLOCK = 4
+
 
 def _stream(seed: int, replica: int, role: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica, role)))
@@ -144,10 +150,16 @@ class Problem:
     shared stream.
 
     ``evaluate(averages, rngs) -> (residuals, objectives)`` is the optional
-    diagnostic hook of trace records: one residual and one objective per
-    row of the ``(replicas, dim)`` stack of network averages, with ``rngs``
-    the replicas' diagnostics generators in order.  Given a gradient it
-    defaults to :meth:`gradient_residual` and no objective (NaN).
+    diagnostic hook of trace records.  ``averages`` is a ``(replicas, k,
+    dim)`` block of network averages: row ``r`` holds replica ``r``'s ``k``
+    record points in record order, and ``rngs`` are the replicas'
+    diagnostics generators in order, so row ``r`` is evaluated from
+    ``rngs[r]``.  It returns one residual and one objective per point, each
+    of shape ``(replicas, k)``; a negative residual makes :func:`run` raise
+    :class:`ValueError` at the end of its block.  Power allocation's hook
+    makes one ``estimate_objective`` call per replica per block.  Given a
+    gradient it defaults to :meth:`gradient_residual` and no objective
+    (NaN).
     """
 
     dim: int
@@ -209,7 +221,7 @@ class Problem:
         return kt_residual(self.constraint, averages, grads)
 
     def _gradient_evaluate(self, averages, rngs):
-        return self.gradient_residual(averages), [float("nan")] * len(averages)
+        return self.gradient_residual(averages), np.full(averages.shape[:-1], float("nan"))
 
 
 @dataclass(eq=False)
@@ -387,19 +399,22 @@ class RunResult:
         return float(block_norms(deviation.reshape(-1)))
 
 
-def _make_record(n, gamma, theta, problem, diag_rngs, out) -> None:
-    """Fill ``out``, one trace row per replica of the ``(replicas, n_agents,
-    dim)`` batch ``theta``, for record step ``n``.
+def _make_record(theta_block, problem, diag_rngs, out) -> None:
+    """Evaluate the trace rows ``out``, of shape ``(replicas, k)``, from the
+    ``(replicas, k, n_agents, dim)`` block ``theta_block`` of the states at
+    their ``k`` record steps; ``out``'s ``n`` and ``gamma`` are already set.
 
-    Each reduction over the batch keeps the bits of the one on a single
-    replica.  One ``problem.evaluate`` call gets the stacked averages and
-    ``diag_rngs``, one generator per replica, and gives the residual and
-    objective columns; a negative residual is rejected, since it is a norm.
+    Each reduction over the block keeps the bits of the one on a single
+    replica's state.  One ``problem.evaluate`` call gets the block of
+    averages and ``diag_rngs``, one generator per replica, and gives the
+    residual and objective columns (power allocation's hook makes one
+    ``estimate_objective`` call per replica on it); a negative residual is
+    rejected, since it is a norm, with :class:`ValueError` at the end of its
+    block.
     """
-    averages = theta.mean(axis=1)
-    out["n"] = n
-    out["gamma"] = gamma
-    out["disagreement"] = block_norms((theta - averages[:, None]).reshape(len(theta), -1))
+    averages = theta_block.mean(axis=2)
+    deviations = theta_block - averages[:, :, None]
+    out["disagreement"] = block_norms(deviations.reshape(*out.shape, -1))
     out["average"] = averages
     if problem.evaluate is None:
         out["residual"] = out["objective"] = float("nan")
@@ -447,10 +462,16 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     of iteration ``n`` and mixes, ignoring floating-point overflow, which
     the divergence guard reports.  A draw or an observation of the wrong
     shape raises :class:`ValueError`.  Every ``record_every`` iterations and
-    at the last, once every block is checked feasible, one
-    :func:`_make_record` call records all replicas.  Whatever the
-    constraint, a replica aborts the run with :class:`DivergenceError` when
-    its stacked norm passes :data:`DIVERGENCE_LIMIT` or is NaN.
+    at the last, once every block is checked feasible, the batch is
+    recorded: its step and step size at once, its state into a block of
+    :data:`RECORD_BLOCK` record steps, which one :func:`_make_record` call
+    then evaluates for all replicas, when the block is full, at the last
+    iteration or on an abort; for power allocation that is one
+    ``estimate_objective`` call per replica per block.  A negative residual
+    from ``problem.evaluate`` raises :class:`ValueError` at the end of its
+    block.  Whatever the constraint, a replica aborts the run with
+    :class:`DivergenceError` when its stacked norm passes
+    :data:`DIVERGENCE_LIMIT` or is NaN.
 
     The batch stops at the first iteration where any replica fails.  The
     :class:`SimulationAbort` names the lowest-numbered position that failed
@@ -473,10 +494,13 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     step_bytes = len(replicas) * math.prod(problem.noise_shape) * 8
     steps = max(1, min(NOISE_BLOCK_STEPS, NOISE_BLOCK_BYTES // step_bytes, config.n_iter))
     block = np.empty((len(replicas), steps, *problem.noise_shape))
-    # One trace row per replica and record step; ``filled`` steps recorded so far.
+    # One trace row per replica and record step; ``filled`` steps recorded so
+    # far, of which the first ``done`` are evaluated and the rest wait in
+    # ``pending``, one state each.
     n_records = -(-config.n_iter // config.record_every)  # ceil(n_iter / record_every)
     table = np.empty((len(replicas), n_records), trace_dtype(problem.dim))
-    filled = 0
+    pending = np.empty((len(replicas), RECORD_BLOCK, problem.n_agents, problem.dim))
+    filled = done = 0
     try:
         for n in range(1, config.n_iter + 1):
             gamma = schedule.gamma(n)
@@ -494,9 +518,20 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
             _check_divergence(theta, n)
             if n % config.record_every == 0 or n == config.n_iter:
                 _check_recorded_feasibility(theta, problem.constraint, n)
-                _make_record(n, gamma, theta, problem, diag_rngs, table[:, filled])
+                table["n"][:, filled] = n
+                table["gamma"][:, filled] = gamma
+                pending[:, filled - done] = theta
                 filled += 1
+                if filled - done == RECORD_BLOCK or n == config.n_iter:
+                    _make_record(
+                        pending[:, : filled - done], problem, diag_rngs, table[:, done:filled]
+                    )
+                    done = filled
     except SimulationAbort as err:
+        if filled > done:
+            _make_record(
+                pending[:, : filled - done], problem, diag_rngs, table[:, done:filled]
+            )
         _report_abort(err, n, replicas, table[:, :filled].view(np.recarray))
         raise
     records = table.view(np.recarray)

@@ -20,8 +20,8 @@ import numpy as np
 from .constraints import BudgetSimplex, kt_residual
 from .core import Problem
 
-#: Channel laws by name: each draw rule maps ``(rng, shape)`` to i.i.d.
-#: power gains of that shape.
+#: Channel laws by name: each draw rule maps ``(rng, shape)`` to a new
+#: C-ordered array of i.i.d. power gains of that shape.
 CHANNEL_LAWS: dict[str, Callable[[np.random.Generator, tuple], np.ndarray]] = {
     "exponential": np.random.Generator.standard_exponential,
     "constant": lambda rng, shape: np.ones(shape),
@@ -66,19 +66,10 @@ class PowerScenario:
         drawn from ``rng`` under the scenario's channel law."""
         return CHANNEL_LAWS[self.channel_distribution](rng, (*lead, *self.gain_shape))
 
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """``arange(n_users)``: indexes each receiver's own transmitter."""
-        return np.arange(self.n_users)
-
     @property
     def dim(self) -> int:
         """Length of the stacked allocation vector."""
         return self.n_users * self.n_channels
-
-    def power_matrix(self, theta) -> np.ndarray:
-        """Reshape a stacked allocation into (user, channel) form."""
-        return np.asarray(theta, dtype=float).reshape(self.n_users, self.n_channels)
 
     def feasible_set(self) -> BudgetSimplex:
         """Nonnegative powers with one budget per user block."""
@@ -90,36 +81,41 @@ def _all_receiver_terms(scenario, p, gains):
 
     ``p[..., i, :, :]`` is the ``(n_users, n_channels)`` power matrix
     receiver ``i`` sees; leading axes of ``p`` and ``gains`` broadcast.
-    Returns the incoming gains ``[..., i, j, k]`` (transmitter ``j`` toward
-    receiver ``i``), the own gains, the signals and the
+    Returns the own gains (a view of ``gains``), the signals and the
     interference-plus-noise floors, each bit for bit what the per-user
     reference form in ``tests/reference.py`` gives for one receiver.
     """
-    diag = scenario.diagonal
-    incoming = gains.swapaxes(-3, -2)
-    own_gain = incoming[..., diag, diag, :]
+    incoming = gains.swapaxes(-3, -2)  # [..., i, j, k]: transmitter j toward receiver i
+    own_gain = incoming.diagonal(0, -3, -2).swapaxes(-1, -2)
     load = np.einsum("...ijk,...ijk->...ik", incoming, p)
-    signal = own_gain * p[..., diag, diag, :]
+    signal = own_gain * p.diagonal(0, -3, -2).swapaxes(-1, -2)
     interference = load - signal
-    return incoming, own_gain, signal, scenario.noise_vars[:, None] + interference
+    return own_gain, signal, scenario.noise_vars[:, None] + interference
 
 
-def _all_rate_gradients(scenario, terms) -> np.ndarray:
-    """Every receiver's rate gradient, ``[..., i, :]`` for user ``i + 1``.
+def _all_rate_gradients(scenario, gains, terms, out=None) -> np.ndarray:
+    """Every receiver's rate gradient, laid out as ``gains``: entry
+    ``[..., j, i, k]`` is the derivative of user ``i + 1``'s rate in
+    transmitter ``j``'s power on subchannel ``k``, at ``p[..., i, :, :]``,
+    the matrix receiver ``i`` sees, bit for bit the per-user form in
+    ``tests/reference.py``.
 
-    ``terms`` are :func:`_all_receiver_terms` of ``(p, gains)``; row ``i``
-    is user ``i + 1``'s gradient at ``p[..., i, :, :]``, the matrix receiver
-    ``i`` sees, bit for bit the per-user form in ``tests/reference.py``.
+    ``terms`` are :func:`_all_receiver_terms` of ``(p, gains)``.  The
+    gradients are written to ``out`` when it is given: a C-ordered array,
+    which may be ``gains`` itself.
     """
-    diag = scenario.diagonal
-    incoming, own_gain, signal, floor = terms
+    own_gain, signal, floor = terms
     total = floor + signal
-    cross_factor = (signal / (floor * total))[..., None, :]
+    own = own_gain / total  # before ``out`` may overwrite the own gains
+    cross_factor = (signal / (floor * total))[..., None, :, :]
     # ``-(a * b)`` in place: bit-identical to ``(-a) * b`` with one temporary less.
-    grad = incoming * cross_factor
+    grad = np.multiply(gains, cross_factor, out=out, order="C")
     np.negative(grad, out=grad)
-    grad[..., diag, diag, :] = own_gain / total
-    return grad.reshape(*grad.shape[:-2], scenario.dim)
+    # The own-power entries ``[..., i, i, :]`` are every ``n + 1``-th row of
+    # the flattened ``(j, i)`` axes: a view, since ``grad`` is C-ordered.
+    n = scenario.n_users
+    grad.reshape(*grad.shape[:-3], n * n, -1)[..., :: n + 1, :] = own
+    return grad
 
 
 def stochastic_oracle(scenario: PowerScenario, theta_blocks, gains) -> np.ndarray:
@@ -144,19 +140,14 @@ def stochastic_oracle(scenario: PowerScenario, theta_blocks, gains) -> np.ndarra
     if np.shape(gains) != shape:
         raise ValueError(f"expected gains of shape {shape}, got {np.shape(gains)}")
     p = theta_blocks.reshape(shape)
-    terms = _all_receiver_terms(scenario, p, gains)
-    return scenario.weights[:, None] * _all_rate_gradients(scenario, terms)
+    grad = _all_rate_gradients(scenario, gains, _all_receiver_terms(scenario, p, gains))
+    weighted = np.multiply(scenario.weights[:, None, None], grad.swapaxes(-3, -2), order="C")
+    return weighted.reshape(*weighted.shape[:-2], scenario.dim)
 
 
 class ObjectiveEstimate(NamedTuple):
-    value: float
+    value: float | np.ndarray
     ascent: np.ndarray
-
-
-def _shared(scenario: PowerScenario, theta) -> np.ndarray:
-    """One allocation seen by every receiver, as a read-only broadcast."""
-    p = scenario.power_matrix(theta)
-    return np.broadcast_to(p, (scenario.n_users, *p.shape))
 
 
 def estimate_objective(
@@ -166,23 +157,37 @@ def estimate_objective(
     and of its ascent gradient, both over one sample of ``mc_trials``
     channel draws (common random numbers).
 
-    The users' weighted rates, and their weighted mean gradients, are summed
-    in user order, starting from zero.
+    ``theta`` is one allocation of length ``dim``, which gives a float
+    ``value`` and a ``(dim,)`` ``ascent``, or a ``(..., dim)`` stack of
+    them, which gives a ``value`` per point and an ascent per point.  The
+    stack draws its samples in one call, point after point in C order, so
+    each point gets bit for bit what a call on it alone would, one call
+    after another on the same generator.  The users' weighted rates, and
+    their weighted mean gradients, are summed in user order, starting from
+    zero.
     """
     if mc_trials < 1:
         raise ValueError("mc_trials must be at least 1")
-    gains = scenario.draw(rng, (mc_trials,))
-    terms = _all_receiver_terms(scenario, _shared(scenario, theta), gains)
-    _, _, signal, floor = terms
+    theta = np.asarray(theta, dtype=float)
+    lead = theta.shape[:-1]
+    gains = scenario.draw(rng, (*lead, mc_trials))
+    # Every receiver of every trial sees the point's one allocation.
+    p = theta.reshape(*lead, 1, 1, scenario.n_users, scenario.n_channels)
+    p = np.broadcast_to(p, (*lead, 1, *scenario.gain_shape))
+    terms = _all_receiver_terms(scenario, p, gains)
+    _, signal, floor = terms
     rates = np.log1p(signal / floor).sum(axis=-1)
-    totals = np.zeros(mc_trials)
+    totals = np.zeros((*lead, mc_trials))
     for i in range(scenario.n_users):
-        totals += scenario.weights[i] * rates[:, i]
-    means = _all_rate_gradients(scenario, terms).mean(axis=0)
-    ascent = np.zeros(scenario.dim)
+        totals += scenario.weights[i] * rates[..., i]
+    # The gradients overwrite the sample, which nothing reads afterwards.
+    grad = _all_rate_gradients(scenario, gains, terms, out=gains)
+    means = grad.swapaxes(-3, -2).mean(axis=-4).reshape(*lead, scenario.n_users, scenario.dim)
+    ascent = np.zeros((*lead, scenario.dim))
     for i in range(scenario.n_users):
-        ascent += scenario.weights[i] * means[i]
-    return ObjectiveEstimate(value=float(totals.mean()), ascent=ascent)
+        ascent += scenario.weights[i] * means[..., i, :]
+    value = totals.mean(axis=-1)
+    return ObjectiveEstimate(value=float(value) if not lead else value, ascent=ascent)
 
 
 def weighted_gradient_estimate(
@@ -201,10 +206,11 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
     batch on it in one :func:`stochastic_oracle` call.  The stationarity
     residual and the objective of a trace record are Monte-Carlo estimates
     (the ergodic gradient has no closed form) over one common sample of
-    ``mc_trials`` channel draws per replica: one :func:`estimate_objective`
-    call gives both.  Each replica's estimates are drawn from its own
-    diagnostics generator, one replica after another; the residuals are
-    then taken in one stacked :func:`kt_residual` call.
+    ``mc_trials`` channel draws per record point: one
+    :func:`estimate_objective` call gives both, for all of a replica's
+    points of a record block, from that replica's diagnostics generator,
+    one replica after another.  The residuals of the whole block are then
+    taken in one stacked :func:`kt_residual` call.
     """
     feasible = scenario.feasible_set()
 
@@ -213,11 +219,11 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
 
     def evaluate(averages, rngs):
         estimates = [
-            estimate_objective(scenario, average, mc_trials, g)
-            for average, g in zip(averages, rngs)
+            estimate_objective(scenario, points, mc_trials, g) for points, g in zip(averages, rngs)
         ]
         ascents = np.stack([e.ascent for e in estimates])
-        return kt_residual(feasible, averages, -ascents), [e.value for e in estimates]
+        values = np.stack([e.value for e in estimates])
+        return kt_residual(feasible, averages, -ascents), values
 
     return Problem(
         dim=scenario.dim,

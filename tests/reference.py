@@ -28,7 +28,7 @@ def _user_index(scenario: PowerScenario, user: int) -> int:
 
 def _receiver_terms(scenario, theta, gains, i):
     """Per-channel signal and interference-plus-noise terms for receiver ``i``."""
-    p = scenario.power_matrix(theta)
+    p = np.asarray(theta, dtype=float).reshape(scenario.n_users, scenario.n_channels)
     incoming = gains[..., :, i, :]  # all transmitters toward receiver i
     own_gain = incoming[..., i, :]
     load = np.einsum("...jk,jk->...k", incoming, p)

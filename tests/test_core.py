@@ -46,8 +46,8 @@ def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
         )
 
     def evaluate(avgs, rngs):
-        gaps = (avgs[:, None] - centers).reshape(len(avgs), -1)
-        return problem.gradient_residual(avgs), 0.5 * (gaps**2).sum(axis=1)
+        gaps = (avgs[..., None, :] - centers).reshape(*avgs.shape[:-1], -1)
+        return problem.gradient_residual(avgs), 0.5 * (gaps**2).sum(axis=-1)
 
     problem = Problem(
         dim=dim,
@@ -661,7 +661,22 @@ def literal_hook(name, problem):
 
 
 class TestBatchedRecords:
-    """One record call per record step gives every replica its own record."""
+    """One record call per block of record steps gives every replica its own
+    records, each evaluated from the state at its own step."""
+
+    @staticmethod
+    def capture_records(monkeypatch, calls):
+        """Wrap ``_make_record`` so that each call appends ``(ns, gammas,
+        theta_block copy, diag_rngs)`` to ``calls``."""
+        make_record = core._make_record
+
+        def capture(theta_block, problem, diag_rngs, out):
+            # Every replica of a record step shares its n and gamma.
+            ns, gammas = out["n"][0].tolist(), out["gamma"][0].tolist()
+            calls.append((ns, gammas, theta_block.copy(), diag_rngs))
+            return make_record(theta_block, problem, diag_rngs, out)
+
+        monkeypatch.setattr(core, "_make_record", capture)
 
     @pytest.mark.parametrize(
         "name,overrides",
@@ -670,21 +685,23 @@ class TestBatchedRecords:
             ("quadratic-consensus", ("laziness.c=0.6", "laziness.eta=0.2")),
             ("constrained-toy", ()),
             ("power-alloc", ()),
+            # 22 records: five full blocks and a partial last one.
+            ("power-alloc", ("run.record_every=7",)),
         ],
     )
     def test_records_equal_the_per_replica_reference_bitwise(self, monkeypatch, name, overrides):
         config = preset_config(name, "run.n_iter=150", *overrides)
-        states = []
-        make_record = core._make_record
-
-        def capture(n, gamma, theta, problem, diag_rngs, out):
-            states.append((n, gamma, theta.copy()))
-            return make_record(n, gamma, theta, problem, diag_rngs, out)
-
-        monkeypatch.setattr(core, "_make_record", capture)
+        calls = []
+        self.capture_records(monkeypatch, calls)
         results = run(config, range(3))
+        states = [
+            (n, g, block[:, j])
+            for ns, gammas, block, _ in calls
+            for j, (n, g) in enumerate(zip(ns, gammas))
+        ]
         ns = [n for n in range(1, 151) if n % config.record_every == 0 or n == 150]
         assert [n for n, _, _ in states] == ns
+        assert all(len(ns) <= core.RECORD_BLOCK for ns, _, _, _ in calls)
         hook = literal_hook(name, config.problem)
         for r, result in enumerate(results):
             diag_rng = _stream(config.seed, r, _DIAGNOSTICS)
@@ -692,27 +709,57 @@ class TestBatchedRecords:
             assert_same_records(result.records, np.rec.array(rows, dtype=result.records.dtype))
 
     def test_power_record_draws_one_sample_per_replica(self, monkeypatch):
-        # After the one record of a one-iteration run, every diagnostics
-        # stream has made exactly one draw of ``mc_trials`` channel sets.
-        config = preset_config("power-alloc", "run.n_iter=1")
-        streams = []
-        make_record = core._make_record
-
-        def capture(n, gamma, theta, problem, diag_rngs, out):
-            streams.append(diag_rngs)
-            return make_record(n, gamma, theta, problem, diag_rngs, out)
-
-        monkeypatch.setattr(core, "_make_record", capture)
-        run(config, range(2))
-        (diag_rngs,) = streams
+        # After a run, every diagnostics stream has made exactly one draw of
+        # ``mc_trials`` channel sets per record: one record for a
+        # one-iteration run, six (a full block and a partial one) for 23
+        # iterations recorded every 4.
         spec = spec_from_dict(preset_dict("power-alloc")).problem
         power = dict(spec.power)
         trials = power.pop("mc_trials")
-        scenario = PowerScenario(n_users=config.problem.n_agents, **power)
-        for r, got in enumerate(diag_rngs):
-            fresh = _stream(config.seed, r, _DIAGNOSTICS)
-            scenario.draw(fresh, (trials,))
-            assert got.bit_generator.state == fresh.bit_generator.state
+        calls = []
+        self.capture_records(monkeypatch, calls)
+        for overrides, n_records in (
+            (("run.n_iter=1",), 1),
+            (("run.n_iter=23", "run.record_every=4"), 6),
+        ):
+            config = preset_config("power-alloc", *overrides)
+            calls.clear()
+            results = run(config, range(2))
+            assert len(results[0].records) == n_records
+            diag_rngs = calls[0][3]
+            assert all(rngs is diag_rngs for _, _, _, rngs in calls)
+            scenario = PowerScenario(n_users=config.problem.n_agents, **power)
+            for r, got in enumerate(diag_rngs):
+                fresh = _stream(config.seed, r, _DIAGNOSTICS)
+                for _ in range(n_records):
+                    scenario.draw(fresh, (trials,))
+                assert got.bit_generator.state == fresh.bit_generator.state
+
+    def test_abort_inside_a_block_keeps_its_records_evaluated(self):
+        # Records fall every 7 steps and blocks end at steps 28 and 56.  A NaN
+        # observation at step 45 aborts with records 1-6 filled, the last two
+        # still pending: they are evaluated before the abort is raised.
+        overrides = ("run.n_iter=100", "run.replicas=3", "run.record_every=7")
+        clean = run(preset_config("power-alloc", *overrides))
+        config = preset_config("power-alloc", *overrides)
+        oracle, calls = config.problem.oracle, []
+
+        def spoiled(theta, noise):
+            calls.append(None)
+            y = oracle(theta, noise)
+            if len(calls) == 45:
+                y[1, 2, 0] = np.nan
+            return y
+
+        config.problem.oracle = spoiled
+        with pytest.raises(NonFiniteObservationError) as info:
+            run(config)
+        err = info.value
+        assert (err.replica, err.agent, err.iteration) == (1, 3, 45)
+        assert err.records["n"].tolist() == [7, 14, 21, 28, 35, 42]
+        assert err.records.tobytes() == clean[1].records[:6].tobytes()
+        assert np.isfinite(err.records["residual"]).all()
+        assert np.isfinite(err.records["objective"]).all()
 
     def test_missing_hooks_record_nan(self):
         problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta)

@@ -66,6 +66,14 @@ LAZY_RUN = (
 )
 
 
+#: Dense power-alloc records (43 per replica): record blocks end inside the
+#: run, and the last block is partial.
+DENSE_POWER = (
+    (N_ITER, "run.record_every=7", "run.replicas=3"),
+    "d8ddc081812ebc1695c9be4e0cdd8d706bd22dbeba4bed2a99b8a7b171e453fa",
+)
+
+
 def digest(out) -> str:
     h = hashlib.sha256()
     for path in sorted(out.iterdir()):
@@ -98,12 +106,18 @@ def test_lazy_run_outputs_match_golden_digest(tmp_path, capsys):
     assert run_digest(tmp_path, "run", "quadratic-consensus", overrides) == expected
 
 
+def test_dense_power_records_match_golden_digest(tmp_path, capsys):
+    overrides, expected = DENSE_POWER
+    assert run_digest(tmp_path, "run", "power-alloc", overrides) == expected
+
+
 def pinned_invocations():
     """Every pinned invocation: (label, command, preset, overrides, digest)."""
     for (command, preset), (overrides, expected) in sorted(GOLDEN.items()):
         yield f"{command} {preset}", command, preset, overrides, expected
     yield "LAZY_CLT", "clt", "scalar-clt", *LAZY_CLT
     yield "LAZY_RUN", "run", "quadratic-consensus", *LAZY_RUN
+    yield "DENSE_POWER", "run", "power-alloc", *DENSE_POWER
 
 
 if __name__ == "__main__":

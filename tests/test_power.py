@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -331,6 +332,41 @@ class TestEstimatesEqualPerUserLoops:
             assert np.array_equal(got, total)
 
 
+class TestStackedEstimates:
+    """A stack of points is estimated in one call, bit for bit as one call
+    per point, in C order, on the same generator."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(24)
+        for case in range(60):
+            scen = random_scenario(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+            if case % 10 == 9:
+                scen = dataclasses.replace(scen, channel_distribution="constant")
+            lead = ((int(rng.integers(1, 6)),), (2, int(rng.integers(1, 4))))[case % 2]
+            points = rng.uniform(0.0, 1.0, size=(*lead, scen.dim))
+            yield scen, points, int(rng.integers(1, 200)), int(rng.integers(2**32))
+
+    def test_stack_equals_one_call_per_point(self):
+        for scen, points, trials, seed in self.cases():
+            stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = estimate_objective(scen, points, trials, stacked_rng)
+            assert got.value.shape == points.shape[:-1]
+            assert got.ascent.shape == points.shape
+            for index in np.ndindex(points.shape[:-1]):
+                want = estimate_objective(scen, points[index], trials, single_rng)
+                assert got.value[index] == want.value
+                assert np.array_equal(got.ascent[index], want.ascent)
+            assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+    def test_single_point_gives_a_float_and_a_vector(self):
+        scen = small_scenario()
+        theta = random_feasible_point(scen, np.random.default_rng(25))
+        est = estimate_objective(scen, theta, 50, np.random.default_rng(26))
+        assert type(est.value) is float
+        assert est.ascent.shape == (scen.dim,)
+
+
 def preset_scenario():
     """The four-user network of the ``power-alloc`` preset."""
     spec = preset_spec("power-alloc")
@@ -387,9 +423,9 @@ class TestScenario:
         obs = problem.oracle(blocks[None], problem.draw(rng, (1,)))
         assert obs.shape == (1, 4, 8)
         avg = blocks.mean(axis=0)
-        residuals, objectives = problem.evaluate(avg[None], [rng])
-        assert len(residuals) == len(objectives) == 1
-        assert residuals[0] >= 0.0 and objectives[0] > 0.0
+        residuals, objectives = problem.evaluate(avg[None, None], [rng])
+        assert residuals.shape == objectives.shape == (1, 1)
+        assert residuals[0, 0] >= 0.0 and objectives[0, 0] > 0.0
 
     def test_oracle_evaluates_each_replica_on_its_own_gains(self):
         # The draw is the scenario's with the batch's leading shape, and row
