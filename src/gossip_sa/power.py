@@ -112,9 +112,9 @@ def _all_rate_gradients(scenario, gains, terms, out=None) -> np.ndarray:
     grad = np.multiply(gains, cross_factor, out=out, order="C")
     np.negative(grad, out=grad)
     # The own-power entries ``[..., i, i, :]`` are every ``n + 1``-th row of
-    # the flattened ``(j, i)`` axes: a view, since ``grad`` is C-ordered.
+    # the flattened ``(j, i)`` axes, a view of the C-ordered ``grad``.
     n = scenario.n_users
-    grad.reshape(*grad.shape[:-3], n * n, -1)[..., :: n + 1, :] = own
+    grad.reshape(*grad.shape[:-3], n * n, -1, copy=False)[..., :: n + 1, :] = own
     return grad
 
 
