@@ -46,6 +46,8 @@ NOISE_BLOCK_BYTES = 8 << 20
 #: time, in one :func:`_make_record` call, and at the last iteration or an
 #: abort whatever is pending.  Each record is evaluated from the state
 #: copied at its own step, so the blocking leaves every number in place.
+#: A hook may hold a sample for every point of a block at once; power
+#: allocation caps its sample at ``power.RECORD_SAMPLE_BYTES``.
 RECORD_BLOCK = 4
 
 
@@ -501,6 +503,12 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     table = np.empty((len(replicas), n_records), trace_dtype(problem.dim))
     pending = np.empty((len(replicas), RECORD_BLOCK, problem.n_agents, problem.dim))
     filled = done = 0
+
+    def evaluate_pending():
+        nonlocal done
+        _make_record(pending[:, : filled - done], problem, diag_rngs, table[:, done:filled])
+        done = filled
+
     try:
         for n in range(1, config.n_iter + 1):
             gamma = schedule.gamma(n)
@@ -523,15 +531,10 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
                 pending[:, filled - done] = theta
                 filled += 1
                 if filled - done == RECORD_BLOCK or n == config.n_iter:
-                    _make_record(
-                        pending[:, : filled - done], problem, diag_rngs, table[:, done:filled]
-                    )
-                    done = filled
+                    evaluate_pending()
     except SimulationAbort as err:
         if filled > done:
-            _make_record(
-                pending[:, : filled - done], problem, diag_rngs, table[:, done:filled]
-            )
+            evaluate_pending()
         _report_abort(err, n, replicas, table[:, :filled].view(np.recarray))
         raise
     records = table.view(np.recarray)

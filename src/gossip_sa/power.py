@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
+import math
+
 import numpy as np
 
 from .constraints import BudgetSimplex, kt_residual
@@ -26,6 +28,11 @@ CHANNEL_LAWS: dict[str, Callable[[np.random.Generator, tuple], np.ndarray]] = {
     "exponential": np.random.Generator.standard_exponential,
     "constant": lambda rng, shape: np.ones(shape),
 }
+
+#: Most bytes of channel sample one :func:`estimate_objective` call of a
+#: record block draws: a replica's points of a block are estimated in as
+#: few calls as keep each call's sample within it, and at least one point.
+RECORD_SAMPLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +111,8 @@ def _all_rate_gradients(scenario, gains, terms, out=None) -> np.ndarray:
     gradients are written to ``out`` when it is given: a C-ordered array,
     which may be ``gains`` itself.
     """
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be a C-ordered array")
     own_gain, signal, floor = terms
     total = floor + signal
     own = own_gain / total  # before ``out`` may overwrite the own gains
@@ -112,9 +121,10 @@ def _all_rate_gradients(scenario, gains, terms, out=None) -> np.ndarray:
     grad = np.multiply(gains, cross_factor, out=out, order="C")
     np.negative(grad, out=grad)
     # The own-power entries ``[..., i, i, :]`` are every ``n + 1``-th row of
-    # the flattened ``(j, i)`` axes, a view of the C-ordered ``grad``.
+    # the flattened ``(j, i)`` axes; ``grad`` is C-ordered, so the reshape
+    # is a view and the write lands in ``grad``.
     n = scenario.n_users
-    grad.reshape(*grad.shape[:-3], n * n, -1, copy=False)[..., :: n + 1, :] = own
+    grad.reshape(*grad.shape[:-3], n * n, -1)[..., :: n + 1, :] = own
     return grad
 
 
@@ -186,8 +196,8 @@ def estimate_objective(
     ascent = np.zeros((*lead, scenario.dim))
     for i in range(scenario.n_users):
         ascent += scenario.weights[i] * means[..., i, :]
-    value = totals.mean(axis=-1)
-    return ObjectiveEstimate(value=float(value) if not lead else value, ascent=ascent)
+    # A single point's mean is a numpy float scalar, which is a ``float``.
+    return ObjectiveEstimate(value=totals.mean(axis=-1), ascent=ascent)
 
 
 def weighted_gradient_estimate(
@@ -209,20 +219,26 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
     ``mc_trials`` channel draws per record point: one
     :func:`estimate_objective` call gives both, for all of a replica's
     points of a record block, from that replica's diagnostics generator,
-    one replica after another.  The residuals of the whole block are then
-    taken in one stacked :func:`kt_residual` call.
+    one replica after another.  When the block's sample would pass
+    :data:`RECORD_SAMPLE_BYTES`, a replica's points are split into runs of
+    consecutive points, one call each, which draws the same numbers.  The
+    residuals of the whole block are then taken in one stacked
+    :func:`kt_residual` call.
     """
     feasible = scenario.feasible_set()
+    point_bytes = mc_trials * math.prod(scenario.gain_shape) * 8
 
     def oracle(theta, gains):
         return stochastic_oracle(scenario, theta, gains)
 
     def evaluate(averages, rngs):
-        estimates = [
-            estimate_objective(scenario, points, mc_trials, g) for points, g in zip(averages, rngs)
-        ]
-        ascents = np.stack([e.ascent for e in estimates])
-        values = np.stack([e.value for e in estimates])
+        size = max(1, RECORD_SAMPLE_BYTES // point_bytes)
+        ascents = np.empty(averages.shape)
+        values = np.empty(averages.shape[:-1])
+        for points, g, ascent, value in zip(averages, rngs, ascents, values):
+            for i in range(0, len(points), size):
+                est = estimate_objective(scenario, points[i : i + size], mc_trials, g)
+                ascent[i : i + size], value[i : i + size] = est.ascent, est.value
         return kt_residual(feasible, averages, -ascents), values
 
     return Problem(

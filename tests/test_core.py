@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossip_sa import core
+from gossip_sa import core, power
 from gossip_sa.config import apply_overrides, build_run_config, preset_dict, spec_from_dict
 from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
@@ -760,6 +760,29 @@ class TestBatchedRecords:
         assert err.records.tobytes() == clean[1].records[:6].tobytes()
         assert np.isfinite(err.records["residual"]).all()
         assert np.isfinite(err.records["objective"]).all()
+
+    def test_power_blocks_past_the_sample_cap_split_alike(self, monkeypatch):
+        # 15 records per replica: three full blocks and one of three points,
+        # one estimate call per replica per block.  With a cap below one
+        # point's sample every point gets its own call, and the records keep
+        # every bit.
+        overrides = ("run.n_iter=100", "run.replicas=2", "run.record_every=7")
+        shapes = []
+        estimate = power.estimate_objective
+
+        def counted(scenario, theta, mc_trials, rng):
+            shapes.append(np.shape(theta)[:-1])
+            return estimate(scenario, theta, mc_trials, rng)
+
+        monkeypatch.setattr(power, "estimate_objective", counted)
+        whole = run(preset_config("power-alloc", *overrides))
+        assert shapes == [(4,)] * 6 + [(3,)] * 2
+        shapes.clear()
+        monkeypatch.setattr(power, "RECORD_SAMPLE_BYTES", 1)
+        split = run(preset_config("power-alloc", *overrides))
+        assert shapes == [(1,)] * 30
+        for a, b in zip(whole, split):
+            assert a.records.tobytes() == b.records.tobytes()
 
     def test_missing_hooks_record_nan(self):
         problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta)

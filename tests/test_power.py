@@ -8,6 +8,8 @@ from gossip_sa.constraints import BudgetSimplex
 from gossip_sa.network import Graph, is_connected
 from gossip_sa.power import (
     PowerScenario,
+    _all_rate_gradients,
+    _all_receiver_terms,
     build_power_problem,
     estimate_objective,
     random_feasible_start,
@@ -363,8 +365,20 @@ class TestStackedEstimates:
         scen = small_scenario()
         theta = random_feasible_point(scen, np.random.default_rng(25))
         est = estimate_objective(scen, theta, 50, np.random.default_rng(26))
-        assert type(est.value) is float
+        assert isinstance(est.value, float)
         assert est.ascent.shape == (scen.dim,)
+
+    def test_gradients_refuse_an_out_that_is_not_c_ordered(self):
+        # The own-power entries are written through a reshape of ``out``,
+        # which is a view only of a C-ordered array.
+        scen = small_scenario()
+        gains = scen.draw(np.random.default_rng(27), (5,))
+        p = np.broadcast_to(np.full(scen.gain_shape[1:], 0.3), (5, *scen.gain_shape))
+        terms = _all_receiver_terms(scen, p, gains)
+        with pytest.raises(ValueError, match="C-ordered"):
+            _all_rate_gradients(scen, gains, terms, out=np.asfortranarray(gains))
+        want = _all_rate_gradients(scen, gains, terms)
+        assert np.array_equal(_all_rate_gradients(scen, gains, terms, out=gains), want)
 
 
 def preset_scenario():
