@@ -26,7 +26,7 @@ from .constraints import Box, ConstraintSet, Halfspaces, Unconstrained
 from .core import Problem, RunConfig, StepSchedule
 from .diagnostics import CltSpec
 from .network import Graph, GossipModel
-from .power import CHANNEL_LAWS, PowerScenario, build_power_problem, random_feasible_start
+from .power import CHANNEL_LAWS, PowerScenario, build_power_problem
 
 PROBLEM_KINDS = ("quadratic-consensus", "constrained-toy", "power-alloc")
 _QUADRATIC = ("quadratic-consensus", "constrained-toy")
@@ -433,20 +433,30 @@ def _build_constraint(raw: dict | None, dim: int) -> ConstraintSet:
     return Halfspaces(raw["normals"], raw["offsets"])
 
 
+def _start_box(constraint: ConstraintSet):
+    """The box a start draws from: a box's own bounds, else ``[-1, 1]``.
+
+    An open upper side draws up to 1, or to ``lower + 1`` when the lower
+    bound passes 1; an open lower side mirrors this.  ``rng.uniform``
+    refuses a span that overflows; refuse it here, before the run starts.
+    """
+    if not isinstance(constraint, Box):
+        return -1.0, 1.0
+    lower, upper = constraint.lower, constraint.upper
+    low = np.where(np.isfinite(lower), lower, np.where(upper >= -1.0, -1.0, upper - 1.0))
+    high = np.where(np.isfinite(upper), upper, np.where(low <= 1.0, 1.0, low + 1.0))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(high - low).all():
+            raise ValueError("box bounds span more than the largest float")
+    return low, high
+
+
 def _build_quadratic(spec: ExperimentSpec):
     dim, n_agents, sigma = spec.problem.dim, spec.graph.n_agents, spec.problem.noise_sigma
     centers = np.asarray(spec.problem.centers, dtype=float)
     with _naming("problem.constraint"):
         constraint = _build_constraint(spec.problem.constraint, dim)
-        low, high = -1.0, 1.0
-        if isinstance(constraint, Box):
-            # An open side draws from -1 or 1 instead.  rng.uniform refuses a
-            # span that overflows; refuse it here, before the run starts.
-            low = np.where(np.isfinite(constraint.lower), constraint.lower, -1.0)
-            high = np.where(np.isfinite(constraint.upper), constraint.upper, 1.0)
-            with np.errstate(over="ignore"):
-                if not np.isfinite(high - low).all():
-                    raise ValueError("box bounds span more than the largest float")
+        start = _start_box(constraint)
 
     def evaluate(averages, rngs):
         # ``problem`` is bound below, before any record asks for this hook.
@@ -479,12 +489,7 @@ def _build_quadratic(spec: ExperimentSpec):
         dim=dim, n_agents=n_agents, gradient=gradient, constraint=constraint,
         noise_scale=sigma, evaluate=evaluate, clt_spec=clt_spec,
     )
-
-    def initial(rng):
-        blocks = rng.uniform(low, high, size=(n_agents, dim))
-        return constraint.project(blocks)
-
-    return problem, initial
+    return problem, start
 
 
 def _build_power(spec: ExperimentSpec):
@@ -492,7 +497,9 @@ def _build_power(spec: ExperimentSpec):
     power = dict(spec.problem.power)
     mc_trials = power.pop("mc_trials")
     scenario = PowerScenario(n_users=spec.graph.n_agents, **power)
-    return build_power_problem(scenario, mc_trials), random_feasible_start(scenario)
+    # Each power is drawn below its even share of the user's budget.
+    caps = np.repeat(scenario.budgets / scenario.n_channels, scenario.n_channels)
+    return build_power_problem(scenario, mc_trials), (0.0, caps)
 
 
 def build_run_config(spec: ExperimentSpec) -> RunConfig:
@@ -507,10 +514,14 @@ def build_run_config(spec: ExperimentSpec) -> RunConfig:
         lazy = spec.laziness
         gossip = GossipModel(graph, activation_scale=lazy.c, activation_decay=lazy.eta)
         schedule = StepSchedule(gamma0=spec.schedule.gamma0, xi=spec.schedule.xi)
-        if spec.problem.kind == "power-alloc":
-            problem, initial = _build_power(spec)
-        else:
-            problem, initial = _build_quadratic(spec)
+        build = _build_power if spec.problem.kind == "power-alloc" else _build_quadratic
+        problem, (low, high) = build(spec)
+        shape = (problem.n_agents, problem.dim)
+
+        def initial(rng):
+            # Every start: uniform on the kind's start box, then projected.
+            return problem.constraint.project(rng.uniform(low, high, shape))
+
         # The run section holds RunConfig's run parameters under their names.
         return RunConfig(
             problem=problem, gossip=gossip, schedule=schedule, initial_state=initial,

@@ -35,19 +35,23 @@ _INITIAL = 2
 _OBSERVATION = 3
 _ENSEMBLE = 1000
 
+#: Most bytes one block of draws may hold: the observation noise
+#: :func:`run` draws ahead, and the sample of one call a record hook makes.
+#: A generator fills its output in order, so cutting a block shorter leaves
+#: every number in place.
+BLOCK_BYTES = 8 << 20
+
 #: :func:`run` draws each replica's observation noise this many steps at a
 #: time, or fewer when the ``(replicas, steps, *noise_shape)`` block would
-#: pass :data:`NOISE_BLOCK_BYTES`.  A generator fills its output in order,
-#: so the blocking leaves every number in place.
+#: pass :data:`BLOCK_BYTES`.
 NOISE_BLOCK_STEPS = 64
-NOISE_BLOCK_BYTES = 8 << 20
 
 #: :func:`run` evaluates its trace records this many record steps at a
 #: time, in one :func:`_make_record` call, and at the last iteration or an
 #: abort whatever is pending.  Each record is evaluated from the state
 #: copied at its own step, so the blocking leaves every number in place.
-#: A hook may hold a sample for every point of a block at once; power
-#: allocation caps its sample at ``power.RECORD_SAMPLE_BYTES``.
+#: A hook that draws a sample for the points of a block splits them into
+#: calls whose sample fits in :data:`BLOCK_BYTES`.
 RECORD_BLOCK = 4
 
 
@@ -494,7 +498,7 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     slots = list(zip(w, gossip_rngs))
     # Each replica's observation noise for the next ``steps`` iterations.
     step_bytes = len(replicas) * math.prod(problem.noise_shape) * 8
-    steps = max(1, min(NOISE_BLOCK_STEPS, NOISE_BLOCK_BYTES // step_bytes, config.n_iter))
+    steps = max(1, min(NOISE_BLOCK_STEPS, BLOCK_BYTES // step_bytes, config.n_iter))
     block = np.empty((len(replicas), steps, *problem.noise_shape))
     # One trace row per replica and record step; ``filled`` steps recorded so
     # far, of which the first ``done`` are evaluated and the rest wait in

@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
+from . import core
 from .constraints import BudgetSimplex, kt_residual
-from .core import Problem
 
 #: Channel laws by name: each draw rule maps ``(rng, shape)`` to a new
 #: C-ordered array of i.i.d. power gains of that shape.
@@ -28,11 +28,6 @@ CHANNEL_LAWS: dict[str, Callable[[np.random.Generator, tuple], np.ndarray]] = {
     "exponential": np.random.Generator.standard_exponential,
     "constant": lambda rng, shape: np.ones(shape),
 }
-
-#: Most bytes of channel sample one :func:`estimate_objective` call of a
-#: record block draws: a replica's points of a block are estimated in as
-#: few calls as keep each call's sample within it, and at least one point.
-RECORD_SAMPLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +203,7 @@ def weighted_gradient_estimate(
     return estimate_objective(scenario, theta, mc_trials, rng).ascent
 
 
-def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
+def build_power_problem(scenario: PowerScenario, mc_trials: int) -> core.Problem:
     """Wrap a scenario as an engine problem.
 
     The noise of an observation is one channel realization per replica,
@@ -219,11 +214,11 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
     ``mc_trials`` channel draws per record point: one
     :func:`estimate_objective` call gives both, for all of a replica's
     points of a record block, from that replica's diagnostics generator,
-    one replica after another.  When the block's sample would pass
-    :data:`RECORD_SAMPLE_BYTES`, a replica's points are split into runs of
-    consecutive points, one call each, which draws the same numbers.  The
-    residuals of the whole block are then taken in one stacked
-    :func:`kt_residual` call.
+    one replica after another.  When that sample would pass
+    :data:`gossip_sa.core.BLOCK_BYTES`, read at each call, a replica's
+    points are split into runs of consecutive points, one call each, which
+    draws the same numbers.  The residuals of the whole block are then taken
+    in one stacked :func:`kt_residual` call.
     """
     feasible = scenario.feasible_set()
     point_bytes = mc_trials * math.prod(scenario.gain_shape) * 8
@@ -232,7 +227,7 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
         return stochastic_oracle(scenario, theta, gains)
 
     def evaluate(averages, rngs):
-        size = max(1, RECORD_SAMPLE_BYTES // point_bytes)
+        size = max(1, core.BLOCK_BYTES // point_bytes)
         ascents = np.empty(averages.shape)
         values = np.empty(averages.shape[:-1])
         for points, g, ascent, value in zip(averages, rngs, ascents, values):
@@ -241,7 +236,7 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
                 ascent[i : i + size], value[i : i + size] = est.ascent, est.value
         return kt_residual(feasible, averages, -ascents), values
 
-    return Problem(
+    return core.Problem(
         dim=scenario.dim,
         n_agents=scenario.n_users,
         gradient=None,
@@ -251,20 +246,3 @@ def build_power_problem(scenario: PowerScenario, mc_trials: int) -> Problem:
         draw=scenario.draw,
         noise_shape=scenario.gain_shape,
     )
-
-
-def random_feasible_start(scenario: PowerScenario) -> Callable[[np.random.Generator], np.ndarray]:
-    """Sampler of stacked initial blocks, one per user, uniform on per-channel capped boxes.
-
-    Each coordinate of user ``j`` is drawn from ``[0, budget_j / K]``, which
-    keeps every user block inside its budget; projection is applied anyway
-    as a guard.
-    """
-    caps = np.repeat(scenario.budgets / scenario.n_channels, scenario.n_channels)
-    feasible = scenario.feasible_set()
-
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        blocks = rng.uniform(0.0, caps, size=(scenario.n_users, scenario.dim))
-        return feasible.project(blocks)
-
-    return sampler

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import subprocess
 import sys
@@ -763,6 +764,23 @@ class TestMalformedConfigs:
         lower, upper = "problem.constraint.lower=[-.inf, 0]", "problem.constraint.upper=[1, .inf]"
         assert run_from(tmp_path, monkeypatch, "constrained-toy", lower, upper) == 0
 
+    @pytest.mark.parametrize(
+        "lower,upper,bounds",
+        [("[5, 5]", "[.inf, .inf]", (5.0, np.inf)), ("[-.inf, -.inf]", "[-5, -5]", (-np.inf, -5.0))],
+    )
+    def test_half_open_box_beyond_the_unit_start_runs(
+        self, tmp_path, monkeypatch, lower, upper, bounds
+    ):
+        # The start once drew its open side from 1 (or -1) whatever the
+        # finite bound, so here from a span with high < low: a traceback.
+        overrides = (f"problem.constraint.lower={lower}", f"problem.constraint.upper={upper}")
+        assert run_from(tmp_path, monkeypatch, "constrained-toy", *overrides, "run.n_iter=200") == 0
+        (path,) = (tmp_path / "out" / "constrained-toy").glob("trace_*.csv")
+        _, values = read_trace(path)
+        averages = values[:, 5:]
+        assert len(averages) == 20
+        assert ((bounds[0] <= averages) & (averages <= bounds[1])).all()
+
     def test_validate_exits_2_naming_the_field(self, capsys):
         override = "problem.centers=[[a, 0], [0, 1], [-1, 0], [0, -1]]"
         code = main(["validate", "--preset", "quadratic-consensus", "--override", override])
@@ -915,3 +933,40 @@ class TestSchemaProperties:
     def test_round_trip_of_valid_specs(self, data):
         spec = spec_from_dict(data)
         assert spec_from_dict(spec.to_config_dict()) == spec
+
+
+@st.composite
+def boxes(draw):
+    """A box of one to three sides, each end infinite or finite in [-10, 10]."""
+    lower, upper = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2)))
+        lower.append(-math.inf if draw(st.booleans()) else a)
+        upper.append(math.inf if draw(st.booleans()) else b)
+    return lower, upper
+
+
+class TestStartRule:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(boxes(), st.integers(0, 2**32))
+    def test_box_start_is_feasible_and_keeps_every_working_draw(self, box, seed):
+        lower, upper = np.array(box[0]), np.array(box[1])
+        data = preset_dict("constrained-toy")
+        del data["problem"]["centers"]
+        data["problem"]["dim"] = len(lower)
+        data["problem"]["constraint"] = {"kind": "box", "lower": box[0], "upper": box[1]}
+        blocks = build_run_config(spec_from_dict(data)).initial_state(np.random.default_rng(seed))
+        assert blocks.shape == (4, len(lower))
+        assert np.isfinite(blocks).all()
+        assert ((lower <= blocks) & (blocks <= upper)).all()
+        # The rule's box: an open side reaches 1 past the finite one, or to +-1.
+        low = np.where(np.isfinite(lower), lower, np.where(upper >= -1.0, -1.0, upper - 1.0))
+        high = np.where(np.isfinite(upper), upper, np.where(low <= 1.0, 1.0, low + 1.0))
+        assert ((low <= blocks) & (blocks <= high)).all()
+        # Where the earlier rule, +-1 on every open side, gave a valid span,
+        # the draw is that rule's, bit for bit.
+        old_low = np.where(np.isfinite(lower), lower, -1.0)
+        old_high = np.where(np.isfinite(upper), upper, 1.0)
+        if (old_low <= old_high).all():
+            old = np.random.default_rng(seed).uniform(old_low, old_high, size=(4, len(lower)))
+            assert blocks.tobytes() == np.clip(old, lower, upper).tobytes()

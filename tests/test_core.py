@@ -555,7 +555,7 @@ class TestNoiseBlocks:
 
         # Room for 5 iterations of the batch's noise, and not quite 6.
         step_bytes = 3 * math.prod(config.problem.noise_shape) * 8
-        monkeypatch.setattr(core, "NOISE_BLOCK_BYTES", 6 * step_bytes - 1)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 6 * step_bytes - 1)
         monkeypatch.setattr(config.problem, "draw", spy)
         got = run(config)
         assert leads == [(5,)] * 3 * 30 + [(2,)] * 3
@@ -763,9 +763,10 @@ class TestBatchedRecords:
 
     def test_power_blocks_past_the_sample_cap_split_alike(self, monkeypatch):
         # 15 records per replica: three full blocks and one of three points,
-        # one estimate call per replica per block.  With a cap below one
-        # point's sample every point gets its own call, and the records keep
-        # every bit.
+        # one estimate call per replica per block.  With a budget of two
+        # points' sample the points go two to a call, and with one below a
+        # single point's sample every point gets its own call; either way
+        # the records keep every bit.
         overrides = ("run.n_iter=100", "run.replicas=2", "run.record_every=7")
         shapes = []
         estimate = power.estimate_objective
@@ -775,14 +776,18 @@ class TestBatchedRecords:
             return estimate(scenario, theta, mc_trials, rng)
 
         monkeypatch.setattr(power, "estimate_objective", counted)
-        whole = run(preset_config("power-alloc", *overrides))
+        config = preset_config("power-alloc", *overrides)
+        whole = run(config)
         assert shapes == [(4,)] * 6 + [(3,)] * 2
-        shapes.clear()
-        monkeypatch.setattr(power, "RECORD_SAMPLE_BYTES", 1)
-        split = run(preset_config("power-alloc", *overrides))
-        assert shapes == [(1,)] * 30
-        for a, b in zip(whole, split):
-            assert a.records.tobytes() == b.records.tobytes()
+        mc_trials = preset_dict("power-alloc")["problem"]["power"]["mc_trials"]
+        point_bytes = mc_trials * math.prod(config.problem.noise_shape) * 8
+        for budget, want in ((2 * point_bytes, [(2,)] * 12 + [(2,), (1,)] * 2), (1, [(1,)] * 30)):
+            shapes.clear()
+            monkeypatch.setattr(core, "BLOCK_BYTES", budget)
+            split = run(preset_config("power-alloc", *overrides))
+            assert shapes == want
+            for a, b in zip(whole, split):
+                assert a.records.tobytes() == b.records.tobytes()
 
     def test_missing_hooks_record_nan(self):
         problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta)

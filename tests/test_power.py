@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gossip_sa.config import build_run_config
 from gossip_sa.constraints import BudgetSimplex
 from gossip_sa.network import Graph, is_connected
 from gossip_sa.power import (
@@ -12,7 +13,6 @@ from gossip_sa.power import (
     _all_receiver_terms,
     build_power_problem,
     estimate_objective,
-    random_feasible_start,
     stochastic_oracle,
     weighted_gradient_estimate,
 )
@@ -388,6 +388,11 @@ def preset_scenario():
     return PowerScenario(n_users=spec.graph.n_agents, **power)
 
 
+def preset_start(rng):
+    """Initial blocks of the ``power-alloc`` preset, from its config's sampler."""
+    return build_run_config(preset_spec("power-alloc")).initial_state(rng)
+
+
 class TestScenario:
     def test_reference_parameters(self):
         scen = preset_scenario()
@@ -421,9 +426,8 @@ class TestScenario:
 
     def test_random_start_is_feasible(self):
         scen = preset_scenario()
-        sampler = random_feasible_start(scen)
         feas = scen.feasible_set()
-        blocks = sampler(np.random.default_rng(19))
+        blocks = preset_start(np.random.default_rng(19))
         assert blocks.shape == (4, 8)
         for block in blocks:
             assert feas.contains(block)
@@ -433,7 +437,7 @@ class TestScenario:
         problem = build_power_problem(scen, mc_trials=50)
         assert problem.dim == 8 and problem.n_agents == 4
         rng = np.random.default_rng(20)
-        blocks = random_feasible_start(scen)(rng)
+        blocks = preset_start(rng)
         obs = problem.oracle(blocks[None], problem.draw(rng, (1,)))
         assert obs.shape == (1, 4, 8)
         avg = blocks.mean(axis=0)
@@ -447,7 +451,7 @@ class TestScenario:
         scen = preset_scenario()
         problem = build_power_problem(scen, mc_trials=50)
         rng = np.random.default_rng(21)
-        theta = np.stack([random_feasible_start(scen)(rng) for _ in range(3)])
+        theta = np.stack([preset_start(rng) for _ in range(3)])
         gains = problem.draw(np.random.default_rng(5), (3,))
         assert np.array_equal(gains, scen.draw(np.random.default_rng(5), (3,)))
         assert problem.noise_shape == scen.gain_shape == gains.shape[1:]
@@ -458,7 +462,7 @@ class TestScenario:
 
     def test_oracle_refuses_gains_of_the_wrong_shape(self):
         scen = preset_scenario()
-        blocks = random_feasible_start(scen)(np.random.default_rng(22))
+        blocks = preset_start(np.random.default_rng(22))
         gains = scen.draw(np.random.default_rng(23), (2,))
         with pytest.raises(ValueError, match=r"gains of shape \(4, 4, 2\), got \(2, 4, 4, 2\)"):
             stochastic_oracle(scen, blocks, gains)
