@@ -11,6 +11,7 @@ needs to be materialized.  :func:`run` advances several replicas as one
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,6 +58,23 @@ RECORD_BLOCK = 4
 
 def _stream(seed: int, replica: int, role: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica, role)))
+
+
+class _UniformBlocks:
+    """``rng``'s uniforms, handed out one per :meth:`random` call.
+
+    Each refill is one ``rng.random(size)`` call.  A generator fills an
+    array with exactly the doubles its successive scalar calls return, so
+    the source yields ``rng.random()``'s sequence; it only draws up to
+    ``size - 1`` numbers past the last one taken.  ``random`` is a C-level
+    iterator step, not a Python frame.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        refills = iter(lambda: rng.random(size).tolist(), None)
+        self.random = itertools.chain.from_iterable(refills).__next__
 
 
 class SimulationAbort(RuntimeError):
@@ -461,9 +479,11 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     an elementwise ``problem.gradient``.
     Each replica's observation stream draws its noise by ``problem.draw``,
     :data:`NOISE_BLOCK_STEPS` iterations at a time (fewer for a large
-    batch), and its gossip stream draws its mixing matrices.  Each iteration
-    makes one ``problem.oracle(theta, noise)`` call on that iteration's
-    noise, draws each replica's mixing matrix at the iteration's one
+    batch), and its gossip stream its mixing matrices' uniforms, in refills
+    of up to :data:`NOISE_BLOCK_STEPS` numbers under the same byte cap,
+    taken one by one in order, so the draws are those of scalar calls.
+    Each iteration makes one ``problem.oracle(theta, noise)`` call on that
+    iteration's noise, draws each replica's mixing matrix at its one
     exchange probability, takes the projected local step with the step size
     of iteration ``n`` and mixes, ignoring floating-point overflow, which
     the divergence guard reports.  A draw or an observation of the wrong
@@ -489,13 +509,16 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
         raise ValueError("replicas must be a nonempty sequence of nonnegative integers")
     theta0 = _initial_batch(config, replicas)
     theta = theta0.copy()
-    gossip_rngs = [_stream(config.seed, r, _GOSSIP) for r in replicas]
     observation_rngs = [_stream(config.seed, r, _OBSERVATION) for r in replicas]
     diag_rngs = [_stream(config.seed, r, _DIAGNOSTICS) for r in replicas]
     problem, schedule, gossip = config.problem, config.schedule, config.gossip
     w = np.empty((len(replicas), problem.n_agents, problem.n_agents))
-    # Per-replica views of the mixing buffer, and the replica's gossip generator.
-    slots = list(zip(w, gossip_rngs))
+    # Each replica's gossip uniforms, ``refill`` at a time: one per lazy
+    # step and two per exchange, so any refill size yields the same draws.
+    refill = max(1, min(NOISE_BLOCK_STEPS, BLOCK_BYTES // (len(replicas) * 8)))
+    gossip_sources = [_UniformBlocks(_stream(config.seed, r, _GOSSIP), refill) for r in replicas]
+    # Per-replica views of the mixing buffer, and the replica's gossip source.
+    slots = list(zip(w, gossip_sources))
     # Each replica's observation noise for the next ``steps`` iterations.
     step_bytes = len(replicas) * math.prod(problem.noise_shape) * 8
     steps = max(1, min(NOISE_BLOCK_STEPS, BLOCK_BYTES // step_bytes, config.n_iter))

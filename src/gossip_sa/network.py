@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Protocol
 
 import numpy as np
 
@@ -174,13 +175,23 @@ class GossipModel:
         return matrices
 
 
-def sample_gossip(model: GossipModel, p: float, rng: np.random.Generator) -> np.ndarray:
+class UniformSource(Protocol):
+    """Anything whose ``random()`` returns the next uniform on ``[0, 1)``,
+    such as a ``np.random.Generator``."""
+
+    def random(self) -> float: ...
+
+
+def sample_gossip(model: GossipModel, p: float, rng: UniformSource) -> np.ndarray:
     """Draw one mixing matrix from ``model`` at exchange probability ``p``.
 
     ``p`` is ``model.activation_probability(n)`` for the step ``n`` drawn
-    for; the engine computes it once per step for all its replicas.  Given
-    the same seeded stream and call order, the sequence of draws is fully
-    reproducible.  The returned matrix is shared and read-only.
+    for; the engine computes it once per step for all its replicas.
+    ``rng`` is any object with a ``random()`` method: a generator, or the
+    engine's block-drawn source of the same numbers.  A lazy step takes one
+    uniform from it and an exchange two, in order, so given the same seeded
+    stream and call order the sequence of draws is fully reproducible.  The
+    returned matrix is shared and read-only.
     """
     if rng.random() >= p:
         return model._alphabet[0]

@@ -11,6 +11,7 @@ from gossip_sa.constraints import Box, BudgetSimplex, Halfspaces, Unconstrained
 from gossip_sa.core import (
     _DIAGNOSTICS,
     _ENSEMBLE,
+    _GOSSIP,
     _OBSERVATION,
     AssumptionError,
     DivergenceError,
@@ -22,6 +23,7 @@ from gossip_sa.core import (
     _check_recorded_feasibility,
     _initial_batch,
     _stream,
+    _UniformBlocks,
     gossip_step,
     local_step,
     run,
@@ -29,7 +31,7 @@ from gossip_sa.core import (
     validate_assumptions,
 )
 from gossip_sa.diagnostics import CltSpec
-from gossip_sa.network import Graph, GossipModel, pairwise_matrix
+from gossip_sa.network import Graph, GossipModel, pairwise_matrix, sample_gossip
 from gossip_sa.power import PowerScenario, estimate_objective
 from reference import disagreement_norm
 
@@ -557,10 +559,113 @@ class TestNoiseBlocks:
         step_bytes = 3 * math.prod(config.problem.noise_shape) * 8
         monkeypatch.setattr(core, "BLOCK_BYTES", 6 * step_bytes - 1)
         monkeypatch.setattr(config.problem, "draw", spy)
+        spies = spy_on_gossip_streams(monkeypatch)
         got = run(config)
         assert leads == [(5,)] * 3 * 30 + [(2,)] * 3
+        # The gossip refills are held to the same budget: 47 numbers for
+        # each of the 3 replicas fit in it, and 48 would not.
+        refill = (6 * step_bytes - 1) // (3 * 8)
+        assert refill == 47
+        for spy in spies.values():
+            assert spy.calls and all(call == ((refill,), {}) for call in spy.calls)
         for a, b in zip(got, want):
             assert_same_result(a, b)
+
+    # Exchange probability 0.6 * n**-0.2: the replicas take different
+    # numbers of gossip uniforms, one per lazy step and two per exchange.
+    LAZY = ("laziness.c=0.6", "laziness.eta=0.2", "run.replicas=3", "run.n_iter=150")
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_gossip_refill_size_changes_no_bit(self, monkeypatch, steps):
+        config = preset_config("quadratic-consensus", *self.LAZY)
+        want = run(config)
+        monkeypatch.setattr(core, "NOISE_BLOCK_STEPS", steps)
+        got = run(config)
+        for a, b in zip(got, want):
+            assert a.records.tobytes() == b.records.tobytes()
+            assert a.final_state.tobytes() == b.final_state.tobytes()
+
+    def test_gossip_uniforms_are_drawn_in_blocks(self, monkeypatch):
+        # Each refill is one ``random(size)`` call, made only when the
+        # previous block is spent: ceil(used / size) calls per replica.
+        config = preset_config("quadratic-consensus", *self.LAZY)
+        spies = spy_on_gossip_streams(monkeypatch)
+        run(config)
+        size = core.NOISE_BLOCK_STEPS
+        for r, spy in spies.items():
+            counter = CountingRng(_stream(config.seed, r, _GOSSIP))
+            for n in range(1, config.n_iter + 1):
+                sample_gossip(config.gossip, config.gossip.activation_probability(n), counter)
+            assert config.n_iter < counter.used < 2 * config.n_iter
+            assert spy.calls == [((size,), {})] * -(-counter.used // size)
+
+
+class SpyGenerator:
+    """Wraps a generator and logs the arguments of each ``random`` call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def random(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return self.rng.random(*args, **kwargs)
+
+
+class CountingRng:
+    """Wraps a generator and counts the scalar uniforms taken from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.used = 0
+
+    def random(self):
+        self.used += 1
+        return self.rng.random()
+
+
+def spy_on_gossip_streams(monkeypatch):
+    """Wrap every gossip stream ``run`` builds in a :class:`SpyGenerator`;
+    returns the spies by replica, filled as the streams are built."""
+    spies = {}
+    stream = core._stream
+
+    def spying_stream(seed, replica, role):
+        rng = stream(seed, replica, role)
+        if role == _GOSSIP:
+            rng = spies[replica] = SpyGenerator(rng)
+        return rng
+
+    monkeypatch.setattr(core, "_stream", spying_stream)
+    return spies
+
+
+class TestUniformBlocks:
+    """The gossip source hands out its generator's scalar draws in order."""
+
+    @pytest.mark.parametrize("size", [1, 3, 64])
+    def test_yields_the_scalar_draws_of_its_generator(self, size):
+        # Three full refills and part of a fourth.
+        count = 3 * size + 1
+        source = _UniformBlocks(np.random.default_rng(5), size)
+        scalars = np.random.default_rng(5)
+        assert [source.random() for _ in range(count)] == [scalars.random() for _ in range(count)]
+
+    def test_sample_gossip_draws_the_same_matrices_from_either(self):
+        model = GossipModel(
+            Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+            activation_scale=0.6,
+            activation_decay=0.2,
+        )
+        source = _UniformBlocks(np.random.default_rng(9), 64)
+        rng = np.random.default_rng(9)
+        lazy = 0
+        for n in range(1, 1001):
+            p = model.activation_probability(n)
+            drawn = sample_gossip(model, p, source)
+            assert drawn is sample_gossip(model, p, rng)
+            lazy += drawn is model._alphabet[0]
+        assert 0 < lazy < 1000
 
 
 class TestAverageInvariant:
