@@ -44,7 +44,8 @@ BLOCK_BYTES = 8 << 20
 
 #: :func:`run` draws each replica's observation noise this many steps at a
 #: time, or fewer when the ``(replicas, steps, *noise_shape)`` block would
-#: pass :data:`BLOCK_BYTES`.
+#: pass :data:`BLOCK_BYTES`, and its gossip uniforms this many numbers at a
+#: time, or fewer when ``replicas`` blocks of them would.
 NOISE_BLOCK_STEPS = 64
 
 #: :func:`run` evaluates its trace records this many record steps at a
@@ -66,14 +67,16 @@ class _UniformBlocks:
     Each refill is one ``rng.random(size)`` call.  A generator fills an
     array with exactly the doubles its successive scalar calls return, so
     the source yields ``rng.random()``'s sequence; it only draws up to
-    ``size - 1`` numbers past the last one taken.  ``random`` is a C-level
-    iterator step, not a Python frame.
+    ``size - 1`` numbers past the last one taken.  The source is built
+    from C-level iterators alone, so neither taking a number nor a refill
+    enters a Python frame.
     """
 
     __slots__ = ("random",)
 
     def __init__(self, rng: np.random.Generator, size: int):
-        refills = iter(lambda: rng.random(size).tolist(), None)
+        blocks = itertools.starmap(rng.random, itertools.repeat((size,)))
+        refills = map(np.ndarray.tolist, blocks)
         self.random = itertools.chain.from_iterable(refills).__next__
 
 
@@ -483,13 +486,13 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
     of up to :data:`NOISE_BLOCK_STEPS` numbers under the same byte cap,
     taken one by one in order, so the draws are those of scalar calls.
     Each iteration makes one ``problem.oracle(theta, noise)`` call on that
-    iteration's noise, draws each replica's mixing matrix at its one
-    exchange probability, takes the projected local step with the step size
-    of iteration ``n`` and mixes, ignoring floating-point overflow, which
-    the divergence guard reports.  A draw or an observation of the wrong
-    shape raises :class:`ValueError`.  Every ``record_every`` iterations and
-    at the last, once every block is checked feasible, the batch is
-    recorded: its step and step size at once, its state into a block of
+    iteration's noise, draws each replica's mixing matrix at the
+    iteration's one exchange probability, takes the projected local step
+    with the step size of iteration ``n`` and mixes, ignoring floating-point
+    overflow, which the divergence guard reports.  A draw or an observation
+    of the wrong shape raises :class:`ValueError`.  Every ``record_every``
+    iterations and at the last, once every block is checked feasible, the
+    batch is recorded: its step and step size at once, its state into a block of
     :data:`RECORD_BLOCK` record steps, which one :func:`_make_record` call
     then evaluates for all replicas, when the block is full, at the last
     iteration or on an abort; for power allocation that is one
