@@ -645,7 +645,7 @@ class TestUniformBlocks:
 
     @pytest.mark.parametrize("size", [1, 3, 64])
     def test_yields_the_scalar_draws_of_its_generator(self, size):
-        # Three full refills and part of a fourth.
+        # Three full refills and one number of a fourth.
         count = 3 * size + 1
         source = _UniformBlocks(np.random.default_rng(5), size)
         scalars = np.random.default_rng(5)
