@@ -85,9 +85,8 @@ class SimulationAbort(RuntimeError):
 
     ``replica`` names the replica that failed, when one did; :func:`run`
     reports it by replica number, and ``records`` are the rows that replica
-    recorded before the abort, a structured array of
-    :func:`~gossip_sa.diagnostics.trace_dtype` rows, as in
-    :attr:`RunResult.records`.  An abort with no record table (that of
+    recorded before the abort, one replica's row of
+    :attr:`RunResult.records`, cut short.  An abort with no record table (that of
     :func:`run_ensemble`) carries ``()``.
     """
 
@@ -407,23 +406,26 @@ def gossip_step(theta, w, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Trace and terminal state of one replica.
+    """Traces and terminal states of a batch of replicas.
 
-    ``records`` is the replica's trace: a ``np.recarray`` of
-    :func:`~gossip_sa.diagnostics.trace_dtype` rows, one per record step, so
-    a column is ``records["disagreement"]`` and a row is ``records[-1]``.
+    ``records`` is the batch's trace table: a ``(replicas, n_records)``
+    ``np.recarray`` of :func:`~gossip_sa.diagnostics.trace_dtype` rows, row
+    ``i`` holding replica ``replicas[i]``'s trace, so a column is
+    ``records["disagreement"]`` and a replica's last row is
+    ``records[i, -1]``.  ``final_states`` and ``initial_states`` are the
+    batch's ``(replicas, n_agents, dim)`` states.
     """
 
     records: np.recarray
-    final_state: np.ndarray
-    initial_state: np.ndarray
-    replica: int
+    final_states: np.ndarray
+    initial_states: np.ndarray
+    replicas: tuple[int, ...]
 
     @property
-    def initial_disagreement(self) -> float:
-        """Disagreement of the initial state, by the rule of the records."""
-        deviation = self.initial_state - self.initial_state.mean(axis=0)
-        return float(block_norms(deviation.reshape(-1)))
+    def initial_disagreement(self) -> np.ndarray:
+        """Disagreement of each replica's initial state, by the rule of the records."""
+        deviations = self.initial_states - self.initial_states.mean(axis=1, keepdims=True)
+        return block_norms(deviations.reshape(len(self.replicas), -1))
 
 
 def _make_record(theta_block, problem, diag_rngs, out) -> None:
@@ -469,14 +471,15 @@ def _check_recorded_feasibility(theta, constraint, n) -> None:
         )
 
 
-def run(config: RunConfig, replicas=None) -> list[RunResult]:
+def run(config: RunConfig, replicas=None) -> RunResult:
     """Execute the given replicas of ``config`` as one batch.
 
-    Returns one result per entry of ``replicas``, in order; by default the
-    replicas are ``range(config.replicas)``.  The batch state
-    is a ``(replicas, n_agents, dim)`` array, and each replica draws from its
-    own ``(seed, replica)`` streams exactly the numbers a solo run draws, so
-    replica ``r`` of any batch equals ``run(config, [r])[0]`` bit for bit,
+    Returns one :class:`RunResult` whose rows follow ``replicas``, in
+    order; by default the replicas are ``range(config.replicas)``.  The
+    batch state is a ``(replicas, n_agents, dim)`` array, and each replica
+    draws from its own ``(seed, replica)`` streams exactly the numbers a
+    solo run draws, so ``run(config, range(R)).records[r]`` equals
+    ``run(config, [r]).records[0]`` bit for bit,
     given an oracle that computes each replica alike in a batch of any size
     from that replica's state and noise alone, as the default one does with
     an elementwise ``problem.gradient``.
@@ -567,16 +570,7 @@ def run(config: RunConfig, replicas=None) -> list[RunResult]:
             evaluate_pending()
         _report_abort(err, n, replicas, table[:, :filled].view(np.recarray))
         raise
-    records = table.view(np.recarray)
-    return [
-        RunResult(
-            records=records[r],
-            final_state=theta[r],
-            initial_state=theta0[r],
-            replica=replica,
-        )
-        for r, replica in enumerate(replicas)
-    ]
+    return RunResult(table.view(np.recarray), theta, theta0, tuple(replicas))
 
 
 def run_ensemble(config: RunConfig) -> np.ndarray:

@@ -44,22 +44,6 @@ def trace_dtype(dim: int) -> np.dtype:
     )
 
 
-def replica_mean_squared_disagreement(traces) -> tuple[np.ndarray, np.ndarray]:
-    """Average the squared disagreement across replica traces, per iteration.
-
-    Each trace is a structured array of :func:`trace_dtype` rows, and all
-    must share the same recording schedule.  Returns the common iteration
-    indices and the mean of ``disagreement**2`` at each of them.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    schedule = traces[0]["n"]
-    if any(not np.array_equal(trace["n"], schedule) for trace in traces):
-        raise ValueError("traces were recorded on different schedules")
-    squares = np.array([trace["disagreement"] for trace in traces]) ** 2
-    return schedule.astype(float), squares.mean(axis=0)
-
-
 def fit_decay_exponent(ns, values) -> float:
     """Estimated exponent ``b`` of a power-law tail ``values ~ n**-b``.
 

@@ -24,7 +24,6 @@ from .diagnostics import (
     CltEstimate,
     clt_check,
     fit_decay_exponent,
-    replica_mean_squared_disagreement,
 )
 
 
@@ -66,7 +65,7 @@ def write_summary(path: Path, entries: dict) -> None:
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     spec: ExperimentSpec
-    results: tuple[RunResult, ...]
+    result: RunResult
     trace_paths: tuple[Path, ...]
     summary_path: Path
     summary: dict
@@ -115,26 +114,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     config = build_run_config(spec)
     out = _output_directory(spec)
     # Through the module, so that a wrapper set on ``core.run`` sees the call.
-    results = core.run(config)
-    paths = []
-    for res in results:
-        path = trace_path(out, res.replica)
-        _write(write_trace, path, res.records)
-        paths.append(path)
+    result = core.run(config)
+    records = result.records
+    paths = [trace_path(out, replica) for replica in result.replicas]
+    for path, trace in zip(paths, records):
+        _write(write_trace, path, trace)
 
-    finals = np.concatenate([res.records[-1:] for res in results])
-    ns, mean_sq = replica_mean_squared_disagreement([res.records for res in results])
+    finals = records[:, -1]
+    mean_sq = (records["disagreement"] ** 2).mean(axis=0)
     try:
-        beta_hat = fit_decay_exponent(ns, mean_sq)
+        beta_hat = fit_decay_exponent(records["n"][0], mean_sq)
     except ValueError:
         beta_hat = float("nan")
 
     summary = _common_summary(spec)
     summary.update(
         {
-            "initial_disagreement_median": float(
-                np.median([res.initial_disagreement for res in results])
-            ),
+            "initial_disagreement_median": float(np.median(result.initial_disagreement)),
             "final_disagreement_median": float(np.median(finals["disagreement"])),
             "final_residual_median": float(np.median(finals["residual"])),
             "final_objective_median": float(np.median(finals["objective"])),
@@ -145,7 +141,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     _write(write_summary, summary_path, summary)
     return ExperimentResult(
         spec=spec,
-        results=tuple(results),
+        result=result,
         trace_paths=tuple(paths),
         summary_path=summary_path,
         summary=summary,

@@ -17,7 +17,6 @@ from gossip_sa.core import run, run_ensemble
 from gossip_sa.diagnostics import (
     clt_check,
     fit_decay_exponent,
-    replica_mean_squared_disagreement,
     solve_lyapunov,
 )
 from gossip_sa.network import Graph, GossipModel, pairwise_matrix, spectral_gap
@@ -64,19 +63,20 @@ def test_02_agreement_and_convergence():
         spec = preset_spec("quadratic-consensus")
         assert spec.run.n_iter == 10**4 and spec.run.replicas == 20
         assert spec.schedule.gamma0 == 0.5 and spec.schedule.xi == 0.75
-        results = run(build_run_config(spec))
+        result = run(build_run_config(spec))
 
         center_mean = np.asarray(spec.problem.centers, dtype=float).mean(axis=0)
-        initial = np.median([res.initial_disagreement for res in results])
-        final = np.median([res.records[-1].disagreement for res in results])
+        initial = np.median(result.initial_disagreement)
+        final = np.median([trace[-1].disagreement for trace in result.records])
         assert final <= 1e-2 * initial
 
         avg_err = np.median(
-            [np.linalg.norm(res.records[-1].average - center_mean) for res in results]
+            [np.linalg.norm(trace[-1].average - center_mean) for trace in result.records]
         )
         assert avg_err <= 0.05
 
-        ns, mean_sq = replica_mean_squared_disagreement([res.records for res in results])
+        ns = result.records["n"][0]
+        mean_sq = (result.records["disagreement"] ** 2).mean(axis=0)
         assert fit_decay_exponent(ns, mean_sq) > 1.0
 
 
@@ -151,14 +151,14 @@ def test_06_constrained_convergence():
     with criterion(6, "constrained-convergence", budget_seconds=60.0):
         spec = preset_spec("constrained-toy")
         assert spec.run.n_iter == 10**4 and spec.run.replicas == 20
-        results = run(build_run_config(spec))
+        result = run(build_run_config(spec))
         # the aggregate quadratic is centered outside the box; its constrained
         # optimum is the box projection of the center mean
         center_mean = np.asarray(spec.problem.centers, dtype=float).mean(axis=0)
         optimum = np.clip(center_mean, 0.0, 1.0)
-        assert np.median([res.records[-1].residual for res in results]) <= 1e-2
+        assert np.median([trace[-1].residual for trace in result.records]) <= 1e-2
         err = np.median(
-            [np.linalg.norm(res.records[-1].average - optimum) for res in results]
+            [np.linalg.norm(trace[-1].average - optimum) for trace in result.records]
         )
         assert err <= 0.05
 
@@ -217,12 +217,12 @@ def test_08_power_scenario_trends():
         config = build_run_config(spec)
         # the engine re-checks feasibility of every block at every recorded
         # iteration and aborts on violation, so completing is the feasibility check
-        result = run(config)[0]
+        result = run(config)
         feasible = config.problem.constraint
-        for block in result.final_state:
+        for block in result.final_states[0]:
             assert feasible.contains(block)
 
-        records = result.records
+        records = result.records[0]
         window = max(1, len(records) // 10)
         disagreement = np.array([rec.disagreement for rec in records])
         objective = np.array([rec.objective for rec in records])

@@ -215,7 +215,7 @@ class TestRunExperiment:
         assert len(header) == 5 + 2
         assert np.isfinite(values).all()
         # 17 significant digits round-trip bit-exactly
-        recs = result.results[0].records
+        recs = result.result.records[0]
         assert values[0, 2] == recs[0].disagreement
         assert values[-1, 5] == recs[-1].average[0]
 

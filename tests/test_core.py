@@ -227,8 +227,8 @@ class TestRmIterate:
 
     def test_two_agent_hand_computed_step(self):
         # Quadratic pulls toward (0, 4); first step halves the gap, gossip averages.
-        (result,) = run(two_agent_config(n_iter=1))
-        assert np.array_equal(result.final_state, [[1.0], [1.0]])
+        result = run(two_agent_config(n_iter=1))
+        assert np.array_equal(result.final_states[0], [[1.0], [1.0]])
 
     def test_zero_noise_decoupled_without_gossip(self):
         # Lazy network (tiny activation): each agent descends its own quadratic.
@@ -244,8 +244,8 @@ class TestRmIterate:
             seed=1,
             override_checks=True,  # probing a deliberately silent network
         )
-        (result,) = run(config)
-        assert np.allclose(result.final_state, centers, atol=1e-2)
+        result = run(config)
+        assert np.allclose(result.final_states[0], centers, atol=1e-2)
 
     def test_matches_centralized_descent_under_full_averaging(self):
         # Zero noise, identical utilities, full averaging every step: the
@@ -275,14 +275,14 @@ class TestRun:
         config = two_agent_config(
             problem=quadratic_problem([[0.0], [4.0]], sigma=0.3), n_iter=300
         )
-        (a,) = run(config)
-        (b,) = run(config)
-        assert len(a.records) == len(b.records)
-        for ra, rb in zip(a.records, b.records):
+        a = run(config)
+        b = run(config)
+        assert len(a.records[0]) == len(b.records[0])
+        for ra, rb in zip(a.records[0], b.records[0]):
             assert ra.n == rb.n
             assert ra.disagreement == rb.disagreement
             assert np.array_equal(ra.average, rb.average)
-        assert np.array_equal(a.final_state, b.final_state)
+        assert np.array_equal(a.final_states[0], b.final_states[0])
 
     def test_replicas_differ_and_are_reproducible(self):
         config = two_agent_config(
@@ -291,11 +291,11 @@ class TestRun:
             replicas=3,
             initial_state=lambda rng: rng.uniform(-1, 1, size=(2, 1)),
         )
-        results = run(config)
-        assert len(results) == 3
-        assert not np.array_equal(results[0].final_state, results[1].final_state)
-        (again,) = run(config, [1])
-        assert np.array_equal(again.final_state, results[1].final_state)
+        result = run(config)
+        assert len(result.final_states) == 3
+        assert not np.array_equal(result.final_states[0], result.final_states[1])
+        again = run(config, [1])
+        assert np.array_equal(again.final_states[0], result.final_states[1])
 
     @staticmethod
     def spoiling_config(iteration, **kwargs):
@@ -319,8 +319,8 @@ class TestRun:
     )
     def test_records_every_k_and_final(self, n_iter, record_every):
         schedule = dict(n_iter=n_iter, record_every=record_every)
-        (result,) = run(self.spoiling_config(None, **schedule))
-        records = result.records
+        result = run(self.spoiling_config(None, **schedule))
+        records = result.records[0]
         multiples = list(range(record_every, n_iter + 1, record_every))
         assert records["n"].tolist() == sorted({*multiples, n_iter})
         assert len(records) == math.ceil(n_iter / record_every)
@@ -364,10 +364,10 @@ class TestRun:
             seed=4,
             record_every=25,
         )
-        (result,) = run(config)
-        for block in result.final_state:
+        result = run(config)
+        for block in result.final_states[0]:
             assert cs.contains(block)
-        assert result.records[-1].residual >= 0.0
+        assert result.records[0, -1].residual >= 0.0
 
     def test_infeasible_initial_state_rejected(self):
         cs = Box([0.0], [1.0])
@@ -388,11 +388,12 @@ def assert_same_records(got, want):
         assert np.array_equal([a.residual, a.objective], [b.residual, b.objective], equal_nan=True)
 
 
-def assert_same_result(got, want):
-    assert got.replica == want.replica
-    assert np.array_equal(got.initial_state, want.initial_state)
-    assert np.array_equal(got.final_state, want.final_state)
-    assert_same_records(got.records, want.records)
+def assert_same_result(got, i, want, j):
+    """Row ``i`` of the batch result ``got`` equals row ``j`` of ``want``."""
+    assert got.replicas[i] == want.replicas[j]
+    assert np.array_equal(got.initial_states[i], want.initial_states[j])
+    assert np.array_equal(got.final_states[i], want.final_states[j])
+    assert_same_records(got.records[i], want.records[j])
 
 
 class TestBatch:
@@ -411,24 +412,24 @@ class TestBatch:
     def test_replica_equals_its_solo_run_bitwise(self, name, overrides):
         config = preset_config(name, "run.n_iter=150", "run.replicas=3", *overrides)
         batch = run(config, range(3))
-        assert [res.replica for res in batch] == [0, 1, 2]
+        assert batch.replicas == (0, 1, 2)
         for r in range(3):
-            assert_same_result(batch[r], run(config, [r])[0])
+            assert_same_result(batch, r, run(config, [r]), 0)
 
     def test_runs_every_replica_of_the_config_by_default(self):
         config = preset_config("quadratic-consensus", "run.n_iter=100", "run.replicas=3")
         default = run(config)
         explicit = run(config, range(config.replicas))
-        assert [res.replica for res in default] == [0, 1, 2]
-        for got, want in zip(default, explicit):
-            assert_same_result(got, want)
+        assert default.replicas == (0, 1, 2)
+        for r in range(3):
+            assert_same_result(default, r, explicit, r)
 
     def test_any_replica_selection_in_any_order(self):
         config = preset_config("quadratic-consensus", "run.n_iter=100")
         picked = run(config, [5, 2])
-        assert [res.replica for res in picked] == [5, 2]
-        assert_same_result(picked[0], run(config, [5])[0])
-        assert_same_result(picked[1], run(config)[2])
+        assert picked.replicas == (5, 2)
+        assert_same_result(picked, 0, run(config, [5]), 0)
+        assert_same_result(picked, 1, run(config), 2)
 
     def test_one_oracle_call_per_iteration_on_the_whole_batch(self):
         # Each call gets the (replicas, n_agents, dim) batch and that
@@ -503,7 +504,7 @@ class TestBatch:
         assert (err.agent, err.replica, err.iteration) == (3, 2, 4)
         assert "non-finite observation for agent 3 in replica 2" in str(err)
         assert [rec.n for rec in err.records] == [1, 2, 3]
-        for got, want in zip(err.records, clean[2].records):
+        for got, want in zip(err.records, clean.records[2]):
             assert np.array_equal(got.average, want.average)
             assert got.disagreement == want.disagreement
 
@@ -540,10 +541,10 @@ class TestNoiseBlocks:
             run(preset_config(name, f"run.n_iter={n}", "run.record_every=1", *overrides))
             for n in (k + 3, 3 * k + 1)
         )
-        assert len(short) == len(long)
-        for a, b in zip(short, long):
-            assert len(a.records) == k + 3
-            assert a.records.tobytes() == b.records[: k + 3].tobytes()
+        assert len(short.records) == len(long.records)
+        for a, b in zip(short.records, long.records):
+            assert len(a) == k + 3
+            assert a.tobytes() == b[: k + 3].tobytes()
 
     def test_byte_cap_shortens_the_block_without_changing_a_bit(self, monkeypatch):
         config = preset_config("quadratic-consensus", "run.n_iter=152", "run.replicas=3")
@@ -568,8 +569,8 @@ class TestNoiseBlocks:
         assert refill == 47
         for spy in spies.values():
             assert spy.calls and all(call == ((refill,), {}) for call in spy.calls)
-        for a, b in zip(got, want):
-            assert_same_result(a, b)
+        for r in range(3):
+            assert_same_result(got, r, want, r)
 
     # Exchange probability 0.6 * n**-0.2: the replicas take different
     # numbers of gossip uniforms, one per lazy step and two per exchange.
@@ -581,9 +582,10 @@ class TestNoiseBlocks:
         want = run(config)
         monkeypatch.setattr(core, "NOISE_BLOCK_STEPS", steps)
         got = run(config)
-        for a, b in zip(got, want):
-            assert a.records.tobytes() == b.records.tobytes()
-            assert a.final_state.tobytes() == b.final_state.tobytes()
+        for a, b in zip(got.final_states, want.final_states):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(got.records, want.records):
+            assert a.tobytes() == b.tobytes()
 
     def test_gossip_uniforms_are_drawn_in_blocks(self, monkeypatch):
         # Each refill is one ``random(size)`` call, made only when the
@@ -684,12 +686,12 @@ class TestAverageInvariant:
         averages = [
             np.stack(
                 [
-                    res.records["average"]
-                    for res in run(
+                    trace["average"]
+                    for trace in run(
                         preset_config(
                             "quadratic-consensus", "run.n_iter=3000", "run.replicas=3", *extra
                         )
-                    )
+                    ).records
                 ]
             )
             for extra in variants
@@ -798,7 +800,7 @@ class TestBatchedRecords:
         config = preset_config(name, "run.n_iter=150", *overrides)
         calls = []
         self.capture_records(monkeypatch, calls)
-        results = run(config, range(3))
+        result = run(config, range(3))
         states = [
             (n, g, block[:, j])
             for ns, gammas, block, _ in calls
@@ -808,10 +810,10 @@ class TestBatchedRecords:
         assert [n for n, _, _ in states] == ns
         assert all(len(ns) <= core.RECORD_BLOCK for ns, _, _, _ in calls)
         hook = literal_hook(name, config.problem)
-        for r, result in enumerate(results):
+        for r, records in enumerate(result.records):
             diag_rng = _stream(config.seed, r, _DIAGNOSTICS)
             rows = [literal_make_record(n, g, theta[r], hook, diag_rng) for n, g, theta in states]
-            assert_same_records(result.records, np.rec.array(rows, dtype=result.records.dtype))
+            assert_same_records(records, np.rec.array(rows, dtype=records.dtype))
 
     def test_power_record_draws_one_sample_per_replica(self, monkeypatch):
         # After a run, every diagnostics stream has made exactly one draw of
@@ -829,8 +831,8 @@ class TestBatchedRecords:
         ):
             config = preset_config("power-alloc", *overrides)
             calls.clear()
-            results = run(config, range(2))
-            assert len(results[0].records) == n_records
+            result = run(config, range(2))
+            assert len(result.records[0]) == n_records
             diag_rngs = calls[0][3]
             assert all(rngs is diag_rngs for _, _, _, rngs in calls)
             scenario = PowerScenario(n_users=config.problem.n_agents, **power)
@@ -862,7 +864,7 @@ class TestBatchedRecords:
         err = info.value
         assert (err.replica, err.agent, err.iteration) == (1, 3, 45)
         assert err.records["n"].tolist() == [7, 14, 21, 28, 35, 42]
-        assert err.records.tobytes() == clean[1].records[:6].tobytes()
+        assert err.records.tobytes() == clean.records[1, :6].tobytes()
         assert np.isfinite(err.records["residual"]).all()
         assert np.isfinite(err.records["objective"]).all()
 
@@ -891,13 +893,13 @@ class TestBatchedRecords:
             monkeypatch.setattr(core, "BLOCK_BYTES", budget)
             split = run(preset_config("power-alloc", *overrides))
             assert shapes == want
-            for a, b in zip(whole, split):
-                assert a.records.tobytes() == b.records.tobytes()
+            for a, b in zip(whole.records, split.records):
+                assert a.tobytes() == b.tobytes()
 
     def test_missing_hooks_record_nan(self):
         problem = Problem(dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta)
-        (result,) = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
-        for record in result.records:
+        result = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
+        for record in result.records[0]:
             assert np.isnan(record.residual) and np.isnan(record.objective)
 
     def test_negative_residual_from_the_hook_is_rejected(self):
@@ -917,8 +919,8 @@ class TestBatchedRecords:
         problem = Problem(
             dim=1, n_agents=2, gradient=None, oracle=lambda theta, noise: -theta, evaluate=evaluate
         )
-        (result,) = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
-        assert np.isnan(result.records["residual"]).all()
+        result = run(two_agent_config(problem=problem, n_iter=3, record_every=1))
+        assert np.isnan(result.records[0]["residual"]).all()
 
 
 class TestOracle:
@@ -1045,9 +1047,9 @@ class TestRunEnsemble:
         )
         finals = run_ensemble(config)
         sequential = run(config)
-        assert [res.replica for res in sequential] == [0, 1, 2]
-        for r, result in enumerate(sequential):
-            assert np.array_equal(finals[r], result.final_state)
+        assert sequential.replicas == (0, 1, 2)
+        for r, final in enumerate(sequential.final_states):
+            assert np.array_equal(finals[r], final)
 
     def test_statistics_match_sequential(self):
         centers = np.zeros((2, 1))
@@ -1064,7 +1066,7 @@ class TestRunEnsemble:
         )
         finals = run_ensemble(config)
         ens_var = float(np.mean(finals.mean(axis=1) ** 2))
-        seq = [result.final_state for result in run(config, range(150))]
+        seq = list(run(config, range(150)).final_states)
         seq_var = float(np.mean(np.asarray(seq).mean(axis=1) ** 2))
         assert ens_var == pytest.approx(seq_var, rel=0.4)
 
@@ -1164,9 +1166,9 @@ class TestRunEnsemble:
         calls = []
         finals = run_ensemble(config)
         calls = []
-        (sequential,) = run(config)
-        assert sequential.final_state[0, 0] == config.schedule.gamma(14)
-        assert np.array_equal(finals[0], sequential.final_state)
+        sequential = run(config)
+        assert sequential.final_states[0, 0, 0] == config.schedule.gamma(14)
+        assert np.array_equal(finals[0], sequential.final_states[0])
 
     def test_divergence_names_the_first_failing_replica(self):
         # Replicas 1 and 2 blow up at iteration 3, replica 0 never does.

@@ -10,9 +10,7 @@ from gossip_sa.diagnostics import (
     InsufficientReplicasError,
     clt_check,
     fit_decay_exponent,
-    replica_mean_squared_disagreement,
     solve_lyapunov,
-    trace_dtype,
 )
 from reference import disagreement_norm
 
@@ -76,25 +74,6 @@ class TestFitDecayExponent:
         values = ns**-2.0
         values[:200] = 1.0
         assert abs(fit_decay_exponent(ns, values) - 2.0) <= 0.01
-
-
-class TestReplicaAveraging:
-    def test_matching_schedules_required(self):
-        def trace(*rows):
-            return np.array(
-                [(n, 0.1, dis, 0.0, np.nan, np.zeros(1)) for n, dis in rows], dtype=trace_dtype(1)
-            )
-
-        t1 = trace((10, 1.0), (20, 0.5))
-        t2 = trace((10, 2.0), (20, 1.5))
-        ns, mean_sq = replica_mean_squared_disagreement([t1, t2])
-        assert np.array_equal(ns, [10.0, 20.0])
-        assert np.allclose(mean_sq, [(1.0 + 4.0) / 2.0, (0.25 + 2.25) / 2.0])
-        t3 = trace((10, 1.0), (30, 0.5))
-        with pytest.raises(ValueError, match="schedules"):
-            replica_mean_squared_disagreement([t1, t3])
-        with pytest.raises(ValueError, match="schedules"):
-            replica_mean_squared_disagreement([t1, t1[:1]])
 
 
 class TestSolveLyapunov:
