@@ -262,11 +262,14 @@ class Halfspaces(ConstraintSet):
     Least Squares Problems*, 1974, ch. 23) by NNLS, an active-set method, so
     any number of rows is allowed.  Emptiness is rejected at construction
     by a linear program for the largest uniform slack ``t <= 1`` with
-    ``normals[i] @ y + t * |normals[i]| <= offsets[i]`` for every row.  The
-    set is empty exactly when ``t < 0``; rounding is allowed for up to
-    ``EMPTINESS_TOL * (1 + max_i |offsets[i]| / |normals[i]|)``, a far finer
-    cut than the solver's own feasibility tolerance, which lets through
-    empty systems that projection cannot satisfy.
+    ``u[i] @ y + t <= c[i] / s`` for every row, on the unit rows ``u[i] =
+    normals[i] / |normals[i]|`` and their offsets ``c[i] = offsets[i] /
+    |normals[i]|``, scaled into ``[-1, 1]`` by ``s = 1 + max_i |c[i]|``
+    (HiGHS takes entries of 1e20 and beyond for infinite).  The set is empty
+    exactly when ``t < 0``; rounding is allowed for up to ``EMPTINESS_TOL``,
+    that is ``EMPTINESS_TOL * s`` in the units of ``c``, a far finer cut than
+    the solver's own feasibility tolerance, which lets through empty
+    systems that projection cannot satisfy.
     """
 
     def __init__(self, normals, offsets):
@@ -274,27 +277,31 @@ class Halfspaces(ConstraintSet):
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         if normals.ndim != 2 or offsets.ndim != 1 or normals.shape[0] != offsets.size:
             raise ValueError("need one offset per normal row")
+        if not (np.isfinite(normals).all() and np.isfinite(offsets).all()):
+            raise ValueError("halfspace normals and offsets must be finite")
         lengths = np.linalg.norm(normals, axis=1)
         if np.any(lengths == 0.0):
             raise ValueError("halfspace normals must be nonzero")
         import scipy.optimize  # deferred: costs most of the package's import time
 
         dim = normals.shape[1]
+        unit_rows = normals / lengths[:, None]
+        unit_offsets = offsets / lengths
+        scale = 1.0 + float(np.max(np.abs(unit_offsets)))
         slack = scipy.optimize.linprog(
             c=np.r_[np.zeros(dim), -1.0],
-            A_ub=np.column_stack([normals, lengths]),
-            b_ub=offsets,
+            A_ub=np.column_stack([unit_rows, np.ones(len(lengths))]),
+            b_ub=unit_offsets / scale,
             bounds=[(None, None)] * dim + [(None, 1.0)],
             method="highs",
         )
-        bound = EMPTINESS_TOL * (1.0 + float(np.max(np.abs(offsets) / lengths)))
-        if not (slack.success and slack.x[-1] >= -bound):
+        if not (slack.success and slack.x[-1] >= -EMPTINESS_TOL):
             raise ValueError("halfspace system has an empty feasible set")
         self.normals = normals
         self.offsets = offsets
         self.dim = dim
         self._lengths = lengths
-        self._unit_rows_t = (normals / lengths[:, None]).T
+        self._unit_rows_t = unit_rows.T
         self._nnls = scipy.optimize.nnls
 
     def project(self, x):

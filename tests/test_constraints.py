@@ -174,6 +174,22 @@ class TestProject:
         with pytest.raises(ValueError, match="empty"):
             Halfspaces([[1.0], [-1.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
 
+    @pytest.mark.parametrize(
+        "normals,offsets",
+        [([[1.0, 1.0]], [-1e20]), ([[1e25, 0.0]], [1.0]), ([[1.0, 0.0]], [-1e100])],
+    )
+    def test_nonempty_systems_of_extreme_scale_are_accepted(self, normals, offsets):
+        # The emptiness program's solver takes entries of 1e20 and beyond
+        # for infinite, so it is posed on unit rows and offsets in [-1, 1].
+        cs = Halfspaces(normals, offsets)
+        assert cs.contains(cs.project(np.zeros(cs.dim)))
+
+    def test_empty_system_of_extreme_scale_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            Halfspaces([[1.0], [-1.0]], [-1e20, -1e20])  # x <= -1e20 and x >= 1e20
+        with pytest.raises(ValueError, match="finite"):
+            Halfspaces([[1.0], [-1.0]], [np.inf, 1.0])
+
     def test_many_halfspaces_project_inside(self):
         # 40 rows in dimension 3: no cap on the row count.
         rng = np.random.default_rng(11)
