@@ -4,8 +4,8 @@ Subcommands: ``run`` (execute an experiment and write traces plus a
 summary), ``clt`` (replica fluctuation study), ``validate`` (print the
 assumption report), ``scenario`` (print a named preset as YAML).
 
-Exit codes: 0 success, 2 configuration error, 3 runtime abort (divergence
-or failed assumption checks), 4 insufficient data.
+Exit codes: 0 success, 2 configuration error, 3 runtime abort (divergence,
+failed assumption checks or running out of memory), 4 insufficient data.
 """
 
 from __future__ import annotations
@@ -146,6 +146,9 @@ def main(argv=None) -> int:
         return EXIT_INSUFFICIENT
     except (AssumptionError, SimulationAbort) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORT
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_ABORT
 
 

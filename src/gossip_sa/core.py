@@ -448,7 +448,10 @@ def _make_record(theta_block, problem, diag_rngs, out) -> None:
     if problem.evaluate is None:
         out["residual"] = out["objective"] = float("nan")
         return
-    out["residual"], out["objective"] = problem.evaluate(averages, diag_rngs)
+    # Overflow is ignored here as in the step: an objective past the
+    # largest float is recorded as infinity.
+    with np.errstate(over="ignore"):
+        out["residual"], out["objective"] = problem.evaluate(averages, diag_rngs)
     if (out["residual"] < 0.0).any():
         raise ValueError("the evaluate hook returned a negative residual, which is a norm")
 

@@ -449,6 +449,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "aborted: stacked state norm exceeded 1e+12 at iteration 5 in replica 0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--preset", "quadratic-consensus"], ["clt", "--preset", "scalar-clt"]],
+        ids=["run", "clt"],
+    )
+    def test_running_out_of_memory_exits_3_without_a_traceback(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 104. GiB for an array")
+
+        for engine in ("core.run", "runner.run_ensemble"):
+            monkeypatch.setattr(f"gossip_sa.{engine}", exhausted)
+        assert main([*argv, "--out", str(tmp_path / "oom")]) == 3
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 104. GiB for an array\n"
+
+    def test_overflowing_objective_is_recorded_as_infinity_silently(self, tmp_path):
+        # The quadratic objective of a center at 1e300 overflows in its
+        # square; the record hook runs with overflow ignored, as the step
+        # does, so no RuntimeWarning (an error under this suite) is raised.
+        data = apply_overrides(
+            preset_dict("constrained-toy"),
+            ["run.n_iter=200", "problem.centers=[[1e300, 0], [0, 0], [0, 0], [0, 0]]"],
+        )
+        data["output"] = {"directory": str(tmp_path / "far")}
+        result = run_experiment(spec_from_dict(data))
+        assert np.isposinf(result.result.records["objective"]).all()
+
     def test_overflowing_halfspace_run_aborts_without_a_traceback(self, tmp_path):
         # The first step overflows to infinity; the halfspace projection
         # gives that point a NaN block, which the divergence guard stops.
