@@ -147,10 +147,11 @@ class GossipModel:
         (numpy 2.4) it beats ``searchsorted`` about 3x on 5 edges (8-13
         against 27-29 µs) and 1.5-2x on 20 edges, breaks even near 60 edges
         and is about 2x slower on 200 (420-560 against 205-225 µs).
-        ``out`` may be any integer array that holds ``n_edges - 1``.
+        ``out`` may be any integer array that holds ``n_edges - 1``; by
+        default it is ``np.intp``, the index type ``np.take`` uses uncast.
         """
         if out is None:
-            out = np.empty(draws.shape, dtype=np.min_scalar_type(len(self._edge_cdf)))
+            out = np.empty(draws.shape, dtype=np.intp)
         # A single edge has no inner threshold: every draw picks edge 0.
         first, *rest = self._edge_cdf or [np.inf]
         np.greater_equal(draws, first, out=out)

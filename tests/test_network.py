@@ -231,6 +231,16 @@ class TestSampleGossip:
             assert model.pick_edges(draws, out=out) is out
             assert np.array_equal(out, expected)
 
+    def test_pick_edges_defaults_to_the_index_dtype(self):
+        # Picks index the edge table, so they come as np.intp, which
+        # np.take uses without a cast; a smaller integer output still works.
+        model = triangle_model()
+        draws = np.random.default_rng(4).random(100)
+        picked = model.pick_edges(draws)
+        assert picked.dtype == np.intp
+        small = np.empty(draws.shape, dtype=np.uint8)
+        assert np.array_equal(model.pick_edges(draws, out=small), picked)
+
     @pytest.mark.parametrize("c", [1e-300, 0.1, 0.5, 0.6, np.nextafter(1.0, 0.0)])
     def test_activation_exchanges_exactly_below_p(self, c):
         # The first uniform u exchanges iff u < p: at u = 0 and the float
