@@ -262,14 +262,14 @@ class Halfspaces(ConstraintSet):
     Least Squares Problems*, 1974, ch. 23) by NNLS, an active-set method, so
     any number of rows is allowed.  Emptiness is rejected at construction
     by a linear program for the largest uniform slack ``t <= 1`` with
-    ``u[i] @ y + t <= c[i] / s`` for every row, on the unit rows ``u[i] =
-    normals[i] / |normals[i]|`` and their offsets ``c[i] = offsets[i] /
-    |normals[i]|``, scaled into ``[-1, 1]`` by ``s = 1 + max_i |c[i]|``
-    (HiGHS takes entries of 1e20 and beyond for infinite).  The set is empty
-    exactly when ``t < 0``; rounding is allowed for up to ``EMPTINESS_TOL``,
-    that is ``EMPTINESS_TOL * s`` in the units of ``c``, a far finer cut than
-    the solver's own feasibility tolerance, which lets through empty
-    systems that projection cannot satisfy.
+    ``u[i] @ y + t <= c[i] / s`` for every row: the unit rows ``u[i] =
+    normals[i] / |normals[i]|`` and offsets ``c[i] = offsets[i] /
+    |normals[i]|``, scaled into ``[-1, 1]`` by ``s = 1 + max_i |c[i]|``,
+    since HiGHS takes entries of 1e20 and beyond for infinite.  The set is
+    empty exactly when ``t < 0``; rounding is allowed for up to
+    ``EMPTINESS_TOL``, a far finer cut than the solver's own feasibility
+    tolerance, which lets through empty systems that projection cannot
+    satisfy.
     """
 
     def __init__(self, normals, offsets):

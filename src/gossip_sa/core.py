@@ -85,9 +85,9 @@ class SimulationAbort(RuntimeError):
 
     ``replica`` names the replica that failed, when one did; :func:`run`
     reports it by replica number, and ``records`` are the rows that replica
-    recorded before the abort, one replica's row of
-    :attr:`RunResult.records`, cut short.  An abort with no record table (that of
-    :func:`run_ensemble`) carries ``()``.
+    recorded before the abort: its row of :attr:`RunResult.records`, cut
+    short.  An abort with no record table (that of :func:`run_ensemble`)
+    carries ``()``.
     """
 
     def __init__(
