@@ -258,18 +258,20 @@ class BudgetSimplex(ConstraintSet):
 class Halfspaces(ConstraintSet):
     """Intersection of halfspaces ``normals @ theta <= offsets``.
 
-    Projection solves Lawson & Hanson's least-distance program (*Solving
-    Least Squares Problems*, 1974, ch. 23) by NNLS, an active-set method, so
-    any number of rows is allowed.  Emptiness is rejected at construction
-    by a linear program for the largest uniform slack ``t <= 1`` with
-    ``u[i] @ y + t <= c[i] / s`` for every row: the unit rows ``u[i] =
-    normals[i] / |normals[i]|`` and offsets ``c[i] = offsets[i] /
-    |normals[i]|``, scaled into ``[-1, 1]`` by ``s = 1 + max_i |c[i]|``,
-    since HiGHS takes entries of 1e20 and beyond for infinite.  The set is
-    empty exactly when ``t < 0``; rounding is allowed for up to
-    ``EMPTINESS_TOL``, a far finer cut than the solver's own feasibility
-    tolerance, which lets through empty systems that projection cannot
-    satisfy.
+    The set keeps unit rows: ``normals`` and ``offsets`` are the given ones
+    over the row lengths, each length taken on its row over the row's
+    largest entry so that it cannot overflow, and an offset whose ratio is
+    infinite is refused.  A constraint value is thus a signed distance to
+    its plane.  Projection solves Lawson & Hanson's least-distance program
+    (*Solving Least Squares Problems*, 1974, ch. 23) by NNLS, an active-set
+    method, so any number of rows is allowed.  Emptiness is rejected at
+    construction by a linear program for the largest uniform slack
+    ``t <= 1`` with ``u @ y + t <= c / s`` for every unit row ``u`` and
+    offset ``c``, scaled into ``[-1, 1]`` by ``s = 1 + max |c|``, since
+    HiGHS takes entries of 1e20 and beyond for infinite.  The set is empty
+    exactly when ``t < 0``; rounding is allowed for up to ``EMPTINESS_TOL``,
+    a far finer cut than the solver's own feasibility tolerance, which lets
+    through empty systems that projection cannot satisfy.
     """
 
     def __init__(self, normals, offsets):
@@ -279,29 +281,28 @@ class Halfspaces(ConstraintSet):
             raise ValueError("need one offset per normal row")
         if not (np.isfinite(normals).all() and np.isfinite(offsets).all()):
             raise ValueError("halfspace normals and offsets must be finite")
-        lengths = np.linalg.norm(normals, axis=1)
-        if np.any(lengths == 0.0):
+        peaks = np.abs(normals).max(axis=1, initial=0.0)
+        if np.any(peaks == 0.0):
             raise ValueError("halfspace normals must be nonzero")
+        scaled = normals / peaks[:, None]
+        lengths = np.linalg.norm(scaled, axis=1)  # in [1, sqrt(dim)]
+        with np.errstate(over="ignore"):
+            self.offsets = offsets / peaks / lengths
+        if not np.isfinite(self.offsets).all():
+            raise ValueError("a halfspace offset over its row length passes the largest float")
         import scipy.optimize  # deferred: costs most of the package's import time
 
-        dim = normals.shape[1]
-        unit_rows = normals / lengths[:, None]
-        unit_offsets = offsets / lengths
-        scale = 1.0 + float(np.max(np.abs(unit_offsets)))
+        self.normals = scaled / lengths[:, None]
+        self.dim = dim = normals.shape[1]
         slack = scipy.optimize.linprog(
             c=np.r_[np.zeros(dim), -1.0],
-            A_ub=np.column_stack([unit_rows, np.ones(len(lengths))]),
-            b_ub=unit_offsets / scale,
+            A_ub=np.column_stack([self.normals, np.ones(len(offsets))]),
+            b_ub=self.offsets / (1.0 + float(np.max(np.abs(self.offsets)))),
             bounds=[(None, None)] * dim + [(None, 1.0)],
             method="highs",
         )
         if not (slack.success and slack.x[-1] >= -EMPTINESS_TOL):
             raise ValueError("halfspace system has an empty feasible set")
-        self.normals = normals
-        self.offsets = offsets
-        self.dim = dim
-        self._lengths = lengths
-        self._unit_rows_t = unit_rows.T
         self._nnls = scipy.optimize.nnls
 
     def project(self, x):
@@ -316,15 +317,14 @@ class Halfspaces(ConstraintSet):
         # scaled by s = max |h|, NNLS gives the u >= 0 minimising |E u - f| for
         # E = [-A^T; h^T / s] and f = e_last; then d = -s * r[:-1] / r[-1] for
         # r = E u - f.  Without the scaling far points of thin sets land outside.
-        gaps = self.normals @ x - self.offsets
-        if gaps.max() <= 0.0:
+        h = self.normals @ x - self.offsets
+        if h.max() <= 0.0:
             return x
-        if not np.isfinite(gaps).all():
+        if not np.isfinite(h).all():
             # Nothing to project: the NaN block fails the engine's divergence guard.
             return np.full(self.dim, np.nan)
-        h = gaps / self._lengths
         s = np.abs(h).max()
-        e = np.vstack([-self._unit_rows_t, h / s])
+        e = np.vstack([-self.normals.T, h / s])
         f = np.zeros(self.dim + 1)
         f[-1] = 1.0
         r = e @ self._nnls(e, f)[0] - f

@@ -448,10 +448,7 @@ def _make_record(theta_block, problem, diag_rngs, out) -> None:
     if problem.evaluate is None:
         out["residual"] = out["objective"] = float("nan")
         return
-    # Overflow is ignored here as in the step: an objective past the
-    # largest float is recorded as infinity.
-    with np.errstate(over="ignore"):
-        out["residual"], out["objective"] = problem.evaluate(averages, diag_rngs)
+    out["residual"], out["objective"] = problem.evaluate(averages, diag_rngs)
     if (out["residual"] < 0.0).any():
         raise ValueError("the evaluate hook returned a negative residual, which is a norm")
 
@@ -474,6 +471,7 @@ def _check_recorded_feasibility(theta, constraint, n) -> None:
         )
 
 
+@np.errstate(all="ignore")
 def run(config: RunConfig, replicas=None) -> RunResult:
     """Execute the given replicas of ``config`` as one batch.
 
@@ -494,8 +492,7 @@ def run(config: RunConfig, replicas=None) -> RunResult:
     Each iteration makes one ``problem.oracle(theta, noise)`` call on that
     iteration's noise, draws each replica's mixing matrix at the
     iteration's one exchange probability, takes the projected local step
-    with the step size of iteration ``n`` and mixes, ignoring floating-point
-    overflow, which the divergence guard reports.  A draw or an observation
+    with the step size of iteration ``n`` and mixes.  A draw or an observation
     of the wrong shape raises :class:`ValueError`.  Every ``record_every``
     iterations and at the last, once every block is checked feasible, the
     batch is recorded: its step and step size at once, its state into a block of
@@ -512,6 +509,10 @@ def run(config: RunConfig, replicas=None) -> RunResult:
     :class:`SimulationAbort` names the lowest-numbered position that failed
     there: its ``replica`` attribute and message give that replica's
     number, and it carries the iteration and the rows that replica recorded.
+
+    The call ignores numpy's float errors, so no float warning leaves it: a
+    non-finite observation or state ends the run through its guard, and a
+    record value past the largest float, or undefined, is ``inf`` or ``nan``.
     """
     replicas = [int(r) for r in (range(config.replicas) if replicas is None else replicas)]
     if not replicas or min(replicas) < 0:
@@ -557,8 +558,7 @@ def run(config: RunConfig, replicas=None) -> RunResult:
             p = gossip.activation_probability(n)
             for mix, g in slots:
                 mix[...] = sample_gossip(gossip, p, g)
-            with np.errstate(over="ignore", invalid="ignore"):
-                gossip_step(local_step(theta, y, gamma, problem.constraint), w, out=theta)
+            gossip_step(local_step(theta, y, gamma, problem.constraint), w, out=theta)
             _check_divergence(theta, n)
             if n % config.record_every == 0 or n == config.n_iter:
                 _check_recorded_feasibility(theta, problem.constraint, n)
@@ -576,6 +576,7 @@ def run(config: RunConfig, replicas=None) -> RunResult:
     return RunResult(table.view(np.recarray), theta, theta0, tuple(replicas))
 
 
+@np.errstate(all="ignore")
 def run_ensemble(config: RunConfig) -> np.ndarray:
     """Advance all replicas simultaneously and return the final states.
 
@@ -593,9 +594,9 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     Every replica is then mixed by one flat pairwise average over the
     ``(replicas * n_agents, dim)`` view of the state; a lazy replica
     averages an agent with itself, which leaves it unchanged exactly.  The
-    state is updated in place; the oracle's array is not.  The step and the
-    mix ignore floating-point overflow, and the ensemble aborts as
-    :func:`run` does.
+    state is updated in place; the oracle's array is not.  The ensemble
+    keeps :func:`run`'s float rule, so no float warning leaves it, and
+    aborts as :func:`run` does.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")
@@ -627,13 +628,12 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
             if p < 1.0:
                 np.greater_equal(activation_draws, p, out=lazy)
                 np.copyto(rows[1], rows[0], where=lazy)
-            with np.errstate(over="ignore", invalid="ignore"):
-                theta += schedule.gamma(n) * y
-                np.take(flat, rows, axis=0, out=pair)
-                mixed = pair[0]
-                mixed += pair[1]
-                mixed *= 0.5
-                flat[rows] = mixed
+            theta += schedule.gamma(n) * y
+            np.take(flat, rows, axis=0, out=pair)
+            mixed = pair[0]
+            mixed += pair[1]
+            mixed *= 0.5
+            flat[rows] = mixed
             _check_divergence(theta, n)
     except SimulationAbort as err:
         _report_abort(err, n, replicas, [()] * n_replicas)
