@@ -470,7 +470,8 @@ def _build_quadratic(spec: ExperimentSpec):
         # Averaged drift of the quadratic network: -(theta - mean center).
         with _naming("problem.noise_sigma"):
             noise_cov = (sigma**2 / n_agents) * np.eye(dim)
-        clt_spec = CltSpec(centers.mean(axis=0), -np.eye(dim), noise_cov)
+        with np.errstate(over="ignore"):  # a mean past the largest float is left to the guards
+            clt_spec = CltSpec(centers.mean(axis=0), -np.eye(dim), noise_cov)
 
     stacked = centers
 

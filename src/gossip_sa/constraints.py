@@ -314,16 +314,17 @@ class Halfspaces(ConstraintSet):
     def _project_block(self, x):
         # Lawson & Hanson's least-distance program: d = P(x) - x is the
         # shortest step with -A d >= A x - b.  On unit rows, with h = A x - b
-        # scaled by s = max |h|, NNLS gives the u >= 0 minimising |E u - f| for
-        # E = [-A^T; h^T / s] and f = e_last; then d = -s * r[:-1] / r[-1] for
-        # r = E u - f.  Without the scaling far points of thin sets land outside.
+        # scaled by its largest entry s > 0, NNLS gives the u >= 0 minimising
+        # |E u - f| for E = [-A^T; h^T / s] and f = e_last; then d = -s * r[:-1]
+        # / r[-1] for r = E u - f.  Unscaled, far points of thin sets land
+        # outside; scaled by max |h|, a far slack row hides every violation.
         h = self.normals @ x - self.offsets
-        if h.max() <= 0.0:
+        s = h.max()
+        if s <= 0.0:
             return x
         if not np.isfinite(h).all():
             # Nothing to project: the NaN block fails the engine's divergence guard.
             return np.full(self.dim, np.nan)
-        s = np.abs(h).max()
         e = np.vstack([-self.normals.T, h / s])
         f = np.zeros(self.dim + 1)
         f[-1] = 1.0

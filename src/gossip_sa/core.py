@@ -413,19 +413,23 @@ class RunResult:
     ``i`` holding replica ``replicas[i]``'s trace, so a column is
     ``records["disagreement"]`` and a replica's last row is
     ``records[i, -1]``.  ``final_states`` and ``initial_states`` are the
-    batch's ``(replicas, n_agents, dim)`` states.
+    batch's ``(replicas, n_agents, dim)`` states, and ``initial_disagreement``
+    holds each replica's initial disagreement, by the rule of the records.
     """
 
     records: np.recarray
     final_states: np.ndarray
     initial_states: np.ndarray
     replicas: tuple[int, ...]
+    initial_disagreement: np.ndarray
 
-    @property
-    def initial_disagreement(self) -> np.ndarray:
-        """Disagreement of each replica's initial state, by the rule of the records."""
-        deviations = self.initial_states - self.initial_states.mean(axis=1, keepdims=True)
-        return block_norms(deviations.reshape(len(self.replicas), -1))
+
+def _disagreement(states):
+    """The network averages of a ``(..., n_agents, dim)`` stack of states,
+    and the norm of each state's deviation from its average."""
+    averages = states.mean(axis=-2)
+    deviations = states - averages[..., None, :]
+    return averages, block_norms(deviations.reshape(*states.shape[:-2], -1))
 
 
 def _make_record(theta_block, problem, diag_rngs, out) -> None:
@@ -441,9 +445,7 @@ def _make_record(theta_block, problem, diag_rngs, out) -> None:
     rejected, since it is a norm, with :class:`ValueError` at the end of its
     block.
     """
-    averages = theta_block.mean(axis=2)
-    deviations = theta_block - averages[:, :, None]
-    out["disagreement"] = block_norms(deviations.reshape(*out.shape, -1))
+    averages, out["disagreement"] = _disagreement(theta_block)
     out["average"] = averages
     if problem.evaluate is None:
         out["residual"] = out["objective"] = float("nan")
@@ -573,7 +575,8 @@ def run(config: RunConfig, replicas=None) -> RunResult:
             evaluate_pending()
         _report_abort(err, n, replicas, table[:, :filled].view(np.recarray))
         raise
-    return RunResult(table.view(np.recarray), theta, theta0, tuple(replicas))
+    _, disagreement = _disagreement(theta0)
+    return RunResult(table.view(np.recarray), theta, theta0, tuple(replicas), disagreement)
 
 
 @np.errstate(all="ignore")

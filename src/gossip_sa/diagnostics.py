@@ -168,6 +168,7 @@ class CltEstimate:
     degenerate: bool
 
 
+@np.errstate(all="ignore")
 def clt_check(
     final_states, clt_spec: CltSpec, schedule: "StepSchedule", n_tail: int
 ) -> CltEstimate:
@@ -182,7 +183,9 @@ def clt_check(
     in relative Frobenius distance, with :meth:`CltSpec.covariance`.
     Per-agent samples are scaled the same way and their residual
     disagreement is reported; it should be negligible, confirming that the
-    limiting fluctuation is common to all agents.
+    limiting fluctuation is common to all agents.  Like the engines, the
+    check ignores numpy's float errors: a moment that passes the largest
+    float, or is undefined, is reported as ``inf`` or ``nan``.
     """
     finals = np.asarray(final_states, dtype=float)
     if finals.ndim != 3:

@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gossip_sa
@@ -23,7 +24,7 @@ from gossip_sa.config import (
     spec_from_dict,
 )
 from gossip_sa.diagnostics import trace_dtype
-from gossip_sa.runner import run_experiment, write_trace
+from gossip_sa.runner import run_clt_study, run_experiment, write_trace
 from reference import parse_config, preset_spec, read_trace
 
 MINIMAL = """
@@ -556,6 +557,48 @@ class TestCli:
             argv += ["--override", item]
         assert main([*argv, "--out", str(tmp_path / "cone")]) == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows,code,err",
+        [
+            ("normals: [[1.0e+16, 1.0]], offsets: [0.5]", 0, ""),
+            ("normals: [[1.0e+200, 1.0]], offsets: [0.5]", 0, ""),
+            (
+                "normals: [[1.0e-150, 0]], offsets: [1.0e+200]",
+                2,
+                "config error: 'problem.constraint': "
+                "a halfspace offset over its row length passes the largest float\n",
+            ),
+        ],
+        ids=["long-row", "row-whose-square-overflows", "offset-past-the-largest-float"],
+    )
+    def test_halfspaces_of_extreme_scale_run_or_are_refused(
+        self, tmp_path, monkeypatch, capsys, rows, code, err
+    ):
+        # The projected start of a row of length 1e16 was once refused for
+        # its raw row value; a row of length 1e200 overflowed its norm, and
+        # an offset of 1e350 on the unit row reached the LP as infinity.
+        constraint = f"problem.constraint={{kind: halfspaces, {rows}}}"
+        assert run_from(tmp_path, monkeypatch, "quadratic-consensus", constraint) == code
+        assert capsys.readouterr().err == err
+
+    def test_centers_whose_mean_overflows_end_in_an_abort(self, tmp_path, monkeypatch, capsys):
+        # The fluctuation law's limit point, the mean center, is infinite;
+        # the divergence guard stops the run, and numpy stays silent.
+        centers = "problem.centers=[[1.7e308, 0], [1.7e308, 0], [0, 0], [0, 0]]"
+        assert run_from(tmp_path, monkeypatch, "quadratic-consensus", centers) == 3
+        err = capsys.readouterr().err
+        assert err == "aborted: stacked state norm exceeded 1e+12 at iteration 1 in replica 0\n"
+
+    def test_clt_moment_past_the_largest_float_is_infinite_silently(self, tmp_path):
+        # gamma(60)**-1/2 scales the deviations past the square root of the
+        # largest float, so the empirical second moment overflows.
+        data = apply_overrides(
+            preset_dict("scalar-clt"),
+            ["schedule.gamma0=1e-300", "run.n_iter=60", "run.replicas=100"],
+        )
+        data["output"] = {"directory": str(tmp_path / "clt")}
+        assert math.isinf(run_clt_study(spec_from_dict(data)).estimate.relative_error)
+
     def test_assumption_abort_exit_code(self, tmp_path, capsys):
         # Break the xi = 1 step-scale condition: the run aborts with exit 3
         # unless the checks are explicitly overridden.
@@ -889,9 +932,18 @@ def altered_presets(draw):
 
 
 @st.composite
-def valid_configs(draw):
-    """Config mappings that satisfy the schema, over every kind and option."""
-    finite, positive = st.floats(-1e6, 1e6), st.floats(1e-6, 1e6)
+def valid_configs(draw, full_range=False):
+    """Config mappings that satisfy the schema, over every kind and option.
+
+    Float entries range over +-1e6 (positive ones over [1e-6, 1e6], noise
+    scales over [0, 10]); with ``full_range`` over every finite double of
+    their sign.
+    """
+    finite, positive, sigma = st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.floats(0.0, 10.0)
+    if full_range:
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+        sigma = st.floats(0.0, allow_infinity=False)
 
     def floats(strategy, n):
         return draw(st.lists(strategy, min_size=n, max_size=n))
@@ -913,7 +965,7 @@ def valid_configs(draw):
         problem["power"] = power
     else:
         dim = draw(st.integers(1, 3))
-        problem.update(dim=dim, noise_sigma=draw(st.floats(0.0, 10.0)))
+        problem.update(dim=dim, noise_sigma=draw(sigma))
         if draw(st.booleans()):
             problem["centers"] = [floats(finite, dim) for _ in range(n)]
         constraint = draw(st.sampled_from([None, "box", "halfspaces"]))
@@ -962,6 +1014,27 @@ class TestSchemaProperties:
     def test_round_trip_of_valid_specs(self, data):
         spec = spec_from_dict(data)
         assert spec_from_dict(spec.to_config_dict()) == spec
+
+    @settings(
+        max_examples=150, deadline=None, database=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(valid_configs(full_range=True), st.sampled_from(["run", "validate", "clt"]))
+    def test_every_valid_config_ends_in_a_documented_exit_code(
+        self, tmp_path, capsys, data, command
+    ):
+        # Floats over the whole double range: every run, check or study ends
+        # in exit 0, 2, 3 or 4, without a traceback and without a numpy
+        # warning (an error under this suite).
+        run = data["run"]
+        run["n_iter"] = min(run["n_iter"], 60)
+        run["replicas"] = 100 if command == "clt" else min(run["replicas"], 3)
+        if "power" in data["problem"]:
+            power = data["problem"]["power"]
+            power["mc_trials"] = min(power["mc_trials"], 20)
+        data["output"]["directory"] = str(tmp_path / "fuzz")
+        assert main([command, "--config", yaml.safe_dump(data)]) in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @st.composite

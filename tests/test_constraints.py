@@ -89,6 +89,15 @@ def brute_force_halfspace_projection(cs, x):
     return best
 
 
+def row_scales_of(kind, m, seed=0):
+    """Factors for ``m`` halfspace rows: ones when ``kind`` is "unscaled", else
+    log-uniform in [1e-150, 1e150] from a generator of their own, so that the
+    test's own draws stay the same."""
+    if kind == "unscaled":
+        return np.ones(m)
+    return 10.0 ** np.random.default_rng(seed).uniform(-150.0, 150.0, size=m)
+
+
 def random_sets(rng):
     dim = int(rng.integers(1, 5))
     box = Box(rng.uniform(-2, 0, size=dim), rng.uniform(0.5, 2, size=dim))
@@ -176,11 +185,17 @@ class TestProject:
 
     @pytest.mark.parametrize(
         "normals,offsets",
-        [([[1.0, 1.0]], [-1e20]), ([[1e25, 0.0]], [1.0]), ([[1.0, 0.0]], [-1e100])],
+        [
+            ([[1.0, 1.0]], [-1e20]),
+            ([[1e25, 0.0]], [1.0]),
+            ([[1.0, 0.0]], [-1e100]),
+            ([[1.7e308, 1.7e308]], [1.0]),
+        ],
     )
     def test_nonempty_systems_of_extreme_scale_are_accepted(self, normals, offsets):
         # The emptiness program's solver takes entries of 1e20 and beyond
-        # for infinite, so it is posed on unit rows and offsets in [-1, 1].
+        # for infinite, so it is posed on unit rows and offsets in [-1, 1];
+        # a row's length is taken without overflowing, even past the largest float.
         cs = Halfspaces(normals, offsets)
         assert cs.contains(cs.project(np.zeros(cs.dim)))
 
@@ -190,11 +205,14 @@ class TestProject:
         with pytest.raises(ValueError, match="finite"):
             Halfspaces([[1.0], [-1.0]], [np.inf, 1.0])
 
-    def test_many_halfspaces_project_inside(self):
+    @pytest.mark.parametrize("row_scales", ["unscaled", "scaled"])
+    def test_many_halfspaces_project_inside(self, row_scales):
         # 40 rows in dimension 3: no cap on the row count.
         rng = np.random.default_rng(11)
         normals = rng.normal(size=(40, 3))
-        cs = Halfspaces(normals, normals @ rng.normal(size=3) + rng.uniform(0.1, 1.0, size=40))
+        offsets = normals @ rng.normal(size=3) + rng.uniform(0.1, 1.0, size=40)
+        scales = row_scales_of(row_scales, 40)
+        cs = Halfspaces(scales[:, None] * normals, scales * offsets)
         for _ in range(10):
             x = rng.normal(scale=5.0, size=3)
             px = cs.project(x)
@@ -263,7 +281,8 @@ class TestProjectionProperties:
                 once = cs.project(x)
                 assert np.allclose(cs.project(once), once, atol=1e-12)
 
-    def test_far_points_land_inside_thin_halfspace_systems(self):
+    @pytest.mark.parametrize("row_scales", ["unscaled", "scaled"])
+    def test_far_points_land_inside_thin_halfspace_systems(self, row_scales):
         # Rows with offsets of 1e-8 leave a set far thinner than any rounding
         # bound that grows with |x| ~ 100: only an exact projection lands inside.
         rng = np.random.default_rng(40)
@@ -272,7 +291,8 @@ class TestProjectionProperties:
             normals = rng.normal(size=(m, dim))
             inside = 1e-8 * rng.normal(size=dim)
             slack = 1e-8 * (1.0 if trial % 2 else rng.uniform(size=m))
-            cs = Halfspaces(normals, normals @ inside + slack)
+            scales = row_scales_of(row_scales, m, trial)
+            cs = Halfspaces(scales[:, None] * normals, scales * (normals @ inside + slack))
             for x in rng.normal(scale=100.0, size=(5, dim)):
                 assert cs.contains(cs.project(x))
 

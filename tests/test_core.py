@@ -1339,3 +1339,67 @@ class TestDivergenceGuards:
         with pytest.raises(DivergenceError) as info:
             run_ensemble(self.overflowing_config(replicas=3))
         assert (info.value.replica, info.value.iteration) == (0, 1)
+
+
+class TestNonconvexKuhnTucker:
+    """Claim (ii) on a nonconvex objective: the network average converges
+    to the Kuhn-Tucker set of the summed utility.
+
+    Four agents on a 4-cycle observe ``theta**3 - theta - b_i`` with
+    ``sum(b_i) = 0``: the sum is the gradient of a double well, stationary
+    at -1, 0 and 1.  In the box [-0.5, 2] the set is {-0.5, 0, 1}, -0.5
+    on the boundary.  The size, ``DELTA``, ``FRACTION`` and the windows
+    were fixed before the seed; a replica that leaves the unstable point
+    late arrives late, so the test asks a fraction, not every replica.
+    Each run takes about 0.5 s.
+    """
+
+    OFFSETS = np.array([[0.3], [0.1], [-0.1], [-0.3]])
+    DELTA = 0.1  # distance of a final network average to a KT point
+    FRACTION = 0.9  # of replicas within DELTA of the KT set
+    WINDOW = 10  # records per residual window
+
+    def final_averages_and_residuals(self, constraint, low, high):
+        problem = Problem(
+            dim=1,
+            n_agents=4,
+            gradient=lambda theta: theta**3 - theta - self.OFFSETS,
+            constraint=constraint,
+            noise_scale=0.5,
+        )
+        config = RunConfig(
+            problem=problem,
+            gossip=GossipModel(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])),
+            schedule=StepSchedule(gamma0=0.2, xi=0.75),
+            initial_state=lambda rng: rng.uniform(low, high, (4, 1)),
+            n_iter=5000,
+            seed=0,
+            replicas=40,
+            record_every=50,
+        )
+        records = run(config).records
+        return records["average"][:, -1, 0], records["residual"]
+
+    def limits(self, finals, kt_points):
+        """Replicas within DELTA of each KT point, and the fraction near any."""
+        near = np.abs(finals[:, None] - np.asarray(kt_points)) <= self.DELTA
+        return near.sum(axis=0), near.any(axis=1).mean()
+
+    def assert_residual_falls(self, residuals):
+        first = np.median(residuals[:, : self.WINDOW])
+        assert np.median(residuals[:, -self.WINDOW :]) < first
+
+    def test_free_double_well(self):
+        finals, residuals = self.final_averages_and_residuals(None, -1.5, 1.5)
+        counts, fraction = self.limits(finals, [-1.0, 0.0, 1.0])
+        assert fraction >= self.FRACTION
+        assert np.count_nonzero(counts) >= 2  # two distinct KT points are limits
+        self.assert_residual_falls(residuals)
+
+    def test_boxed_double_well_reaches_the_boundary_point(self):
+        finals, residuals = self.final_averages_and_residuals(Box([-0.5], [2.0]), -0.5, 0.5)
+        counts, fraction = self.limits(finals, [-0.5, 0.0, 1.0])
+        assert fraction >= self.FRACTION
+        assert np.count_nonzero(counts) >= 2
+        assert counts[0] >= 1  # the boundary point -0.5 is a limit
+        self.assert_residual_falls(residuals)
