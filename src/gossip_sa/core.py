@@ -597,9 +597,9 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     Every replica is then mixed by one flat pairwise average over the
     ``(replicas * n_agents, dim)`` view of the state; a lazy replica
     averages an agent with itself, which leaves it unchanged exactly.  The
-    state is updated in place; the oracle's array is not.  The ensemble
-    keeps :func:`run`'s float rule, so no float warning leaves it, and
-    aborts as :func:`run` does.
+    state is updated in place; the oracle's array is not.  Like :func:`run`,
+    the ensemble ignores numpy's float errors, so no float warning leaves
+    it, and a non-finite observation or state ends it through its guard.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")

@@ -589,9 +589,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "aborted: stacked state norm exceeded 1e+12 at iteration 1 in replica 0\n"
 
-    def test_clt_moment_past_the_largest_float_is_infinite_silently(self, tmp_path):
-        # gamma(60)**-1/2 scales the deviations past the square root of the
-        # largest float, so the empirical second moment overflows.
+    def test_clt_error_past_the_largest_float_is_infinite_silently(self, tmp_path):
+        # gamma(60)**-1/2 scales the deviations so far that the second moment
+        # is about 1e300, and the norm of its distance to the law overflows.
         data = apply_overrides(
             preset_dict("scalar-clt"),
             ["schedule.gamma0=1e-300", "run.n_iter=60", "run.replicas=100"],
