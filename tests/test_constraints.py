@@ -89,12 +89,9 @@ def brute_force_halfspace_projection(cs, x):
     return best
 
 
-def row_scales_of(kind, m, seed=0):
-    """Factors for ``m`` halfspace rows: ones when ``kind`` is "unscaled", else
-    log-uniform in [1e-150, 1e150] from a generator of their own, so that the
-    test's own draws stay the same."""
-    if kind == "unscaled":
-        return np.ones(m)
+def row_scales(m, seed=0):
+    """Factors for ``m`` halfspace rows, log-uniform in [1e-150, 1e150], from
+    a generator of their own so that a test's own draws stay the same."""
     return 10.0 ** np.random.default_rng(seed).uniform(-150.0, 150.0, size=m)
 
 
@@ -205,21 +202,21 @@ class TestProject:
         with pytest.raises(ValueError, match="finite"):
             Halfspaces([[1.0], [-1.0]], [np.inf, 1.0])
 
-    @pytest.mark.parametrize("row_scales", ["unscaled", "scaled"])
-    def test_many_halfspaces_project_inside(self, row_scales):
-        # 40 rows in dimension 3: no cap on the row count.
+    def test_many_halfspaces_project_inside(self):
+        # 40 rows in dimension 3: no cap on the row count.  The same set is
+        # then given by rows scaled from 1e-150 to 1e150.
         rng = np.random.default_rng(11)
         normals = rng.normal(size=(40, 3))
         offsets = normals @ rng.normal(size=3) + rng.uniform(0.1, 1.0, size=40)
-        scales = row_scales_of(row_scales, 40)
-        cs = Halfspaces(scales[:, None] * normals, scales * offsets)
-        for _ in range(10):
-            x = rng.normal(scale=5.0, size=3)
-            px = cs.project(x)
-            assert cs.contains(px)
-            for _ in range(100):
-                z = cs.project(rng.normal(scale=5.0, size=3))
-                assert float(np.dot(x - px, z - px)) <= 1e-9
+        for scales in (np.ones(40), row_scales(40)):
+            cs = Halfspaces(scales[:, None] * normals, scales * offsets)
+            for _ in range(10):
+                x = rng.normal(scale=5.0, size=3)
+                px = cs.project(x)
+                assert cs.contains(px)
+                for _ in range(100):
+                    z = cs.project(rng.normal(scale=5.0, size=3))
+                    assert float(np.dot(x - px, z - px)) <= 1e-9
 
     def test_halfspaces_match_the_enumeration(self):
         # Random systems of up to 6 rows; every third one is 1e-8 thin, every
@@ -281,20 +278,21 @@ class TestProjectionProperties:
                 once = cs.project(x)
                 assert np.allclose(cs.project(once), once, atol=1e-12)
 
-    @pytest.mark.parametrize("row_scales", ["unscaled", "scaled"])
-    def test_far_points_land_inside_thin_halfspace_systems(self, row_scales):
+    def test_far_points_land_inside_thin_halfspace_systems(self):
         # Rows with offsets of 1e-8 leave a set far thinner than any rounding
-        # bound that grows with |x| ~ 100: only an exact projection lands inside.
+        # bound that grows with |x| ~ 100: only an exact projection lands inside,
+        # also when the rows are scaled from 1e-150 to 1e150.
         rng = np.random.default_rng(40)
         for trial in range(100):
             dim, m = int(rng.integers(2, 4)), int(rng.integers(2, 5))
             normals = rng.normal(size=(m, dim))
             inside = 1e-8 * rng.normal(size=dim)
             slack = 1e-8 * (1.0 if trial % 2 else rng.uniform(size=m))
-            scales = row_scales_of(row_scales, m, trial)
-            cs = Halfspaces(scales[:, None] * normals, scales * (normals @ inside + slack))
-            for x in rng.normal(scale=100.0, size=(5, dim)):
-                assert cs.contains(cs.project(x))
+            points = rng.normal(scale=100.0, size=(5, dim))
+            for scales in (np.ones(m), row_scales(m, trial)):
+                cs = Halfspaces(scales[:, None] * normals, scales * (normals @ inside + slack))
+                for x in points:
+                    assert cs.contains(cs.project(x))
 
     def test_budget_simplex_feasible_for_any_positive_budget(self):
         # A budget below the rounding of the largest entry fails every
