@@ -30,8 +30,23 @@ def block_norms(x) -> np.ndarray:
 
 
 def default_active_tolerance(theta) -> np.ndarray:
-    """Scale-aware tolerance ``1e-8 * (1 + |block|)`` of every block of ``theta``."""
-    return 1e-8 * (1.0 + block_norms(theta))
+    """Scale-aware tolerance ``1e-8 * (1 + |block|)`` of every block of ``theta``.
+
+    A block whose squared norm overflows (a norm past about 1.3e154) is
+    measured over its largest entry ``m``, as ``1e-8 * m * |block / m|``, so
+    a finite block always gets a finite tolerance; a block with an infinite
+    entry gets NaN, which no constraint value passes.  Every other block
+    keeps the bits of :func:`block_norms`.
+    """
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tolerance = np.asarray(1e-8 * (1.0 + block_norms(theta)))
+        huge = np.isinf(tolerance)
+        if huge.any():
+            blocks = theta[huge]
+            largest = np.abs(blocks).max(axis=-1, keepdims=True)
+            tolerance[huge] = 1e-8 * largest[..., 0] * block_norms(blocks / largest)
+    return tolerance[()]
 
 
 class ConstraintSet:

@@ -594,12 +594,20 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     (replicas,))``, and makes one oracle call on it, then draws one block
     of ``2 * replicas`` uniforms: the first half decides which replicas
     exchange, the second picks their edge by :meth:`GossipModel.pick_edges`.
-    Every replica is then mixed by one flat pairwise average over the
-    ``(replicas * n_agents, dim)`` view of the state; a lazy replica
-    averages an agent with itself, which leaves it unchanged exactly.  The
-    state is updated in place; the oracle's array is not.  Like :func:`run`,
-    the ensemble ignores numpy's float errors, so no float warning leaves
-    it, and a non-finite observation or state ends it through its guard.
+    Every replica is then mixed by one pairwise average, gathered from and
+    scattered back to the flat view of the state by the index of each
+    entry; a lazy replica averages an agent with itself, which leaves it
+    unchanged exactly.  The state is updated in place; the oracle's array
+    is not.  Like :func:`run`, the ensemble ignores numpy's float errors,
+    so no float warning leaves it, and a non-finite observation or state
+    ends it through its guard.
+
+    The guard is one :func:`_check_divergence` screen of the state after
+    the step; the observations are checked only when it fails.  A
+    non-finite observation always leaves a non-finite entry in the state,
+    even under a step that underflows to zero (``0 * inf`` is NaN), so the
+    check fails on it, and the observation is named before any divergent
+    state: the abort is the one a check before the step would raise.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")
@@ -608,36 +616,46 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     rng = _stream(config.seed, 0, _ENSEMBLE)
     problem, schedule, gossip = config.problem, config.schedule, config.gossip
     n_replicas, n_agents, dim = theta.shape
-    flat = theta.reshape(n_replicas * n_agents, dim)
-    endpoints = np.stack(gossip._edge_table[:2])
-    offsets = np.arange(n_replicas) * n_agents
+    # Indices count single entries of the state, so the pair average is
+    # gathered and scattered along the one axis of its flat view.
+    flat = theta.reshape(-1)
+    endpoints = np.stack(gossip._edge_table[:2]) * dim
+    offsets = (np.arange(n_replicas) * (n_agents * dim))[:, None] + np.arange(dim)
 
     uniforms = np.empty(2 * n_replicas)
     activation_draws = uniforms[:n_replicas]
     edge_draws = uniforms[n_replicas:]
     lazy = np.empty(n_replicas, dtype=bool)
     picked = gossip.pick_edges(edge_draws)
-    rows = np.empty((2, n_replicas), dtype=np.intp)
-    pair = np.empty((2, n_replicas, dim))
+    ends = np.empty((2, n_replicas), dtype=np.intp)
+    entries = np.empty((2, n_replicas, dim), dtype=np.intp)
+    first, second = entries
     try:
         for n in range(1, config.n_iter + 1):
             y = _observe(problem, theta, _draw_noise(problem, rng, (n_replicas,)))
-            _check_finite(y)
             rng.random(out=uniforms)
             gossip.pick_edges(edge_draws, out=picked)
-            np.take(endpoints, picked, axis=1, out=rows)
-            rows += offsets
+            np.take(endpoints, picked, axis=1, out=ends)
             p = gossip.activation_probability(n)
             if p < 1.0:
                 np.greater_equal(activation_draws, p, out=lazy)
-                np.copyto(rows[1], rows[0], where=lazy)
+                np.copyto(ends[1], ends[0], where=lazy)
+            np.add(ends[..., None], offsets, out=entries)
             theta += schedule.gamma(n) * y
-            np.take(flat, rows, axis=0, out=pair)
+            pair = flat[entries]
             mixed = pair[0]
             mixed += pair[1]
             mixed *= 0.5
-            flat[rows] = mixed
-            _check_divergence(theta, n)
+            flat[first] = mixed
+            flat[second] = mixed
+            try:
+                _check_divergence(theta, n)
+            except DivergenceError:
+                # An observation that is a view of the state was the finite
+                # state before the step; any other is checked here.
+                if not np.may_share_memory(y, theta):
+                    _check_finite(y)
+                raise
     except SimulationAbort as err:
         _report_abort(err, n, replicas, [()] * n_replicas)
         raise

@@ -139,25 +139,25 @@ class GossipModel:
     def pick_edges(self, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """0-based edge index for each uniform draw in ``draws``.
 
-        Counts the inner thresholds ``cum[:-1]`` each draw has reached, one
-        vectorized comparison per edge.  For every float this equals
+        Counts the inner thresholds ``cum[:-1]`` each draw has reached: one
+        comparison of every draw with every threshold, summed over the
+        thresholds.  For every float this equals
         ``min(np.searchsorted(cum, draws, side="right"), n_edges - 1)``,
         including at each ``cum`` entry and its neighbours.  The cost grows
         linearly with the number of edges.  For 4000 draws on a 2-CPU VM
-        (numpy 2.4) it beats ``searchsorted`` about 3x on 5 edges (8-13
-        against 27-29 µs) and 1.5-2x on 20 edges, breaks even near 60 edges
-        and is about 2x slower on 200 (420-560 against 205-225 µs).
-        ``out`` may be any integer array that holds ``n_edges - 1``; by
-        default it is ``np.intp``, the index type ``np.take`` uses uncast.
+        (numpy 2.4) it takes 17 µs on 5 edges against 31 µs for
+        ``searchsorted`` and 70 against 105 µs on 21 edges, breaks even near
+        50 edges and is about 2x slower on 190 (552 against 290 µs).  For
+        500 draws ``searchsorted`` is faster on every graph (4.6 against
+        7.1 µs on 5 edges).  ``out`` may be any integer array that holds
+        ``n_edges - 1``; by default it is ``np.intp``, the index type
+        ``np.take`` uses uncast.
         """
         if out is None:
-            out = np.empty(draws.shape, dtype=np.intp)
-        # A single edge has no inner threshold: every draw picks edge 0.
-        first, *rest = self._edge_cdf or [np.inf]
-        np.greater_equal(draws, first, out=out)
-        for c in rest:
-            out += draws >= c
-        return out
+            out = np.empty(np.shape(draws), dtype=np.intp)
+        inner = self._edge_table[2][:-1]
+        reached = draws >= inner.reshape(-1, *[1] * np.ndim(draws))
+        return np.add.reduce(reached, axis=0, out=out)
 
     @cached_property
     def _alphabet(self) -> tuple[np.ndarray, ...]:

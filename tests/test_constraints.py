@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -593,6 +595,16 @@ class TestConstraintInvariants:
     def test_default_tolerance_is_scale_aware(self):
         theta = np.array([1e6, 0.0])
         assert default_active_tolerance(theta) == pytest.approx(1e-8 * (1.0 + 1e6))
+
+    def test_tolerance_past_the_squared_range_stays_finite(self):
+        # 1e160 squared overflows; the norm is then taken over the largest
+        # entry, without a warning, and the far point is outside the box.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not Box([0.0], [1.0]).contains(np.array([1e160]))
+            tolerance = default_active_tolerance(np.array([[1e160, -1e160], [3.0, 4.0]]))
+        assert tolerance[0] == pytest.approx(1e-8 * math.sqrt(2.0) * 1e160, rel=1e-15)
+        assert tolerance[1] == 1e-8 * (1.0 + 5.0)
 
     def test_stacked_tolerances_equal_the_per_block_rule(self):
         # One call on a stack gives, bit for bit, 1e-8 * (1 + norm(block))

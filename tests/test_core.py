@@ -375,6 +375,12 @@ class TestRun:
         with pytest.raises(ValueError, match="infeasible"):
             two_agent_config(problem=problem, initial_state=np.full((2, 1), 2.0))
 
+    def test_start_past_the_squared_range_rejected(self):
+        # The tolerance of a block whose square overflows stays finite.
+        problem = quadratic_problem([[0.5], [0.5]], constraint=Box([0.0], [1.0]))
+        with pytest.raises(ValueError, match="initial block of agent 2 is infeasible"):
+            two_agent_config(problem=problem, initial_state=np.array([[0.5], [1e160]]))
+
 
 def preset_config(name, *overrides):
     return build_run_config(spec_from_dict(apply_overrides(preset_dict(name), overrides)))
@@ -1082,16 +1088,18 @@ class TestRunEnsemble:
         assert np.array_equal(run_ensemble(config), run_ensemble(config))
 
     @pytest.mark.parametrize(
-        "n_agents,edges,dim,c,eta",
+        "n_agents,edges,dim,c,eta,replicas,n_iter",
         [
-            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 0.6, 0.2),
-            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 1.0, 0.0),
-            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 2, 0.8, 0.1),
-            (2, [(1, 2)], 1, 0.5, 0.0),
+            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 0.6, 0.2, 64, 300),
+            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 1.0, 0.0, 64, 300),
+            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 2, 0.8, 0.1, 64, 300),
+            (2, [(1, 2)], 1, 0.5, 0.0, 64, 300),
+            # The shape of the clt-ensemble benchmark, briefly.
+            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 1.0, 0.0, 4000, 30),
         ],
-        ids=["lazy", "always-active", "d2", "two-agents"],
+        ids=["lazy", "always-active", "d2", "two-agents", "benchmark-shape"],
     )
-    def test_matches_literal_loop_bitwise(self, n_agents, edges, dim, c, eta):
+    def test_matches_literal_loop_bitwise(self, n_agents, edges, dim, c, eta, replicas, n_iter):
         rng = np.random.default_rng(14)
         weights = rng.uniform(0.2, 2.0, size=len(edges))
         config = RunConfig(
@@ -1103,9 +1111,9 @@ class TestRunEnsemble:
             ),
             schedule=StepSchedule(gamma0=0.5, xi=0.75),
             initial_state=lambda r: r.uniform(-1.0, 1.0, size=(n_agents, dim)),
-            n_iter=300,
+            n_iter=n_iter,
             seed=15,
-            replicas=64,
+            replicas=replicas,
         )
         assert np.array_equal(run_ensemble(config), literal_run_ensemble(config))
 
@@ -1196,6 +1204,106 @@ class TestRunEnsemble:
         err = info.value
         assert (err.replica, err.iteration, err.records) == (1, 3, ())
         assert str(err) == "stacked state norm exceeded 1e+12 at iteration 3 in replica 1"
+
+
+class TestEnsembleGuard:
+    """:func:`run_ensemble` screens the state once, after the step; the
+    observations are checked only when that screen finds a divergent state."""
+
+    @staticmethod
+    def config(oracle, **kwargs):
+        problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle)
+        defaults = dict(
+            problem=problem,
+            gossip=GossipModel(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=np.zeros((4, 1)),
+            n_iter=5,
+            replicas=4,
+        )
+        defaults.update(kwargs)
+        return RunConfig(**defaults)
+
+    def test_nonfinite_observation_named_before_an_overflow_in_its_step(self):
+        # At iteration 3 replica 0's step overflows to inf and replica 2
+        # observes NaN: the observation is named, not the divergence.
+        calls = []
+
+        def oracle(theta, noise):
+            calls.append(None)
+            y = np.zeros_like(theta)
+            if len(calls) == 3:
+                y[0] = 1e308
+                y[2, 1, 0] = np.nan
+            return y
+
+        config = self.config(oracle, schedule=StepSchedule(gamma0=10.0, xi=0.75))
+        with pytest.raises(NonFiniteObservationError) as info:
+            run_ensemble(config)
+        err = info.value
+        assert (err.replica, err.agent, err.iteration) == (2, 2, 3)
+
+    def test_nonfinite_observation_under_a_zero_step(self):
+        # gamma0 * 2**-1 rounds to 0.0, and 0 * NaN is NaN: the state still
+        # carries the NaN, so the abort comes at iteration 2.
+        schedule = StepSchedule(gamma0=5e-324, xi=1.0)
+        assert schedule.gamma(1) > 0.0 and schedule.gamma(2) == 0.0
+        calls = []
+
+        def oracle(theta, noise):
+            calls.append(None)
+            y = np.zeros_like(theta)
+            if len(calls) == 2:
+                y[1, 3, 0] = np.nan
+            return y
+
+        config = self.config(oracle, schedule=schedule, override_checks=True)
+        with pytest.raises(NonFiniteObservationError) as info:
+            run_ensemble(config)
+        err = info.value
+        assert (err.replica, err.agent, err.iteration) == (1, 4, 2)
+
+    def test_observation_that_is_the_state_overflows_as_divergence(self):
+        # The oracle hands back the state itself, finite when observed; the
+        # step doubles it past the largest float.
+        config = self.config(
+            lambda theta, noise: theta,
+            schedule=StepSchedule(gamma0=1.0, xi=1.0),
+            initial_state=np.full((4, 1), 1e308),
+            override_checks=True,
+        )
+        with pytest.raises(DivergenceError) as info:
+            run_ensemble(config)
+        assert (info.value.replica, info.value.iteration) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "entry,aborts", [(2.6e11, False), (1e12, False), (np.nextafter(1e12, np.inf), True)]
+    )
+    def test_screen_boundary(self, entry, aborts):
+        # Replica 1's first agent steps to ``entry`` and stays there: every
+        # replica is lazy, so its norm is exactly ``entry``.  The screen
+        # clears entries up to 1e12 / 2 / sqrt(4) = 2.5e11; past it each
+        # norm is taken exactly, and only a norm past 1e12 aborts.
+        def oracle(theta, noise):
+            y = np.zeros_like(theta)
+            y[1, 0, 0] = entry - theta[1, 0, 0]
+            return y
+
+        graph = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        config = self.config(
+            oracle,
+            gossip=GossipModel(graph, activation_scale=1e-300),
+            schedule=StepSchedule(gamma0=1.0, xi=1.0),
+            override_checks=True,
+        )
+        if aborts:
+            with pytest.raises(DivergenceError) as info:
+                run_ensemble(config)
+            assert (info.value.replica, info.value.iteration) == (1, 1)
+        else:
+            finals = run_ensemble(config)
+            assert finals[1, 0, 0] == entry
+            assert np.count_nonzero(finals) == 1
 
 
 class TestEnsembleMixer:
