@@ -602,12 +602,12 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     so no float warning leaves it, and a non-finite observation or state
     ends it through its guard.
 
-    The guard is one :func:`_check_divergence` screen of the state after
-    the step; the observations are checked only when it fails.  A
-    non-finite observation always leaves a non-finite entry in the state,
-    even under a step that underflows to zero (``0 * inf`` is NaN), so the
-    check fails on it, and the observation is named before any divergent
-    state: the abort is the one a check before the step would raise.
+    The guard is one :func:`_check_divergence` of the state after the
+    step, and the observations are checked only when it finds a divergent
+    replica.  A non-finite observation always leaves a non-finite entry in
+    the state, even under a step that underflows to zero (``0 * inf`` is
+    NaN), so the guard fails on it, and the observation is named before any
+    divergent state: the abort is the one a check before the step raises.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")

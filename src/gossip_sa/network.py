@@ -154,9 +154,10 @@ class GossipModel:
         ``np.take`` uses uncast.
         """
         if out is None:
-            out = np.empty(np.shape(draws), dtype=np.intp)
+            out = np.empty(draws.shape, dtype=np.intp)
+        # A single edge has no inner threshold: the empty sum picks edge 0.
         inner = self._edge_table[2][:-1]
-        reached = draws >= inner.reshape(-1, *[1] * np.ndim(draws))
+        reached = draws >= inner.reshape(-1, *[1] * draws.ndim)
         return np.add.reduce(reached, axis=0, out=out)
 
     @cached_property

@@ -1257,7 +1257,7 @@ class TestEnsembleGuard:
                 y[1, 3, 0] = np.nan
             return y
 
-        config = self.config(oracle, schedule=schedule, override_checks=True)
+        config = self.config(oracle, schedule=schedule)
         with pytest.raises(NonFiniteObservationError) as info:
             run_ensemble(config)
         err = info.value
@@ -1270,7 +1270,6 @@ class TestEnsembleGuard:
             lambda theta, noise: theta,
             schedule=StepSchedule(gamma0=1.0, xi=1.0),
             initial_state=np.full((4, 1), 1e308),
-            override_checks=True,
         )
         with pytest.raises(DivergenceError) as info:
             run_ensemble(config)
@@ -1294,7 +1293,6 @@ class TestEnsembleGuard:
             oracle,
             gossip=GossipModel(graph, activation_scale=1e-300),
             schedule=StepSchedule(gamma0=1.0, xi=1.0),
-            override_checks=True,
         )
         if aborts:
             with pytest.raises(DivergenceError) as info:
