@@ -1207,8 +1207,8 @@ class TestRunEnsemble:
 
 
 class TestEnsembleGuard:
-    """:func:`run_ensemble` screens the state once, after the step; the
-    observations are checked only when that screen finds a divergent state."""
+    """:func:`run_ensemble` guards the state once, after the step; the
+    observations are checked only when that guard finds a divergent replica."""
 
     @staticmethod
     def config(oracle, **kwargs):
