@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +63,17 @@ def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
         clt_spec=clt_spec,
     )
     return problem
+
+
+def force_draw_source(monkeypatch, source):
+    """Make :func:`run_ensemble` draw on its worker thread (``"worker"``) or
+    in its loop (``"inline"``) whatever the step size and CPU count; leave
+    the size rule as it is for ``"real"``."""
+    if source == "worker":
+        monkeypatch.setattr(core, "DRAW_AHEAD_NUMBERS", 0)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    elif source == "inline":
+        monkeypatch.setattr(core, "DRAW_AHEAD_NUMBERS", math.inf)
 
 
 def two_agent_config(**kwargs):
@@ -1087,19 +1100,28 @@ class TestRunEnsemble:
         config = two_agent_config(problem=problem, n_iter=50, replicas=8)
         assert np.array_equal(run_ensemble(config), run_ensemble(config))
 
+    FIVE_EDGES = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+    SHAPES = {
+        "lazy": (4, FIVE_EDGES, 1, 0.6, 0.2, 64, 300),
+        "always-active": (4, FIVE_EDGES, 1, 1.0, 0.0, 64, 300),
+        "d2": (4, FIVE_EDGES, 2, 0.8, 0.1, 64, 300),
+        "two-agents": (2, [(1, 2)], 1, 0.5, 0.0, 64, 300),
+        # The shape of the clt-ensemble benchmark, briefly.
+        "benchmark-shape": (4, FIVE_EDGES, 1, 1.0, 0.0, 4000, 30),
+    }
+
+    # Each shape through each source; the benchmark shape also at the real
+    # size rule, under its old name.
     @pytest.mark.parametrize(
-        "n_agents,edges,dim,c,eta,replicas,n_iter",
-        [
-            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 0.6, 0.2, 64, 300),
-            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 1.0, 0.0, 64, 300),
-            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 2, 0.8, 0.1, 64, 300),
-            (2, [(1, 2)], 1, 0.5, 0.0, 64, 300),
-            # The shape of the clt-ensemble benchmark, briefly.
-            (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 1, 1.0, 0.0, 4000, 30),
-        ],
-        ids=["lazy", "always-active", "d2", "two-agents", "benchmark-shape"],
+        "shape,source",
+        [pytest.param(shape, "inline", id=shape) for shape in SHAPES if shape != "benchmark-shape"]
+        + [pytest.param("benchmark-shape", "real", id="benchmark-shape")]
+        + [pytest.param("benchmark-shape", "inline", id="benchmark-shape-inline")]
+        + [pytest.param(shape, "worker", id=f"{shape}-worker") for shape in SHAPES],
     )
-    def test_matches_literal_loop_bitwise(self, n_agents, edges, dim, c, eta, replicas, n_iter):
+    def test_matches_literal_loop_bitwise(self, shape, source, monkeypatch):
+        n_agents, edges, dim, c, eta, replicas, n_iter = self.SHAPES[shape]
+        force_draw_source(monkeypatch, source)
         rng = np.random.default_rng(14)
         weights = rng.uniform(0.2, 2.0, size=len(edges))
         config = RunConfig(
@@ -1357,8 +1379,15 @@ class TestEnsembleMixer:
             assert exchanged == 0
 
 
-    @pytest.mark.parametrize("c", [1e-300, 0.1, 0.5, 0.6, np.nextafter(1.0, 0.0)])
-    def test_activation_exchanges_exactly_below_p(self, c, monkeypatch):
+    @pytest.mark.parametrize(
+        "c,source",
+        [
+            pytest.param(c, source, id=f"{c!r}" if source == "inline" else f"{c!r}-worker")
+            for source in ("inline", "worker")
+            for c in [1e-300, 0.1, 0.5, 0.6, float(np.nextafter(1.0, 0.0))]
+        ],
+    )
+    def test_activation_exchanges_exactly_below_p(self, c, source, monkeypatch):
         # One zero-oracle step on scripted uniforms: a replica whose
         # activation draw is 0 or the float just below p exchanges; one at p
         # or the float just above it stays lazy.
@@ -1376,6 +1405,7 @@ class TestEnsembleMixer:
                 return out
 
         monkeypatch.setattr("gossip_sa.core._stream", lambda *args: ScriptedUniforms())
+        force_draw_source(monkeypatch, source)
         zero = lambda theta, noise: np.zeros_like(theta)  # noqa: E731
         start = np.array([[0.0], [1.0]])
         config = RunConfig(
@@ -1389,6 +1419,106 @@ class TestEnsembleMixer:
         )
         after = run_ensemble(config)
         assert np.array_equal(after, [[[0.5], [0.5]]] * 2 + [start] * 2)
+
+
+class TestDrawAhead:
+    """:func:`run_ensemble`'s worker thread changes nothing a caller sees:
+    every failure is the inline loop's, raised at the same step, and no
+    thread outlives the call."""
+
+    STEP = 4  # the step at which each scripted failure happens
+
+    @classmethod
+    def config(cls, fail=None):
+        """Four scalar agents, 16 replicas, 10 steps; ``fail`` names what
+        goes wrong at step :attr:`STEP`."""
+        draws, observations = [], []
+
+        def draw(rng, lead):
+            draws.append(None)
+            if len(draws) == cls.STEP and fail == "draw-raises":
+                raise RuntimeError(f"draw {cls.STEP} failed")
+            if len(draws) == cls.STEP and fail == "draw-shape":
+                return rng.standard_normal((*lead, 4, 2))
+            return rng.standard_normal((*lead, 4, 1))
+
+        def oracle(theta, noise):
+            observations.append(None)
+            y = noise - theta
+            if len(observations) == cls.STEP:
+                if fail == "divergence":
+                    y[5:] = 1e13
+                elif fail == "non-finite":
+                    y[9, 2, 0] = np.nan
+                elif fail == "oracle-raises":
+                    raise ZeroDivisionError("oracle failed")
+                elif fail == "interrupt":
+                    raise KeyboardInterrupt
+            return y
+
+        problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle, draw=draw)
+        config = RunConfig(
+            problem=problem,
+            gossip=GossipModel(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])),
+            schedule=StepSchedule(gamma0=0.5, xi=0.75),
+            initial_state=np.zeros((4, 1)),
+            n_iter=10,
+            replicas=16,
+        )
+        return config, observations
+
+    @classmethod
+    def outcome(cls, monkeypatch, source, fail=None):
+        """What a run through ``source`` returned or raised, and the oracle
+        calls it made; the threads alive are those alive before it."""
+        config, observations = cls.config(fail)
+        with monkeypatch.context() as patch:
+            force_draw_source(patch, source)
+            before = threading.enumerate()
+            try:
+                result = run_ensemble(config)
+            except (Exception, KeyboardInterrupt) as err:
+                result = err
+            assert threading.enumerate() == before
+        return result, len(observations)
+
+    def test_normal_end_equals_the_inline_run(self, monkeypatch):
+        worker, calls = self.outcome(monkeypatch, "worker")
+        inline, _ = self.outcome(monkeypatch, "inline")
+        assert calls == 10
+        assert np.array_equal(worker, inline)
+
+    @pytest.mark.parametrize(
+        "fail",
+        ["draw-raises", "draw-shape", "divergence", "non-finite", "oracle-raises", "interrupt"],
+    )
+    def test_failure_is_the_inline_one_at_its_step(self, monkeypatch, fail):
+        worker, worker_calls = self.outcome(monkeypatch, "worker", fail)
+        inline, inline_calls = self.outcome(monkeypatch, "inline", fail)
+        assert isinstance(inline, BaseException)
+        # A failed draw ends the run before its step's oracle call.
+        assert inline_calls == self.STEP - fail.startswith("draw")
+        assert worker_calls == inline_calls
+        fields = ("replica", "iteration", "agent", "records")
+        assert type(worker) is type(inline)
+        assert str(worker) == str(inline)
+        assert [getattr(worker, f, None) for f in fields] == [getattr(inline, f, None) for f in fields]
+
+    def test_draw_that_overflows_emits_no_warning(self, monkeypatch):
+        # exp overflows to inf on about half the draws; the noise is then 1.
+        def draw(rng, lead):
+            return np.minimum(np.exp(1000.0 * rng.standard_normal((*lead, 4, 1))), 1.0)
+
+        config, _ = self.config()
+        config.problem.draw = draw
+        finals = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for source in ("worker", "inline"):
+                with monkeypatch.context() as patch:
+                    force_draw_source(patch, source)
+                    finals[source] = run_ensemble(config)
+        assert np.array_equal(finals["worker"], finals["inline"])
 
 
 def literal_run_ensemble(config):
