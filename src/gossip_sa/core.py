@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -59,14 +59,14 @@ NOISE_BLOCK_STEPS = 64
 #: calls whose sample fits in :data:`BLOCK_BYTES`.
 RECORD_BLOCK = 4
 
-#: :func:`run_ensemble` makes each step's shared draws on a worker thread,
-#: ahead of the step that uses them, when a step draws at least this many
-#: numbers (noise and uniforms) and the process may run on two CPUs or
-#: more; below it the loop draws them itself.  The worker overlaps the
-#: draws, which release the interpreter lock, with the rest of the step, but
-#: costs a handoff and lock contention each step.  On a 2-CPU VM, with four
-#: scalar agents (six numbers per replica), it lost at 875 replicas (5 250
-#: numbers, +10%) and won at 1 000 (6 000 numbers, -8%).
+#: :func:`run_ensemble` makes each step's shared draws on one executor
+#: worker thread, two steps ahead of the step in use, when a step draws at
+#: least this many numbers (noise and uniforms) and the process may run on
+#: two CPUs or more; below it the loop draws them itself.  The worker
+#: overlaps the draws, which release the interpreter lock, with the rest of
+#: the step, but costs a handoff and lock contention each step.  On a 2-CPU
+#: VM, with four scalar agents (six numbers per replica), it lost at 875
+#: replicas (5 250 numbers, +10%) and won at 1 000 (6 000 numbers, -8%).
 DRAW_AHEAD_NUMBERS = 6000
 
 
@@ -153,7 +153,7 @@ class StepSchedule:
     xi: float
 
     def __post_init__(self) -> None:
-        if self.gamma0 <= 0.0:
+        if not self.gamma0 > 0.0:
             raise ValueError("gamma0 must be positive")
         if not 0.0 < self.xi <= 1.0:
             raise ValueError("xi must lie in (0, 1]")
@@ -599,36 +599,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_ahead(problem: Problem, rng, n_replicas: int, n_iter: int, handoff, stop) -> None:
-    """The worker of :func:`_shared_draws`: put each step's draws on
-    ``handoff``, in step order, until ``n_iter`` steps are drawn or ``stop``
-    is set.  An exception is put in the place of its step's draws and ends
-    the worker.  Threads do not inherit numpy's error state, so the draws
-    run under the engine's policy here."""
-    lead = (n_replicas,)
-    try:
-        with np.errstate(all="ignore"):
-            for _ in range(n_iter):
-                if stop.is_set():
-                    return
-                noise = _draw_noise(problem, rng, lead)
-                handoff.put((noise, rng.random(out=np.empty(2 * n_replicas))))
-    except BaseException as exc:
-        handoff.put(exc)
-
-
 @contextmanager
 def _shared_draws(problem: Problem, rng, n_replicas: int, n_iter: int):
     """Yield a callable that returns each step's shared draws in turn: the
     noise, ``problem.draw(rng, (n_replicas,))``, then ``2 * n_replicas``
     uniforms from ``rng.random(out=...)``.
 
-    A large step's draws come from a worker thread that makes them ahead
-    (:data:`DRAW_AHEAD_NUMBERS`); a smaller step's are made by the call.
+    A large step's draws (:data:`DRAW_AHEAD_NUMBERS`) come from a
+    single-worker executor that keeps two steps in flight ahead of the
+    step in use and is given one task per step of the run, so it draws
+    nothing past step ``n_iter``; a smaller step's are made by the call.
     Either way ``rng`` makes the same calls in the same order, so every
-    number is the same, and an exception a draw raises is raised by the call
-    for its step.  The worker is stopped and joined however the block
-    exits.
+    number is the same, and an exception a draw raises is raised by the
+    call for its step.  However the block exits, the pending draws are
+    cancelled and the worker is joined.
     """
     lead = (n_replicas,)
     numbers = n_replicas * (math.prod(problem.noise_shape) + 2)
@@ -636,37 +620,28 @@ def _shared_draws(problem: Problem, rng, n_replicas: int, n_iter: int):
         uniforms = np.empty(2 * n_replicas)
         yield lambda: (_draw_noise(problem, rng, lead), rng.random(out=uniforms))
         return
-    import queue
+    from concurrent.futures import ThreadPoolExecutor
 
-    # One step's draws wait in the handoff while the worker makes the next
-    # and the loop uses the one before: at most three steps' draws are held.
-    handoff = queue.Queue(maxsize=1)
-    stop = threading.Event()
-    worker = threading.Thread(
-        target=_draw_ahead,
-        args=(problem, rng, n_replicas, n_iter, handoff, stop),
-        name="gossip-sa-draws",
-        daemon=True,
-    )
+    # Threads do not inherit numpy's error state, so the worker's draws set
+    # the engine's policy themselves.
+    @np.errstate(all="ignore")
+    def draw():
+        return _draw_noise(problem, rng, lead), rng.random(out=np.empty(2 * n_replicas))
 
-    def take():
-        draws = handoff.get()
-        if isinstance(draws, BaseException):
-            raise draws
-        return draws
-
-    worker.start()
+    # At most four steps' draws are held: two in flight, one in use, one spent.
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gossip-sa-draws")
+    steps = itertools.repeat(draw, n_iter)  # one task per step of the run
     try:
+        pending = deque(map(pool.submit, itertools.islice(steps, 2)))
+
+        def take():
+            future = pending.popleft()
+            pending.extend(map(pool.submit, itertools.islice(steps, 1)))
+            return future.result()
+
         yield take
     finally:
-        stop.set()
-        # The worker puts at most one more item once ``stop`` is set; this
-        # frees a slot for it, so it cannot block.
-        try:
-            handoff.get_nowait()
-        except queue.Empty:
-            pass
-        worker.join()
+        pool.shutdown(cancel_futures=True)
 
 
 @np.errstate(all="ignore")
@@ -703,13 +678,13 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
 
     When a step draws at least :data:`DRAW_AHEAD_NUMBERS` numbers (6 000:
     1 000 replicas of four scalar agents) and the process may use two CPUs
-    or more, a worker thread makes each step's draws while the loop runs
-    the step before, and hands them over one step at a time; below that
-    size the loop makes them itself.  The stream makes the same calls in
-    the same order either way, so the result, and any exception a draw
+    or more, a single-worker executor draws the next two steps while the
+    loop runs the step in use, and never draws past step ``n_iter``; below
+    that size the loop makes them itself.  The stream makes the same calls
+    in the same order either way, so the result, and any exception a draw
     raises at its step, is the same on both sides of the rule.  The worker
-    runs under the same float policy, and it is stopped and joined before
-    the call returns or raises.
+    runs under the same float policy; before the call returns or raises,
+    its pending draws are cancelled and it is joined.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")

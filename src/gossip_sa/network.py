@@ -65,7 +65,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
         probs = np.asarray(self.pair_probs, dtype=float)
-        if np.any(probs <= 0.0):
+        if not np.all(probs > 0.0):
             raise ValueError("every edge probability must be positive")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
@@ -85,7 +85,7 @@ class Graph:
             w = np.asarray(weights, dtype=float)
             if w.shape != (len(canon),):
                 raise ValueError("weights must match the number of edges")
-            if np.any(w <= 0.0):
+            if not np.all(w > 0.0):
                 raise ValueError("edge weights must be positive")
             probs = w / w.sum()
         return cls(n_agents=n_agents, edges=canon, pair_probs=tuple(float(p) for p in probs))
@@ -106,9 +106,9 @@ class GossipModel:
     activation_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.activation_scale <= 0.0:
+        if not self.activation_scale > 0.0:
             raise ValueError("activation_scale must be positive")
-        if self.activation_decay < 0.0:
+        if not self.activation_decay >= 0.0:
             raise ValueError("activation_decay must be nonnegative")
 
     def activation_probability(self, n: int) -> float:

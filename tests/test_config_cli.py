@@ -671,11 +671,12 @@ class TestCli:
         assert code == 4
         assert "insufficient data" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize dominates start-up time; only halfspace sets need it,
-        # and they import it when built.
+    @staticmethod
+    def loaded_by_cli_import(module):
+        """Whether ``import gossip_sa.cli`` loads ``module``, in a fresh
+        interpreter."""
         src = os.path.dirname(os.path.dirname(gossip_sa.__file__))
-        probe = "import sys, gossip_sa.cli; print('scipy.optimize' in sys.modules)"
+        probe = f"import sys, gossip_sa.cli; print({module!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": src},
@@ -683,7 +684,17 @@ class TestCli:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize dominates start-up time; only halfspace sets need it,
+        # and they import it when built.
+        assert not self.loaded_by_cli_import("scipy.optimize")
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # Only a large ensemble step draws on an executor, and it imports
+        # concurrent.futures (3-5 ms) when it starts one.
+        assert not self.loaded_by_cli_import("concurrent.futures")
 
     def test_clt_run_leaves_scipy_unloaded(self, tmp_path):
         # The replica study needs no scipy module; loading scipy.linalg alone

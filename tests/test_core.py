@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -106,6 +107,25 @@ class TestStepSchedule:
             StepSchedule(gamma0=1.0, xi=1.2)
         with pytest.raises(ValueError):
             StepSchedule(gamma0=1.0, xi=0.75).gamma(0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(2, ((1, 2),), (math.nan,)),
+        lambda: Graph.from_edges(3, [(1, 2), (2, 3)], [1.0, math.nan]),
+        lambda: GossipModel(Graph.from_edges(2, [(1, 2)]), activation_scale=math.nan),
+        lambda: GossipModel(Graph.from_edges(2, [(1, 2)]), activation_decay=math.nan),
+        lambda: StepSchedule(gamma0=math.nan, xi=0.75),
+    ],
+    ids=["pair-prob", "edge-weight", "activation-scale", "activation-decay", "gamma0"],
+)
+def test_constructors_reject_nan(build):
+    # A NaN fails every comparison, so a check written as ``x <= 0`` lets it
+    # through: a NaN edge probability picks edge 0 for every draw, and a NaN
+    # activation gives ``min(1, nan) == 1``, an exchange at every step.
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestLocalStep:
@@ -1454,6 +1474,9 @@ class TestDrawAhead:
                     raise ZeroDivisionError("oracle failed")
                 elif fail == "interrupt":
                     raise KeyboardInterrupt
+            if len(observations) == 10:
+                # The last step: time for a draw past it to run, were one queued.
+                time.sleep(0.02)
             return y
 
         problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle, draw=draw)
@@ -1465,13 +1488,13 @@ class TestDrawAhead:
             n_iter=10,
             replicas=16,
         )
-        return config, observations
+        return config, observations, draws
 
     @classmethod
     def outcome(cls, monkeypatch, source, fail=None):
         """What a run through ``source`` returned or raised, and the oracle
-        calls it made; the threads alive are those alive before it."""
-        config, observations = cls.config(fail)
+        and draw calls it made; the threads alive are those alive before it."""
+        config, observations, draws = cls.config(fail)
         with monkeypatch.context() as patch:
             force_draw_source(patch, source)
             before = threading.enumerate()
@@ -1480,12 +1503,14 @@ class TestDrawAhead:
             except (Exception, KeyboardInterrupt) as err:
                 result = err
             assert threading.enumerate() == before
-        return result, len(observations)
+        return result, len(observations), len(draws)
 
     def test_normal_end_equals_the_inline_run(self, monkeypatch):
-        worker, calls = self.outcome(monkeypatch, "worker")
-        inline, _ = self.outcome(monkeypatch, "inline")
+        worker, calls, worker_draws = self.outcome(monkeypatch, "worker")
+        inline, _, inline_draws = self.outcome(monkeypatch, "inline")
         assert calls == 10
+        # The worker draws ahead, but never past the last step.
+        assert worker_draws == inline_draws == 10
         assert np.array_equal(worker, inline)
 
     @pytest.mark.parametrize(
@@ -1493,8 +1518,8 @@ class TestDrawAhead:
         ["draw-raises", "draw-shape", "divergence", "non-finite", "oracle-raises", "interrupt"],
     )
     def test_failure_is_the_inline_one_at_its_step(self, monkeypatch, fail):
-        worker, worker_calls = self.outcome(monkeypatch, "worker", fail)
-        inline, inline_calls = self.outcome(monkeypatch, "inline", fail)
+        worker, worker_calls, _ = self.outcome(monkeypatch, "worker", fail)
+        inline, inline_calls, _ = self.outcome(monkeypatch, "inline", fail)
         assert isinstance(inline, BaseException)
         # A failed draw ends the run before its step's oracle call.
         assert inline_calls == self.STEP - fail.startswith("draw")
@@ -1509,7 +1534,7 @@ class TestDrawAhead:
         def draw(rng, lead):
             return np.minimum(np.exp(1000.0 * rng.standard_normal((*lead, 4, 1))), 1.0)
 
-        config, _ = self.config()
+        config, _, _ = self.config()
         config.problem.draw = draw
         finals = {}
         with warnings.catch_warnings():
