@@ -201,7 +201,7 @@ class BudgetSimplex(ConstraintSet):
 
     def __init__(self, budgets, groups):
         budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
-        if np.any(budgets <= 0.0):
+        if not np.all(budgets > 0.0):  # NaN fails it
             raise ValueError("every group budget must be positive")
         groups = tuple(tuple(int(k) for k in g) for g in groups)
         if len(groups) != budgets.size:

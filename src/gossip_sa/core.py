@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,17 +55,6 @@ NOISE_BLOCK_STEPS = 64
 #: A hook that draws a sample for the points of a block splits them into
 #: calls whose sample fits in :data:`BLOCK_BYTES`.
 RECORD_BLOCK = 4
-
-#: :func:`run_ensemble` makes each step's shared draws on one executor
-#: worker thread, two steps ahead of the step in use, when a step draws at
-#: least this many numbers (noise and uniforms) and the process may run on
-#: two CPUs or more; below it the loop draws them itself.  The worker
-#: overlaps the draws, which release the interpreter lock, with the rest of
-#: the step, but costs a handoff and lock contention each step.  On a 2-CPU
-#: VM, with four scalar agents (six numbers per replica), it lost at 875
-#: replicas (5 250 numbers, +10%) and won at 1 000 (6 000 numbers, -8%).
-DRAW_AHEAD_NUMBERS = 6000
-
 
 def _stream(seed: int, replica: int, role: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica, role)))
@@ -153,8 +139,8 @@ class StepSchedule:
     xi: float
 
     def __post_init__(self) -> None:
-        if not self.gamma0 > 0.0:
-            raise ValueError("gamma0 must be positive")
+        if not 0.0 < self.gamma0 < math.inf:
+            raise ValueError("gamma0 must be positive and finite")
         if not 0.0 < self.xi <= 1.0:
             raise ValueError("xi must lie in (0, 1]")
 
@@ -179,7 +165,8 @@ class Problem:
     ``theta``, from ``theta`` and one ``(replicas, *noise_shape)`` noise
     draw.  Both engines call it once per iteration, on a state they later
     update in place, and neither mutates what it returns.  When omitted it
-    is ``-gradient(theta) + noise_scale * noise``.
+    is ``-gradient(theta) + noise_scale * noise``; ``noise_scale`` must
+    lie in ``[0, inf)``, the CLI's range: NaN, infinity and negatives fail.
 
     ``draw(rng, lead)`` says how that noise is drawn: it returns an array
     of shape ``(*lead, *noise_shape)`` from the generator ``rng``.  The
@@ -215,6 +202,8 @@ class Problem:
     def __post_init__(self) -> None:
         if self.dim < 1 or self.n_agents < 1:
             raise ValueError("dim and n_agents must be positive")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be nonnegative and finite")
         if self.constraint is None:
             self.constraint = Unconstrained(self.dim)
         if self.constraint.dim != self.dim:
@@ -592,58 +581,6 @@ def run(config: RunConfig, replicas=None) -> RunResult:
     return RunResult(table.view(np.recarray), theta, theta0, tuple(replicas), disagreement)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has affinity masks
-        return os.cpu_count() or 1
-
-
-@contextmanager
-def _shared_draws(problem: Problem, rng, n_replicas: int, n_iter: int):
-    """Yield a callable that returns each step's shared draws in turn: the
-    noise, ``problem.draw(rng, (n_replicas,))``, then ``2 * n_replicas``
-    uniforms from ``rng.random(out=...)``.
-
-    A large step's draws (:data:`DRAW_AHEAD_NUMBERS`) come from a
-    single-worker executor that keeps two steps in flight ahead of the
-    step in use and is given one task per step of the run, so it draws
-    nothing past step ``n_iter``; a smaller step's are made by the call.
-    Either way ``rng`` makes the same calls in the same order, so every
-    number is the same, and an exception a draw raises is raised by the
-    call for its step.  However the block exits, the pending draws are
-    cancelled and the worker is joined.
-    """
-    lead = (n_replicas,)
-    numbers = n_replicas * (math.prod(problem.noise_shape) + 2)
-    if numbers < DRAW_AHEAD_NUMBERS or _usable_cpus() < 2:
-        uniforms = np.empty(2 * n_replicas)
-        yield lambda: (_draw_noise(problem, rng, lead), rng.random(out=uniforms))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Threads do not inherit numpy's error state, so the worker's draws set
-    # the engine's policy themselves.
-    @np.errstate(all="ignore")
-    def draw():
-        return _draw_noise(problem, rng, lead), rng.random(out=np.empty(2 * n_replicas))
-
-    # At most four steps' draws are held: two in flight, one in use, one spent.
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gossip-sa-draws")
-    steps = itertools.repeat(draw, n_iter)  # one task per step of the run
-    try:
-        pending = deque(map(pool.submit, itertools.islice(steps, 2)))
-
-        def take():
-            future = pending.popleft()
-            pending.extend(map(pool.submit, itertools.islice(steps, 1)))
-            return future.result()
-
-        yield take
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 @np.errstate(all="ignore")
 def run_ensemble(config: RunConfig) -> np.ndarray:
     """Advance all replicas simultaneously and return the final states.
@@ -655,10 +592,11 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     come from one shared stream, so the ensemble is statistically
     equivalent to, but not draw-for-draw identical with, :func:`run`.
 
-    Each iteration takes the batch's noise, ``problem.draw(rng,
+    Each iteration draws the batch's noise, ``problem.draw(rng,
     (replicas,))``, and one block of ``2 * replicas`` uniforms,
-    ``rng.random(out=...)``, in that order from the shared stream, and makes
-    one oracle call on the noise.  The first half of the uniforms decides
+    ``rng.random(out=...)``, in that order from the shared stream on the
+    calling thread, and makes one oracle call on the noise; a draw's
+    exception is raised at its own step.  The first half of the uniforms decides
     which replicas exchange, the second picks their edge by
     :meth:`GossipModel.pick_edges`.
     Every replica is then mixed by one pairwise average, gathered from and
@@ -675,16 +613,6 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     the state, even under a step that underflows to zero (``0 * inf`` is
     NaN), so the guard fails on it, and the observation is named before any
     divergent state: the abort is the one a check before the step raises.
-
-    When a step draws at least :data:`DRAW_AHEAD_NUMBERS` numbers (6 000:
-    1 000 replicas of four scalar agents) and the process may use two CPUs
-    or more, a single-worker executor draws the next two steps while the
-    loop runs the step in use, and never draws past step ``n_iter``; below
-    that size the loop makes them itself.  The stream makes the same calls
-    in the same order either way, so the result, and any exception a draw
-    raises at its step, is the same on both sides of the rule.  The worker
-    runs under the same float policy; before the call returns or raises,
-    its pending draws are cancelled and it is joined.
     """
     if not isinstance(config.problem.constraint, Unconstrained):
         raise NotImplementedError("vectorized replicas support unconstrained problems only")
@@ -704,36 +632,37 @@ def run_ensemble(config: RunConfig) -> np.ndarray:
     ends = np.empty((2, n_replicas), dtype=np.intp)
     entries = np.empty((2, n_replicas, dim), dtype=np.intp)
     first, second = entries
-    with _shared_draws(problem, rng, n_replicas, config.n_iter) as draws:
-        try:
-            for n in range(1, config.n_iter + 1):
-                noise, uniforms = draws()
-                y = _observe(problem, theta, noise)
-                gossip.pick_edges(uniforms[n_replicas:], out=picked)
-                np.take(endpoints, picked, axis=1, out=ends)
-                p = gossip.activation_probability(n)
-                if p < 1.0:
-                    np.greater_equal(uniforms[:n_replicas], p, out=lazy)
-                    np.copyto(ends[1], ends[0], where=lazy)
-                np.add(ends[..., None], offsets, out=entries)
-                theta += schedule.gamma(n) * y
-                pair = flat[entries]
-                mixed = pair[0]
-                mixed += pair[1]
-                mixed *= 0.5
-                flat[first] = mixed
-                flat[second] = mixed
-                try:
-                    _check_divergence(theta, n)
-                except DivergenceError:
-                    # An observation that is a view of the state was the finite
-                    # state before the step; any other is checked here.
-                    if not np.may_share_memory(y, theta):
-                        _check_finite(y)
-                    raise
-        except SimulationAbort as err:
-            _report_abort(err, n, replicas, [()] * n_replicas)
-            raise
+    uniforms = np.empty(2 * n_replicas)
+    try:
+        for n in range(1, config.n_iter + 1):
+            noise = _draw_noise(problem, rng, (n_replicas,))
+            rng.random(out=uniforms)
+            y = _observe(problem, theta, noise)
+            gossip.pick_edges(uniforms[n_replicas:], out=picked)
+            np.take(endpoints, picked, axis=1, out=ends)
+            p = gossip.activation_probability(n)
+            if p < 1.0:
+                np.greater_equal(uniforms[:n_replicas], p, out=lazy)
+                np.copyto(ends[1], ends[0], where=lazy)
+            np.add(ends[..., None], offsets, out=entries)
+            theta += schedule.gamma(n) * y
+            pair = flat[entries]
+            mixed = pair[0]
+            mixed += pair[1]
+            mixed *= 0.5
+            flat[first] = mixed
+            flat[second] = mixed
+            try:
+                _check_divergence(theta, n)
+            except DivergenceError:
+                # An observation that is a view of the state was the finite
+                # state before the step; any other is checked here.
+                if not np.may_share_memory(y, theta):
+                    _check_finite(y)
+                raise
+    except SimulationAbort as err:
+        _report_abort(err, n, replicas, [()] * n_replicas)
+        raise
     return theta
 
 

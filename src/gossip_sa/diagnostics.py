@@ -105,7 +105,10 @@ class CltSpec:
     ``drift_jacobian`` is the Jacobian at ``theta_star`` of the averaged
     drift (for agents minimizing ``f_i`` it is ``-(1/N) sum_i hess f_i``);
     ``noise_cov`` is the covariance of the across-agent average of the
-    observation noise at consensus on ``theta_star``.
+    observation noise at consensus on ``theta_star``.  The drift must be
+    finite and stable, and the covariance finite, symmetric and positive
+    semidefinite.  ``theta_star`` may not be NaN, but may be infinite: a
+    mean center past the largest float is left to the run's guards.
     """
 
     theta_star: np.ndarray
@@ -119,10 +122,17 @@ class CltSpec:
         d = star.size
         if jac.shape != (d, d) or cov.shape != (d, d):
             raise ValueError("drift_jacobian and noise_cov must be d x d matrices")
+        if np.isnan(star).any():
+            raise ValueError("theta_star must not be NaN")
+        for name, arr in (("drift_jacobian", jac), ("noise_cov", cov)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if np.max(np.linalg.eigvals(jac).real) >= 0.0:
             raise ValueError("drift_jacobian must be stable (eigenvalue real parts < 0)")
         if float(np.max(np.abs(cov - cov.T))) > 1e-10:
             raise ValueError("noise_cov must be symmetric")
+        if np.min(np.linalg.eigvalsh(cov)) < -1e-12 * max(float(np.max(np.abs(cov))), 1.0):
+            raise ValueError("noise_cov must be positive semidefinite")
         object.__setattr__(self, "theta_star", star)
         object.__setattr__(self, "drift_jacobian", jac)
         object.__setattr__(self, "noise_cov", cov)

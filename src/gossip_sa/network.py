@@ -9,6 +9,7 @@ by construction, so the network-wide average is invariant under mixing.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
@@ -76,7 +77,8 @@ class Graph:
         """Build a graph from edge pairs, normalizing ``weights``.
 
         Edge orientation is canonicalized to ``i < j``.  When ``weights`` is
-        omitted the edges are weighted uniformly.
+        omitted the edges are weighted uniformly; given, they must be
+        positive with a finite sum.
         """
         canon = tuple((min(i, j), max(i, j)) for i, j in edges)
         if weights is None:
@@ -85,9 +87,11 @@ class Graph:
             w = np.asarray(weights, dtype=float)
             if w.shape != (len(canon),):
                 raise ValueError("weights must match the number of edges")
-            if not np.all(w > 0.0):
-                raise ValueError("edge weights must be positive")
-            probs = w / w.sum()
+            with np.errstate(over="ignore"):
+                total = w.sum()
+            if not (np.all(w > 0.0) and total < np.inf):  # NaN fails both
+                raise ValueError("edge weights must be positive with a finite sum")
+            probs = w / total
         return cls(n_agents=n_agents, edges=canon, pair_probs=tuple(float(p) for p in probs))
 
 
@@ -98,7 +102,8 @@ class GossipModel:
     At step ``n`` an exchange happens with probability
     ``min(1, activation_scale * n**-activation_decay)``; with the remaining
     probability the realized matrix is the identity (a lazy step).  The edge
-    taking part in an exchange is drawn from ``graph.pair_probs``.
+    taking part in an exchange is drawn from ``graph.pair_probs``.  The
+    scale must be positive and the decay nonnegative, both finite.
     """
 
     graph: Graph
@@ -106,10 +111,10 @@ class GossipModel:
     activation_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.activation_scale > 0.0:
-            raise ValueError("activation_scale must be positive")
-        if not self.activation_decay >= 0.0:
-            raise ValueError("activation_decay must be nonnegative")
+        if not 0.0 < self.activation_scale < math.inf:
+            raise ValueError("activation_scale must be positive and finite")
+        if not 0.0 <= self.activation_decay < math.inf:
+            raise ValueError("activation_decay must be nonnegative and finite")
 
     def activation_probability(self, n: int) -> float:
         """Probability that some exchange takes place at step ``n`` (n >= 1)."""

@@ -32,7 +32,8 @@ CHANNEL_LAWS: dict[str, Callable[[np.random.Generator, tuple], np.ndarray]] = {
 
 @dataclass(frozen=True, eq=False)
 class PowerScenario:
-    """Static parameters of the interference network."""
+    """Static parameters of the interference network: ``budgets``,
+    ``noise_vars`` and ``weights`` hold one positive finite entry per user."""
 
     n_users: int
     n_channels: int
@@ -48,8 +49,8 @@ class PowerScenario:
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.shape != (self.n_users,):
                 raise ValueError(f"{name} must have one entry per user")
-            if np.any(arr <= 0.0):
-                raise ValueError(f"{name} must be positive")
+            if not np.all((arr > 0.0) & (arr < np.inf)):  # NaN fails both
+                raise ValueError(f"{name} must be positive and finite")
             object.__setattr__(self, name, arr)
         if self.channel_distribution not in CHANNEL_LAWS:
             raise ValueError(

@@ -59,6 +59,9 @@ def test_01_spectral_gap_oracle():
 
 
 def test_02_agreement_and_convergence():
+    """Seed census (``tests/seed_census.py``): fails at 0 of seeds 0-99.
+    The disagreement ratio reads 0.0016-0.0032, the average error
+    0.0007-0.0014 and ``beta_hat`` 1.38-1.72."""
     with criterion(2, "agreement-and-convergence", budget_seconds=60.0):
         spec = preset_spec("quadratic-consensus")
         assert spec.run.n_iter == 10**4 and spec.run.replicas == 20
@@ -85,6 +88,9 @@ def test_02_agreement_and_convergence():
     [("scalar-clt", 0.125, 0.0), ("scalar-clt-xi1", 0.25, 0.5)],
 )
 def test_03_clt_covariance(preset, expected_sigma, expected_zeta):
+    """Seed census (``tests/seed_census.py``, seeds 0-39): ``scalar-clt``
+    fails at 4 of 40 (relative error 0.0004-0.275), ``scalar-clt-xi1`` at
+    0 of 40 (0.002-0.144)."""
     with criterion(3, f"clt-covariance[{preset}]", budget_seconds=300.0):
         spec = preset_spec(preset)
         assert spec.run.replicas == 500 and spec.run.n_iter == 10**5
@@ -148,6 +154,8 @@ def test_05_projection_oracle():
 
 
 def test_06_constrained_convergence():
+    """Seed census (``tests/seed_census.py``): fails at 0 of seeds 0-99.
+    The median residual reads 0.0008-0.0041 and the error 0.0002-0.0010."""
     with criterion(6, "constrained-convergence", budget_seconds=60.0):
         spec = preset_spec("constrained-toy")
         assert spec.run.n_iter == 10**4 and spec.run.replicas == 20
@@ -209,6 +217,9 @@ def test_07_rate_gradient_and_drift():
 
 
 def test_08_power_scenario_trends():
+    """Seed census (``tests/seed_census.py``): fails at 25 of seeds 0-99,
+    all on the disagreement windows, whose ratio reads 0.023-0.094
+    against 0.05; the objective half never fails."""
     with criterion(8, "power-scenario-trends", budget_seconds=300.0):
         spec = preset_spec("power-alloc")
         assert spec.run.n_iter == 10**4

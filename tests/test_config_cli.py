@@ -691,11 +691,6 @@ class TestCli:
         # and they import it when built.
         assert not self.loaded_by_cli_import("scipy.optimize")
 
-    def test_import_leaves_concurrent_futures_unloaded(self):
-        # Only a large ensemble step draws on an executor, and it imports
-        # concurrent.futures (3-5 ms) when it starts one.
-        assert not self.loaded_by_cli_import("concurrent.futures")
-
     def test_clt_run_leaves_scipy_unloaded(self, tmp_path):
         # The replica study needs no scipy module; loading scipy.linalg alone
         # adds about 22 MB to the peak memory of a 4000-replica study.

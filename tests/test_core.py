@@ -1,6 +1,5 @@
 import math
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -66,17 +65,6 @@ def quadratic_problem(centers, sigma=0.0, constraint=None, clt=False):
     return problem
 
 
-def force_draw_source(monkeypatch, source):
-    """Make :func:`run_ensemble` draw on its worker thread (``"worker"``) or
-    in its loop (``"inline"``) whatever the step size and CPU count; leave
-    the size rule as it is for ``"real"``."""
-    if source == "worker":
-        monkeypatch.setattr(core, "DRAW_AHEAD_NUMBERS", 0)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-    elif source == "inline":
-        monkeypatch.setattr(core, "DRAW_AHEAD_NUMBERS", math.inf)
-
-
 def two_agent_config(**kwargs):
     defaults = dict(
         problem=quadratic_problem([[0.0], [4.0]]),
@@ -126,6 +114,143 @@ def test_constructors_reject_nan(build):
     # activation gives ``min(1, nan) == 1``, an exchange at every step.
     with pytest.raises(ValueError):
         build()
+
+
+#: Float edge cases for every float field of the public constructors.
+FLOAT_EDGES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1.7e308)
+
+
+def _schedule_holds(schedule):
+    gammas = [schedule.gamma(n) for n in (1, 2, 10**9)]
+    return gammas[0] > 0.0 and all(0.0 <= g < math.inf for g in gammas)
+
+
+def _gossip_holds(gossip):
+    probs = [gossip.activation_probability(n) for n in (1, 2, 10**9)]
+    return probs[0] > 0.0 and all(0.0 <= p <= 1.0 for p in probs)
+
+
+def _graph_holds(graph):
+    probs = np.asarray(graph.pair_probs)
+    return bool(np.all(probs > 0.0)) and abs(probs.sum() - 1.0) <= 1e-12
+
+
+def _noise_holds(problem):
+    theta = np.array([[[0.5], [-2.0]]])
+    exact = np.array_equal(problem.oracle(theta, np.zeros_like(theta)), -problem.gradient(theta))
+    unit = np.isfinite(problem.oracle(theta, np.ones_like(theta))).all()
+    return problem.noise_scale >= 0.0 and exact and unit
+
+
+def _set_holds(cs):
+    projected = cs.project(np.linspace(-4.0, 4.0, 5)[:, None] * np.ones(cs.dim))
+    return np.isfinite(projected).all() and cs.first_infeasible(projected) is None
+
+
+def _scenario_holds(scenario):
+    arrays = (scenario.budgets, scenario.noise_vars, scenario.weights)
+    return all(np.all((a > 0.0) & (a < math.inf)) for a in arrays)
+
+
+def _clt_holds(spec):
+    # An infinite limit point is allowed: the run's guards stop such a study.
+    _, cov = spec.covariance(StepSchedule(gamma0=1.0, xi=0.75))
+    return (
+        not np.isnan(spec.theta_star).any()
+        and np.isfinite(spec.drift_jacobian).all()
+        and np.isfinite(spec.noise_cov).all()
+        and 0.0 < spec.decay_rate < math.inf
+        and np.min(np.linalg.eigvalsh(spec.noise_cov)) >= 0.0
+        and np.isfinite(cov).all()
+    )
+
+
+def _scenario(**field):
+    defaults = dict(budgets=[1.0, 1.0], noise_vars=[0.1, 0.1], weights=[1.0, 1.0])
+    return PowerScenario(n_users=2, n_channels=2, **{**defaults, **field})
+
+
+def _clt(**field):
+    defaults = dict(theta_star=[0.0, 0.0], drift_jacobian=-np.eye(2), noise_cov=np.eye(2))
+    return CltSpec(**{**defaults, **field})
+
+
+#: field -> (build from a value, words one of which its ValueError names,
+#: the invariants of what it builds).  A halfspace row is its normal.
+FLOAT_FIELDS = {
+    "StepSchedule.gamma0": (
+        lambda v: StepSchedule(gamma0=v, xi=0.75), ("gamma0",), _schedule_holds
+    ),
+    "StepSchedule.xi": (lambda v: StepSchedule(gamma0=0.5, xi=v), ("xi",), _schedule_holds),
+    "GossipModel.activation_scale": (
+        lambda v: GossipModel(Graph.from_edges(2, [(1, 2)]), activation_scale=v),
+        ("activation_scale",),
+        _gossip_holds,
+    ),
+    "GossipModel.activation_decay": (
+        lambda v: GossipModel(Graph.from_edges(2, [(1, 2)]), activation_decay=v),
+        ("activation_decay",),
+        _gossip_holds,
+    ),
+    "Graph.pair_probs": (lambda v: Graph(2, ((1, 2),), (v,)), ("probabilit",), _graph_holds),
+    "Graph.from_edges.weights": (
+        lambda v: Graph.from_edges(3, [(1, 2), (2, 3)], [1.0, v]), ("weights",), _graph_holds
+    ),
+    "Problem.noise_scale": (
+        lambda v: Problem(dim=1, n_agents=2, gradient=lambda th: th - 1.0, noise_scale=v),
+        ("noise_scale",),
+        _noise_holds,
+    ),
+    "RunConfig.initial_state": (
+        lambda v: two_agent_config(initial_state=[[0.0], [v]]),
+        ("initial state",),
+        lambda config: np.isfinite(config.initial_state).all(),
+    ),
+    "Box.lower": (lambda v: Box([v, -1.0], [1.0, 1.0]), ("lower",), _set_holds),
+    "Box.upper": (lambda v: Box([0.0, 0.0], [v, 1.0]), ("upper",), _set_holds),
+    "Halfspaces.normals": (
+        lambda v: Halfspaces([[v, 1.0]], [1.0]), ("normal", "row"), _set_holds
+    ),
+    "Halfspaces.offsets": (lambda v: Halfspaces([[1.0, 1.0]], [v]), ("offset",), _set_holds),
+    "BudgetSimplex.budgets": (
+        lambda v: BudgetSimplex([1.0, v], [(0,), (1,)]), ("budget",), _set_holds
+    ),
+    "BudgetSimplex.per_user.budgets": (
+        lambda v: BudgetSimplex.per_user(2, 2, [1.0, v]), ("budget",), _set_holds
+    ),
+    "PowerScenario.budgets": (
+        lambda v: _scenario(budgets=[1.0, v]), ("budgets",), _scenario_holds
+    ),
+    "PowerScenario.noise_vars": (
+        lambda v: _scenario(noise_vars=[0.1, v]), ("noise_vars",), _scenario_holds
+    ),
+    "PowerScenario.weights": (
+        lambda v: _scenario(weights=[1.0, v]), ("weights",), _scenario_holds
+    ),
+    "CltSpec.theta_star": (lambda v: _clt(theta_star=[0.0, v]), ("theta_star",), _clt_holds),
+    "CltSpec.drift_jacobian": (
+        lambda v: _clt(drift_jacobian=np.diag([-1.0, v])), ("drift_jacobian",), _clt_holds
+    ),
+    "CltSpec.noise_cov": (
+        lambda v: _clt(noise_cov=np.diag([1.0, v])), ("noise_cov",), _clt_holds
+    ),
+}
+FLOAT_CASES = [(field, v) for field in FLOAT_FIELDS for v in FLOAT_EDGES]
+
+
+@settings(derandomize=True, max_examples=len(FLOAT_CASES), deadline=None)
+@given(st.sampled_from(FLOAT_CASES))
+def test_float_fields_are_refused_by_name_or_hold(case):
+    # NaN fails every comparison, so a check written as ``x <= 0`` lets it
+    # through; each field is set to one edge value with the others valid.
+    field, value = case
+    build, names, holds = FLOAT_FIELDS[field]
+    try:
+        built = build(value)
+    except ValueError as err:
+        assert any(name in str(err) for name in names), (field, value, str(err))
+    else:
+        assert holds(built), (field, value)
 
 
 class TestLocalStep:
@@ -1091,6 +1216,8 @@ class TestRunEnsemble:
             assert np.array_equal(finals[r], final)
 
     def test_statistics_match_sequential(self):
+        """Seed census (``tests/seed_census.py``): fails at 0 of seeds 0-99,
+        but the relative gap reads 0.001-0.387 against 0.4."""
         centers = np.zeros((2, 1))
         problem = quadratic_problem(centers, sigma=1.0)
         config = RunConfig(
@@ -1130,18 +1257,9 @@ class TestRunEnsemble:
         "benchmark-shape": (4, FIVE_EDGES, 1, 1.0, 0.0, 4000, 30),
     }
 
-    # Each shape through each source; the benchmark shape also at the real
-    # size rule, under its old name.
-    @pytest.mark.parametrize(
-        "shape,source",
-        [pytest.param(shape, "inline", id=shape) for shape in SHAPES if shape != "benchmark-shape"]
-        + [pytest.param("benchmark-shape", "real", id="benchmark-shape")]
-        + [pytest.param("benchmark-shape", "inline", id="benchmark-shape-inline")]
-        + [pytest.param(shape, "worker", id=f"{shape}-worker") for shape in SHAPES],
-    )
-    def test_matches_literal_loop_bitwise(self, shape, source, monkeypatch):
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_literal_loop_bitwise(self, shape):
         n_agents, edges, dim, c, eta, replicas, n_iter = self.SHAPES[shape]
-        force_draw_source(monkeypatch, source)
         rng = np.random.default_rng(14)
         weights = rng.uniform(0.2, 2.0, size=len(edges))
         config = RunConfig(
@@ -1400,14 +1518,9 @@ class TestEnsembleMixer:
 
 
     @pytest.mark.parametrize(
-        "c,source",
-        [
-            pytest.param(c, source, id=f"{c!r}" if source == "inline" else f"{c!r}-worker")
-            for source in ("inline", "worker")
-            for c in [1e-300, 0.1, 0.5, 0.6, float(np.nextafter(1.0, 0.0))]
-        ],
+        "c", [1e-300, 0.1, 0.5, 0.6, float(np.nextafter(1.0, 0.0))], ids=repr
     )
-    def test_activation_exchanges_exactly_below_p(self, c, source, monkeypatch):
+    def test_activation_exchanges_exactly_below_p(self, c, monkeypatch):
         # One zero-oracle step on scripted uniforms: a replica whose
         # activation draw is 0 or the float just below p exchanges; one at p
         # or the float just above it stays lazy.
@@ -1425,7 +1538,6 @@ class TestEnsembleMixer:
                 return out
 
         monkeypatch.setattr("gossip_sa.core._stream", lambda *args: ScriptedUniforms())
-        force_draw_source(monkeypatch, source)
         zero = lambda theta, noise: np.zeros_like(theta)  # noqa: E731
         start = np.array([[0.0], [1.0]])
         config = RunConfig(
@@ -1441,10 +1553,10 @@ class TestEnsembleMixer:
         assert np.array_equal(after, [[[0.5], [0.5]]] * 2 + [start] * 2)
 
 
-class TestDrawAhead:
-    """:func:`run_ensemble`'s worker thread changes nothing a caller sees:
-    every failure is the inline loop's, raised at the same step, and no
-    thread outlives the call."""
+class TestEnsembleAbort:
+    """:func:`run_ensemble` draws on the calling thread, one draw per step:
+    each failure is raised at its own step with its own type, message and
+    position, and no thread is started."""
 
     STEP = 4  # the step at which each scripted failure happens
 
@@ -1474,9 +1586,6 @@ class TestDrawAhead:
                     raise ZeroDivisionError("oracle failed")
                 elif fail == "interrupt":
                     raise KeyboardInterrupt
-            if len(observations) == 10:
-                # The last step: time for a draw past it to run, were one queued.
-                time.sleep(0.02)
             return y
 
         problem = Problem(dim=1, n_agents=4, gradient=None, oracle=oracle, draw=draw)
@@ -1491,59 +1600,70 @@ class TestDrawAhead:
         return config, observations, draws
 
     @classmethod
-    def outcome(cls, monkeypatch, source, fail=None):
-        """What a run through ``source`` returned or raised, and the oracle
-        and draw calls it made; the threads alive are those alive before it."""
+    def outcome(cls, fail=None):
+        """What a run returned or raised, and the oracle and draw calls it
+        made; the threads alive are those alive before it."""
         config, observations, draws = cls.config(fail)
-        with monkeypatch.context() as patch:
-            force_draw_source(patch, source)
-            before = threading.enumerate()
-            try:
-                result = run_ensemble(config)
-            except (Exception, KeyboardInterrupt) as err:
-                result = err
-            assert threading.enumerate() == before
+        before = threading.enumerate()
+        try:
+            result = run_ensemble(config)
+        except (Exception, KeyboardInterrupt) as err:
+            result = err
+        assert threading.enumerate() == before
         return result, len(observations), len(draws)
 
-    def test_normal_end_equals_the_inline_run(self, monkeypatch):
-        worker, calls, worker_draws = self.outcome(monkeypatch, "worker")
-        inline, _, inline_draws = self.outcome(monkeypatch, "inline")
-        assert calls == 10
-        # The worker draws ahead, but never past the last step.
-        assert worker_draws == inline_draws == 10
-        assert np.array_equal(worker, inline)
+    def test_normal_end_makes_one_draw_per_step(self):
+        final, calls, draws = self.outcome()
+        assert calls == draws == 10
+        assert final.shape == (16, 4, 1) and np.isfinite(final).all()
 
-    @pytest.mark.parametrize(
-        "fail",
-        ["draw-raises", "draw-shape", "divergence", "non-finite", "oracle-raises", "interrupt"],
-    )
-    def test_failure_is_the_inline_one_at_its_step(self, monkeypatch, fail):
-        worker, worker_calls, _ = self.outcome(monkeypatch, "worker", fail)
-        inline, inline_calls, _ = self.outcome(monkeypatch, "inline", fail)
-        assert isinstance(inline, BaseException)
+    # The failure, its message, and its (replica, iteration, agent); None
+    # where the exception has no such attribute.
+    FAILURES = {
+        "draw-raises": (RuntimeError, "draw 4 failed", (None, None, None)),
+        "draw-shape": (
+            ValueError,
+            "the draw returned noise of shape (16, 4, 2), expected (16, 4, 1)",
+            (None, None, None),
+        ),
+        "divergence": (
+            DivergenceError,
+            "stacked state norm exceeded 1e+12 at iteration 4 in replica 5",
+            (5, 4, None),
+        ),
+        "non-finite": (
+            NonFiniteObservationError,
+            "non-finite observation for agent 3 in replica 9",
+            (9, 4, 3),
+        ),
+        "oracle-raises": (ZeroDivisionError, "oracle failed", (None, None, None)),
+        "interrupt": (KeyboardInterrupt, "", (None, None, None)),
+    }
+
+    @pytest.mark.parametrize("fail", FAILURES)
+    def test_failure_is_raised_at_its_step(self, fail):
+        err, calls, draws = self.outcome(fail)
+        kind, message, position = self.FAILURES[fail]
         # A failed draw ends the run before its step's oracle call.
-        assert inline_calls == self.STEP - fail.startswith("draw")
-        assert worker_calls == inline_calls
-        fields = ("replica", "iteration", "agent", "records")
-        assert type(worker) is type(inline)
-        assert str(worker) == str(inline)
-        assert [getattr(worker, f, None) for f in fields] == [getattr(inline, f, None) for f in fields]
+        assert (draws, calls) == (self.STEP, self.STEP - fail.startswith("draw"))
+        assert type(err) is kind
+        assert str(err) == message
+        fields = ("replica", "iteration", "agent")
+        assert tuple(getattr(err, f, None) for f in fields) == position
+        if isinstance(err, SimulationAbort):
+            assert err.records == ()
 
-    def test_draw_that_overflows_emits_no_warning(self, monkeypatch):
+    def test_draw_that_overflows_emits_no_warning(self):
         # exp overflows to inf on about half the draws; the noise is then 1.
         def draw(rng, lead):
             return np.minimum(np.exp(1000.0 * rng.standard_normal((*lead, 4, 1))), 1.0)
 
         config, _, _ = self.config()
         config.problem.draw = draw
-        finals = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for source in ("worker", "inline"):
-                with monkeypatch.context() as patch:
-                    force_draw_source(patch, source)
-                    finals[source] = run_ensemble(config)
-        assert np.array_equal(finals["worker"], finals["inline"])
+            final = run_ensemble(config)
+        assert np.isfinite(final).all()
 
 
 def literal_run_ensemble(config):
@@ -1612,7 +1732,8 @@ class TestNonconvexKuhnTucker:
     on the boundary.  The size, ``DELTA``, ``FRACTION`` and the windows
     were fixed before the seed; a replica that leaves the unstable point
     late arrives late, so the test asks a fraction, not every replica.
-    Each run takes about 0.5 s.
+    Each run takes about 0.5 s.  Seed census (``tests/seed_census.py``):
+    each test fails at 0 of seeds 0-99, the fraction reading 0.925-1.
     """
 
     OFFSETS = np.array([[0.3], [0.1], [-0.1], [-0.3]])
@@ -1620,7 +1741,7 @@ class TestNonconvexKuhnTucker:
     FRACTION = 0.9  # of replicas within DELTA of the KT set
     WINDOW = 10  # records per residual window
 
-    def final_averages_and_residuals(self, constraint, low, high):
+    def final_averages_and_residuals(self, constraint, low, high, seed=0):
         problem = Problem(
             dim=1,
             n_agents=4,
@@ -1634,7 +1755,7 @@ class TestNonconvexKuhnTucker:
             schedule=StepSchedule(gamma0=0.2, xi=0.75),
             initial_state=lambda rng: rng.uniform(low, high, (4, 1)),
             n_iter=5000,
-            seed=0,
+            seed=seed,
             replicas=40,
             record_every=50,
         )
