@@ -1,3 +1,4 @@
+import ast
 import copy
 import math
 import os
@@ -690,6 +691,29 @@ class TestCli:
         # scipy.optimize dominates start-up time; only halfspace sets need it,
         # and they import it when built.
         assert not self.loaded_by_cli_import("scipy.optimize")
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # The ensemble draws on the calling thread, so no module of the
+        # package needs an executor (importing one costs 3-5 ms).
+        assert not self.loaded_by_cli_import("concurrent.futures")
+
+    def test_package_imports_no_thread_module(self):
+        # Read from the source, since numpy itself loads threading.
+        package = os.path.dirname(gossip_sa.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    assert module.split(".")[0] not in ("threading", "concurrent"), (name, module)
 
     def test_clt_run_leaves_scipy_unloaded(self, tmp_path):
         # The replica study needs no scipy module; loading scipy.linalg alone

@@ -105,14 +105,55 @@ class TestStepSchedule:
         lambda: GossipModel(Graph.from_edges(2, [(1, 2)]), activation_scale=math.nan),
         lambda: GossipModel(Graph.from_edges(2, [(1, 2)]), activation_decay=math.nan),
         lambda: StepSchedule(gamma0=math.nan, xi=0.75),
+        lambda: Problem(dim=1, n_agents=2, gradient=lambda th: th, noise_scale=math.nan),
+        lambda: BudgetSimplex([1.0, math.nan], [(0,), (1,)]),
+        lambda: BudgetSimplex.per_user(2, 2, [1.0, math.nan]),
+        lambda: _scenario(budgets=[1.0, math.nan]),
+        lambda: _scenario(noise_vars=[0.1, math.nan]),
+        lambda: _scenario(weights=[1.0, math.nan]),
+        lambda: _clt(theta_star=[0.0, math.nan]),
+        lambda: _clt(drift_jacobian=np.diag([-1.0, math.nan])),
+        lambda: _clt(noise_cov=np.diag([1.0, math.nan])),
     ],
-    ids=["pair-prob", "edge-weight", "activation-scale", "activation-decay", "gamma0"],
+    ids=[
+        "pair-prob",
+        "edge-weight",
+        "activation-scale",
+        "activation-decay",
+        "gamma0",
+        "noise-scale",
+        "simplex-budget",
+        "per-user-budget",
+        "scenario-budget",
+        "scenario-noise-var",
+        "scenario-weight",
+        "theta-star",
+        "drift-jacobian",
+        "noise-cov",
+    ],
 )
 def test_constructors_reject_nan(build):
     # A NaN fails every comparison, so a check written as ``x <= 0`` lets it
     # through: a NaN edge probability picks edge 0 for every draw, and a NaN
     # activation gives ``min(1, nan) == 1``, an exchange at every step.
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: Problem(dim=1, n_agents=2, gradient=lambda th: th, noise_scale=-1.0), "noise_scale"),
+        (lambda: Problem(dim=1, n_agents=2, gradient=lambda th: th, noise_scale=math.inf), "noise_scale"),
+        (lambda: StepSchedule(gamma0=math.inf, xi=0.75), "gamma0"),
+        (lambda: _clt(noise_cov=np.diag([1.0, -1.0])), "noise_cov"),
+    ],
+    ids=["negative-noise-scale", "infinite-noise-scale", "infinite-gamma0", "indefinite-noise-cov"],
+)
+def test_constructors_reject_out_of_range(build, field):
+    # The CLI bounds noise_scale and gamma0 to finite values and a
+    # covariance is positive semidefinite; the constructors hold the same.
+    with pytest.raises(ValueError, match=field):
         build()
 
 
